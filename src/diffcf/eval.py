@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import camae
+from . import camae, ndtensor as nd
 from .dataset import InteractionMatrix, TAG_TRAIN, TAG_VAL, TAG_TEST, dense_rows, item_popularity
 from .errors import ContractError, NumericError
 from .graph import HopContexts
@@ -38,17 +38,25 @@ def denoise_infer(params: dict, config: camae.CamAeConfig, sched: NoiseSchedule,
     if not 0 <= infer_steps <= sched.T:
         raise ContractError(f"infer_steps must lie in 0..{sched.T}, got {infer_steps}")
     batch = u_obs.shape[0]
+
+    def denoise(u: np.ndarray, t: int) -> np.ndarray:
+        # Plain (non-trainable) parameter leaves: no node needs a gradient,
+        # so the tape keeps no softmax for a backward pass that never runs.
+        tape = nd.Tape()
+        leaves = {name: tape.leaf(value) for name, value in params.items()}
+        out = camae.camae_forward(tape, leaves, config, u, contexts,
+                                  np.full(batch, t, dtype=np.int64))
+        return tape.value(out)
+
     if infer_steps == 0:
-        tape, _, out = camae.run_batch(params, config, u_obs, contexts, 1)
-        scores = tape.value(out)
+        scores = denoise(u_obs, 1)
     else:
         if rng is None:
             rng = np.random.default_rng(0)
         noise = rng.standard_normal(u_obs.shape).astype(u_obs.dtype)
         u = diffuse_to(u_obs, infer_steps, sched, noise)
         for t in range(infer_steps, 0, -1):
-            tape, _, out = camae.run_batch(params, config, u, contexts, t)
-            u = tape.value(out)
+            u = denoise(u, t)
             if stochastic and t >= 2:
                 eps = rng.standard_normal(u.shape).astype(u.dtype)
                 u = u + np.sqrt(sched.betas[t - 1]).astype(u.dtype) * eps
@@ -60,15 +68,32 @@ def denoise_infer(params: dict, config: camae.CamAeConfig, sched: NoiseSchedule,
 
 def rank_topk(scores: np.ndarray, exclude: np.ndarray, k: int) -> np.ndarray:
     """Top-k item ids per row after masking `exclude` (a bool matrix).
-    Stable sort on negated scores, so equal scores rank by item id."""
+    Equal scores rank by item id, and masked items fill a short row last,
+    in id order.
+
+    Only the top k are sorted: a partition finds each row's k-th best
+    score, the items at or above it are kept (dropping the highest ids
+    among those tied with it when there are too many), and a stable sort
+    on negated scores orders them."""
     if scores.shape != exclude.shape:
         raise ContractError(f"scores {scores.shape} vs exclude {exclude.shape}")
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
     masked = scores.astype(np.float64, copy=True)
+    if np.isnan(masked).any():
+        raise ContractError("rank_topk: scores contain NaN")
     masked[exclude] = -np.inf
-    order = np.argsort(-masked, axis=1, kind="stable")
-    return order[:, :k].astype(np.int64)
+    width = masked.shape[1]
+    k = min(k, width)
+    kth = np.partition(masked, width - k, axis=1)[:, width - k]
+    take = masked >= kth[:, None]
+    excess = take.sum(axis=1) - k
+    for row in np.flatnonzero(excess):
+        tied = np.flatnonzero(masked[row] == kth[row])
+        take[row, tied[tied.size - excess[row]:]] = False
+    ids = np.nonzero(take)[1].reshape(-1, k)
+    order = np.argsort(-np.take_along_axis(masked, ids, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(ids, order, axis=1).astype(np.int64)
 
 
 def ranking_metrics(topk: np.ndarray, relevant: list[np.ndarray], k: int):

@@ -94,6 +94,89 @@ def sinusoidal_embedding(t: np.ndarray, dim: int, dtype=DTYPE) -> np.ndarray:
     return emb.astype(dtype).reshape(len(t), 1, dim)
 
 
+# ------------------------------------------------------------ cross-attention
+#
+# softmax(q k^T / sqrt(d)) v walks the batch axis in chunks, so that the
+# (chunk, m, n) score block it works in stays within ATTN_CHUNK_BYTES
+# instead of materialising every (B, m, n) temporary at once. Each chunk
+# is scaled, shifted, exponentiated and normalized in place; row sums
+# accumulate in float64 and the division runs in float64 before rounding
+# back, so every element comes out exactly as the whole-batch expression
+# would give it. The full softmax is allocated only when it must be kept
+# for the backward pass.
+
+ATTN_CHUNK_BYTES = 1 << 22
+
+
+def _attention_batches(q: np.ndarray, k: np.ndarray, v: np.ndarray):
+    """Broadcast batch shape of the operands, views of them over a shared
+    leading batch axis (2-D operands become a batch of one), and the
+    number of leading entries per chunk."""
+    try:
+        batch = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
+    except ValueError:
+        raise ShapeError(
+            f"cross_attention: batch shapes {q.shape}, {k.shape}, {v.shape} do not broadcast"
+        ) from None
+    lead = batch or (1,)
+    views = [np.broadcast_to(x, lead + x.shape[-2:]) for x in (q, k, v)]
+    block = math.prod(lead[1:]) * q.shape[-2] * k.shape[-2] * q.itemsize
+    return batch, views, max(1, ATTN_CHUNK_BYTES // block)
+
+
+def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, keep_softmax: bool):
+    """Returns (output, softmax or None)."""
+    batch, (qb, kb, vb), chunk = _attention_batches(q, k, v)
+    lead, m, n = qb.shape[:-2], q.shape[-2], k.shape[-2]
+    inv = np.asarray(1.0 / math.sqrt(q.shape[-1]), dtype=q.dtype)
+    held = lead if keep_softmax else (min(chunk, lead[0]),) + lead[1:]
+    s = np.empty(held + (m, n), q.dtype)
+    out = np.empty(batch + (m, v.shape[-1]), q.dtype)
+    out_b = out.reshape(lead + out.shape[-2:])
+    for lo in range(0, len(qb), chunk):
+        part = slice(lo, lo + chunk)
+        e = s[part] if keep_softmax else s[: min(chunk, len(qb) - lo)]
+        np.matmul(qb[part], _swap(kb[part]), out=e)
+        e *= inv
+        e -= e.max(axis=-1, keepdims=True)
+        np.exp(e, out=e)
+        np.divide(e, e.sum(axis=-1, keepdims=True, dtype=np.float64), out=e,
+                  casting="unsafe")
+        np.matmul(e, vb[part], out=out_b[part])
+    if not keep_softmax:
+        return out, None
+    return out, s.reshape(batch + s.shape[-2:])
+
+
+def _attention_backward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                        s: np.ndarray, g: np.ndarray) -> list[np.ndarray]:
+    """Gradients for (q, k, v) from the kept softmax and the output grad."""
+    batch, (qb, kb, vb), chunk = _attention_batches(q, k, v)
+    lead = qb.shape[:-2]
+    s_b = s.reshape(lead + s.shape[-2:])
+    g_b = g.reshape(lead + g.shape[-2:])
+    inv = np.asarray(1.0 / math.sqrt(q.shape[-1]), dtype=s.dtype)
+    dtype = np.result_type(g, s)
+    grads = [np.empty(lead + x.shape[-2:], dtype) for x in (qb, kb, vb)]
+    gq, gk, gv = grads
+    gs = np.empty((min(chunk, len(s_b)),) + s_b.shape[1:], dtype)
+    prod = np.empty_like(gs)
+    for lo in range(0, len(s_b), chunk):
+        part = slice(lo, lo + chunk)
+        sc, gc = s_b[part], g_b[part]
+        a, p = gs[: len(sc)], prod[: len(sc)]
+        np.matmul(_swap(sc), gc, out=gv[part])
+        np.matmul(gc, _swap(vb[part]), out=a)
+        np.multiply(a, sc, out=p)
+        a -= p.sum(axis=-1, keepdims=True, dtype=np.float64).astype(s.dtype)
+        a *= sc
+        a *= inv
+        np.matmul(a, kb[part], out=gq[part])
+        np.matmul(_swap(a), qb[part], out=gk[part])
+    return [_reduce_to(gx.reshape(batch + gx.shape[-2:]), x.shape)
+            for gx, x in zip(grads, (q, k, v))]
+
+
 class Tape:
     """Wengert list: append-only op trace with a single reverse sweep."""
 
@@ -128,6 +211,7 @@ class Tape:
     def record(self, op: str, *inputs: int, **const) -> int:
         """Execute `op` on the given node ids, append the result, return its id."""
         vals = [self.nodes[i].value for i in inputs]
+        req = any(self.nodes[i].requires_grad for i in inputs)
         ctx: dict = {}
 
         if op == "matmul":
@@ -195,15 +279,12 @@ class Tape:
                 raise ShapeError(
                     f"cross_attention: shapes {q.shape}, {k.shape}, {v.shape} do not chain"
                 )
-            inv = 1.0 / math.sqrt(q.shape[-1])
-            logits = np.matmul(q, _swap(k)) * np.asarray(inv, dtype=q.dtype)
-            shifted = logits - logits.max(axis=-1, keepdims=True)
-            e = np.exp(shifted)
-            denom = e.sum(axis=-1, keepdims=True, dtype=np.float64)
-            s = (e / denom).astype(q.dtype)
-            ctx["softmax"] = s
-            ctx["inv_sqrt_d"] = inv
-            out = np.matmul(s, v)
+            if not q.dtype == k.dtype == v.dtype:
+                raise ContractError(
+                    f"cross_attention: dtypes {q.dtype}, {k.dtype}, {v.dtype} differ")
+            out, s = _attention_forward(q, k, v, keep_softmax=req)
+            if req:
+                ctx["softmax"] = s
         elif op == "transpose_last2":
             (a,) = vals
             if a.ndim < 2:
@@ -228,7 +309,6 @@ class Tape:
             raise ContractError(f"unknown op {op!r}")
 
         self._check_finite(out, op)
-        req = any(self.nodes[i].requires_grad for i in inputs)
         self.nodes.append(Node(op, inputs, out, req, ctx))
         return len(self.nodes) - 1
 
@@ -302,16 +382,7 @@ class Tape:
             for iid, w in zip(ids, node.ctx["weights"]):
                 yield iid, w * g
         elif op == "cross_attention":
-            q, k, v = vals
-            s = node.ctx["softmax"]
-            inv = node.ctx["inv_sqrt_d"]
-            gv = _reduce_to(np.matmul(_swap(s), g), v.shape)
-            gs = np.matmul(g, _swap(v))
-            inner = (gs * s).sum(axis=-1, keepdims=True, dtype=np.float64).astype(s.dtype)
-            gl = (s * (gs - inner)) * np.asarray(inv, dtype=s.dtype)
-            yield ids[0], _reduce_to(np.matmul(gl, k), q.shape)
-            yield ids[1], _reduce_to(np.matmul(_swap(gl), q), k.shape)
-            yield ids[2], gv
+            yield from zip(ids, _attention_backward(*vals, node.ctx["softmax"], g))
         elif op == "transpose_last2":
             yield ids[0], _swap(g)
         elif op == "reshape":
@@ -335,7 +406,6 @@ class Tape:
             sub.nodes = self.nodes[:nid]
             const = dict(node.ctx)
             const.pop("softmax", None)
-            const.pop("inv_sqrt_d", None)
             const.pop("old_shape", None)
             if node.op == "reshape":
                 const["shape"] = node.value.shape

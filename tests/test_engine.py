@@ -2,9 +2,10 @@
 
 Every differentiable op is checked against central finite differences
 computed by an oracle in this file (not the engine's own checker), the
-fused attention op is cross-checked against its primitive composition,
-Adam is compared to an independent reimplementation, and checkpoints
-must round-trip bitwise.
+fused attention op is cross-checked against its primitive composition
+and, bit for bit, against the whole-batch computation its chunked kernel
+replaced, Adam is compared to an independent reimplementation, and
+checkpoints must round-trip bitwise.
 """
 
 import math
@@ -306,6 +307,108 @@ class TestOpValues:
                     tape.record("relu", a),
                     tape.record("mean_over_cols", a)):
             assert tape.value(nid).dtype == np.float32
+
+
+def whole_batch_attention(q, k, v):
+    """The cross-attention forward as it was before the chunked kernel:
+    every (B, m, n) temporary materialised at once. Returns (out, softmax)."""
+    inv = 1.0 / math.sqrt(q.shape[-1])
+    logits = np.matmul(q, np.swapaxes(k, -1, -2)) * np.asarray(inv, dtype=q.dtype)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    denom = e.sum(axis=-1, keepdims=True, dtype=np.float64)
+    s = (e / denom).astype(q.dtype)
+    return np.matmul(s, v), s
+
+
+def whole_batch_attention_vjp(q, k, v, s, g):
+    """The whole-batch backward matching `whole_batch_attention`."""
+    inv = 1.0 / math.sqrt(q.shape[-1])
+    gv = nd._reduce_to(np.matmul(np.swapaxes(s, -1, -2), g), v.shape)
+    gs = np.matmul(g, np.swapaxes(v, -1, -2))
+    inner = (gs * s).sum(axis=-1, keepdims=True, dtype=np.float64).astype(s.dtype)
+    gl = (s * (gs - inner)) * np.asarray(inv, dtype=s.dtype)
+    gq = nd._reduce_to(np.matmul(gl, k), q.shape)
+    gk = nd._reduce_to(np.matmul(np.swapaxes(gl, -1, -2), q), k.shape)
+    return gq, gk, gv
+
+
+def chunk_len(m, n, dtype, rows=1):
+    return max(1, nd.ATTN_CHUNK_BYTES // (rows * m * n * np.dtype(dtype).itemsize))
+
+
+class TestChunkedAttention:
+    """The chunked kernel against the whole-batch oracle, bit for bit."""
+
+    # Large enough that a handful of users fill a chunk of the budget.
+    M, N, D, DV = 384, 512, 8, 5
+
+    def assert_matches_oracle(self, q, k, v, seed):
+        tape = nd.Tape()
+        ids = [tape.leaf(x, trainable=True) for x in (q, k, v)]
+        node = tape.nodes[tape.record("cross_attention", *ids)]
+        want, want_s = whole_batch_attention(q, k, v)
+        assert node.value.shape == want.shape and node.value.dtype == want.dtype
+        assert np.array_equal(node.value, want)
+        assert np.array_equal(node.ctx["softmax"], want_s)
+        g = np.random.default_rng(seed).standard_normal(want.shape).astype(want.dtype)
+        got = dict(tape._vjp(node, g))
+        for iid, x, gx in zip(ids, (q, k, v), whole_batch_attention_vjp(q, k, v, want_s, g)):
+            assert got[iid].shape == x.shape and got[iid].dtype == gx.dtype
+            assert np.array_equal(got[iid], gx)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_batches_around_the_chunk_length(self, dtype):
+        chunk = chunk_len(self.M, self.N, dtype)
+        assert 2 <= chunk < 16, "operands must span several chunks"
+        rng = np.random.default_rng(40)
+        for batch in sorted({1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1}):
+            q = rng.standard_normal((batch, self.M, self.D)).astype(dtype)
+            k = rng.standard_normal((batch, self.N, self.D)).astype(dtype)
+            v = rng.standard_normal((batch, self.N, self.DV)).astype(dtype)
+            self.assert_matches_oracle(q, k, v, seed=batch)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_two_dimensional_operands(self, dtype):
+        rng = np.random.default_rng(41)
+        q = rng.standard_normal((self.M, self.D)).astype(dtype)
+        k = rng.standard_normal((self.N, self.D)).astype(dtype)
+        v = rng.standard_normal((self.N, self.DV)).astype(dtype)
+        self.assert_matches_oracle(q, k, v, seed=1)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_broadcast_batch_dimensions(self, dtype):
+        rng = np.random.default_rng(42)
+        batch = chunk_len(self.M, self.N, dtype) + 1
+        cases = [
+            ((batch, self.M, self.D), (self.N, self.D), (1, self.N, self.DV)),
+            ((self.M, self.D), (batch, self.N, self.D), (batch, self.N, self.DV)),
+            ((2, 1, self.M, self.D), (3, self.N, self.D), (2, 3, self.N, self.DV)),
+        ]
+        for seed, shapes in enumerate(cases):
+            q, k, v = (rng.standard_normal(shape).astype(dtype) for shape in shapes)
+            self.assert_matches_oracle(q, k, v, seed=seed)
+
+    def test_softmax_kept_only_for_gradients(self):
+        rng = np.random.default_rng(43)
+        q, k, v = (rng.standard_normal((3, 6, 4)).astype(np.float32) for _ in range(3))
+        tape = nd.Tape()
+        plain = tape.nodes[tape.record("cross_attention", *(tape.leaf(x) for x in (q, k, v)))]
+        assert "softmax" not in plain.ctx and not plain.requires_grad
+        ids = [tape.leaf(q, trainable=True), tape.leaf(k), tape.leaf(v)]
+        kept = tape.nodes[tape.record("cross_attention", *ids)]
+        assert kept.ctx["softmax"].shape == (3, 6, 6)
+        assert np.array_equal(plain.value, kept.value)
+
+    def test_rejects_mixed_dtypes_and_unbroadcastable_batches(self):
+        tape = nd.Tape()
+        q = tape.leaf(np.ones((2, 3, 4), np.float32))
+        with pytest.raises(ContractError):
+            tape.record("cross_attention", q, tape.leaf(np.ones((2, 5, 4))),
+                        tape.leaf(np.ones((2, 5, 4), np.float32)))
+        kv = tape.leaf(np.ones((3, 5, 4), np.float32))
+        with pytest.raises(ShapeError):
+            tape.record("cross_attention", q, kv, kv)
 
 
 class TestSinusoidalEmbedding:

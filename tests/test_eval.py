@@ -37,6 +37,15 @@ def brute_force_report(scores, observed, relevant, k):
     return sum(recalls) / len(recalls), sum(ndcgs) / len(ndcgs)
 
 
+def argsort_topk(scores, exclude, k):
+    """`rank_topk` as a full stable argsort over the catalog: the oracle
+    for the partitioned version."""
+    masked = scores.astype(np.float64, copy=True)
+    masked[exclude] = -np.inf
+    order = np.argsort(-masked, axis=1, kind="stable")
+    return order[:, :k].astype(np.int64)
+
+
 @pytest.fixture(scope="module")
 def tagged_matrix():
     rng = np.random.default_rng(80)
@@ -62,11 +71,41 @@ class TestRankTopk:
         top = evaluation.rank_topk(np.ones((1, 3)), np.zeros((1, 3), bool), 10)
         assert top.shape == (1, 3)
 
+    def test_short_rows_fill_with_masked_items_in_id_order(self):
+        scores = np.array([[3.0, 9.0, 1.0, 7.0, 5.0]])
+        exclude = np.array([[True, False, True, False, True]])
+        top = evaluation.rank_topk(scores, exclude, 5)
+        np.testing.assert_array_equal(top, [[1, 3, 0, 2, 4]])
+
+    def test_matches_argsort_oracle_on_tie_heavy_scores(self):
+        rng = np.random.default_rng(81)
+        for _ in range(200):
+            rows, width = int(rng.integers(1, 9)), int(rng.integers(1, 40))
+            levels = int(rng.integers(1, 6))
+            scores = rng.integers(-levels, levels + 1, size=(rows, width))
+            exclude = rng.random((rows, width)) < rng.choice([0.0, 0.3, 0.9])
+            for k in (1, int(rng.integers(1, width + 1)), width, width + 3):
+                got = evaluation.rank_topk(scores, exclude, k)
+                want = argsort_topk(scores, exclude, k)
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+
+    def test_matches_argsort_oracle_on_float32_scores(self):
+        rng = np.random.default_rng(82)
+        scores = rng.standard_normal((16, 500)).astype(np.float32)
+        scores[:, ::7] = 0.25
+        exclude = rng.random(scores.shape) < 0.1
+        for k in (1, 10, 20, 499, 500):
+            np.testing.assert_array_equal(evaluation.rank_topk(scores, exclude, k),
+                                          argsort_topk(scores, exclude, k))
+
     def test_contracts(self):
         with pytest.raises(ContractError):
             evaluation.rank_topk(np.ones((1, 3)), np.zeros((1, 4), bool), 2)
         with pytest.raises(ContractError):
             evaluation.rank_topk(np.ones((1, 3)), np.zeros((1, 3), bool), 0)
+        with pytest.raises(ContractError):
+            evaluation.rank_topk(np.array([[1.0, np.nan]]), np.zeros((1, 2), bool), 1)
 
 
 class TestRankingMetrics:
@@ -234,6 +273,49 @@ class TestDenoiseInfer:
             with pytest.raises(ContractError):
                 evaluation.denoise_infer(params, cfg, sched, u_obs, contexts,
                                          bad)
+
+    @pytest.mark.parametrize("steps", [0, 10])
+    def test_inference_keeps_no_gradient_state(self, monkeypatch, steps):
+        cfg = CamAeConfig(num_users=9, num_items=11, latent_dim=7, attn_dim=3,
+                          layers=2, hops=3, hop_weights=(0.6, 0.4))
+        params = camae.init_params(cfg, seed=92)
+        sched = build_schedule(12)
+        rng = np.random.default_rng(93)
+        u_obs = (rng.random((5, 11)) < 0.4).astype(np.float32)
+        contexts = {h: rng.random((5, cfg.hop_dim(h))).astype(np.float32)
+                    for h in cfg.hop_list}
+        tapes = []
+        forward = camae.camae_forward
+
+        def spy(tape, *args, **kwargs):
+            tapes.append(tape)
+            return forward(tape, *args, **kwargs)
+
+        monkeypatch.setattr(camae, "camae_forward", spy)
+        got = evaluation.denoise_infer(params, cfg, sched, u_obs, contexts, steps,
+                                       rng=np.random.default_rng(94))
+        monkeypatch.undo()
+        assert len(tapes) == max(steps, 1)
+        k = cfg.latent_dim
+        for tape in tapes:
+            assert any(n.op == "cross_attention" for n in tape.nodes)
+            for node in tape.nodes:
+                assert not node.requires_grad
+                assert "softmax" not in node.ctx
+                assert np.shape(node.value)[-2:] != (k, k)
+
+        # The same walk through trainable leaves gives the same bits.
+        if steps == 0:
+            tape, _, out = camae.run_batch(params, cfg, u_obs, contexts, 1)
+            want = tape.value(out)
+        else:
+            noise = np.random.default_rng(94).standard_normal(u_obs.shape)
+            want = diffuse_to(u_obs, steps, sched, noise.astype(u_obs.dtype))
+            for t in range(steps, 0, -1):
+                tape, _, out = camae.run_batch(params, cfg, want, contexts, t)
+                assert any("softmax" in n.ctx for n in tape.nodes)
+                want = tape.value(out)
+        assert np.array_equal(got, want)
 
     def test_non_finite_scores_raise(self, model_world):
         params, cfg, sched, u_obs, contexts = model_world
