@@ -131,13 +131,6 @@ def init_params(config: CamAeConfig, seed: int = 0) -> dict[str, np.ndarray]:
             for name, (shape, fi, fo) in param_shapes(config).items()}
 
 
-def cross_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """softmax(q k^T / sqrt(d)) v, computed exactly as the tape op does."""
-    tape = nd.Tape(finite_mode="all")
-    out = tape.record("cross_attention", tape.leaf(q), tape.leaf(k), tape.leaf(v))
-    return tape.value(out)
-
-
 # ------------------------------------------------------------------- forward
 
 
@@ -246,25 +239,13 @@ def camae_forward(tape: nd.Tape, leaves: dict[str, int], config: CamAeConfig,
     return tape.record("matmul", y, dec_t)
 
 
-def bind_params(tape: nd.Tape, params: dict[str, np.ndarray]) -> dict[str, int]:
-    return {name: tape.leaf(value, trainable=True) for name, value in params.items()}
-
-
 def run_batch(params: dict[str, np.ndarray], config: CamAeConfig, u_t: np.ndarray,
-              contexts: dict[int, np.ndarray], t,
-              finite_mode: str = "small"):
-    """Convenience one-shot forward. Returns (tape, leaves, output id)."""
-    tape = nd.Tape(finite_mode=finite_mode)
-    leaves = bind_params(tape, params)
+              contexts: dict[int, np.ndarray], t, trainable: bool = False):
+    """Bind `params` as leaves of a fresh tape and record the denoiser on it;
+    a scalar `t` applies to every row. Trainable leaves make the tape keep
+    what `backward` needs; plain ones keep nothing for a backward pass.
+    Returns (tape, {param name: leaf id}, output id)."""
+    tape = nd.Tape()
+    leaves = {name: tape.leaf(value, trainable=trainable) for name, value in params.items()}
     t = np.full(u_t.shape[0], t, dtype=np.int64) if np.isscalar(t) else np.asarray(t)
-    out = camae_forward(tape, leaves, config, u_t, contexts, t)
-    return tape, leaves, out
-
-
-def denoise_single(params: dict[str, np.ndarray], config: CamAeConfig,
-                   u_t: np.ndarray, context_rows: np.ndarray, t: int) -> np.ndarray:
-    """Single-user forward: 1-D u_t plus stacked hop rows (H-1, width)."""
-    contexts = {h: np.asarray(context_rows[i][: config.hop_dim(h)]).reshape(1, -1)
-                for i, h in enumerate(config.hop_list)}
-    tape, _, out = run_batch(params, config, np.asarray(u_t).reshape(1, -1), contexts, t)
-    return tape.value(out)[0]
+    return tape, leaves, camae_forward(tape, leaves, config, u_t, contexts, t)

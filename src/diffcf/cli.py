@@ -91,10 +91,17 @@ def context_cache_path(mpath: Path, hops: int) -> Path:
 
 def _load_contexts(matrix: dataset.InteractionMatrix, mpath: Path,
                    hops: int) -> graph.HopContexts:
+    """Read the cached contexts, or build and cache them when the file is
+    missing, does not match the matrix, or cannot be read (a stale format
+    version, say)."""
     cpath = context_cache_path(mpath, hops)
     if cpath.exists():
-        ctxs = graph.load_contexts(cpath)
-        if (ctxs.num_users == matrix.num_users and ctxs.num_items == matrix.num_items
+        try:
+            ctxs = graph.load_contexts(cpath)
+        except FormatError:
+            ctxs = None
+        if (ctxs is not None and ctxs.num_users == matrix.num_users
+                and ctxs.num_items == matrix.num_items
                 and set(range(2, hops + 1)) <= set(ctxs.hop_list)):
             return ctxs
     ctxs = graph.build_contexts(matrix, H=hops)

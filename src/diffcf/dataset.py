@@ -22,7 +22,7 @@ import struct
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ContractError, EmptyInputError, FormatError, ParseError
+from .errors import ContractError, EmptyInputError, ExactReader, FormatError, ParseError
 
 TAG_TRAIN, TAG_VAL, TAG_TEST = 0, 1, 2
 _TAG_NAMES = {"train": TAG_TRAIN, "val": TAG_VAL, "test": TAG_TEST}
@@ -213,17 +213,17 @@ def save_matrix(path, matrix: InteractionMatrix) -> None:
 
 def load_matrix(path) -> InteractionMatrix:
     with open(path, "rb") as f:
-        if f.read(4) != _MAGIC:
+        r = ExactReader(f, path)
+        if r.read(4) != _MAGIC:
             raise FormatError(f"{path}: not an interaction matrix file (bad magic)")
-        (version,) = struct.unpack("<H", f.read(2))
+        (version,) = r.unpack("<H")
         if version != _VERSION:
             raise FormatError(f"{path}: unsupported matrix version {version}")
-        num_users, num_items, nnz = struct.unpack("<QQQ", f.read(24))
-        indptr = np.frombuffer(f.read(8 * (num_users + 1)), dtype="<u8")
-        indices = np.frombuffer(f.read(4 * nnz), dtype="<u4")
-        tags = np.frombuffer(f.read(nnz), dtype="u1")
-    if indptr.size != num_users + 1 or indices.size != nnz or tags.size != nnz:
-        raise FormatError(f"{path}: truncated matrix file")
+        num_users, num_items, nnz = r.unpack("<QQQ")
+        indptr = r.array("<u8", num_users + 1)
+        indices = r.array("<u4", nnz)
+        tags = r.array("u1", nnz)
+        r.end()
     if num_users and int(indptr[-1]) != nnz:
         raise FormatError(f"{path}: offsets do not cover all interactions")
     return InteractionMatrix(int(num_users), int(num_items),

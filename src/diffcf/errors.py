@@ -1,8 +1,13 @@
-"""Shared error taxonomy.
+"""Shared error taxonomy, and the exact reader of binary artifacts.
 
 Every failure the package raises deliberately goes through one of these
 classes so the CLI can map it to an exit code and a stable stderr prefix.
 """
+
+import os
+import struct
+
+import numpy as np
 
 
 class DiffcfError(Exception):
@@ -52,3 +57,45 @@ class FormatError(DiffcfError):
     """A binary artifact has a bad magic, version, or structure."""
 
     category = "format"
+
+
+class ExactReader:
+    """Reads a binary artifact field by field. A field the file is too
+    short for, or bytes left over at `end`, raise FormatError naming the
+    byte offset; sizes are checked against the file length before any
+    buffer is allocated, so a corrupt length field cannot ask for one."""
+
+    def __init__(self, f, path):
+        self.f, self.path = f, path
+        self.size = os.fstat(f.fileno()).st_size
+
+    def _fill(self, make, n: int):
+        at = self.f.tell()
+        if n <= self.size - at:
+            buf = make()
+            if self.f.readinto(buf) == n:
+                return buf
+        raise FormatError(f"{self.path}: truncated: {n} bytes wanted at byte {at} "
+                          f"of {self.size}")
+
+    def read(self, n: int) -> bytes:
+        return bytes(self._fill(lambda: bytearray(n), n))
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
+
+    def text(self, n: int) -> str:
+        try:
+            return self.read(n).decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{self.path}: text field before byte {self.f.tell()} "
+                              "is not UTF-8") from None
+
+    def array(self, dtype, count: int) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        return self._fill(lambda: np.empty(count, dtype), dtype.itemsize * count)
+
+    def end(self) -> None:
+        at = self.f.tell()
+        if at != self.size:
+            raise FormatError(f"{self.path}: {self.size - at} trailing bytes after byte {at}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import camae, ndtensor as nd
+from . import camae
 from .dataset import InteractionMatrix, TAG_TRAIN, TAG_VAL, TAG_TEST, dense_rows, item_popularity
 from .errors import ContractError, NumericError
 from .graph import HopContexts
@@ -37,15 +37,9 @@ def denoise_infer(params: dict, config: camae.CamAeConfig, sched: NoiseSchedule,
     """
     if not 0 <= infer_steps <= sched.T:
         raise ContractError(f"infer_steps must lie in 0..{sched.T}, got {infer_steps}")
-    batch = u_obs.shape[0]
 
     def denoise(u: np.ndarray, t: int) -> np.ndarray:
-        # Plain (non-trainable) parameter leaves: no node needs a gradient,
-        # so the tape keeps no softmax for a backward pass that never runs.
-        tape = nd.Tape()
-        leaves = {name: tape.leaf(value) for name, value in params.items()}
-        out = camae.camae_forward(tape, leaves, config, u, contexts,
-                                  np.full(batch, t, dtype=np.int64))
+        tape, _, out = camae.run_batch(params, config, u, contexts, t)
         return tape.value(out)
 
     if infer_steps == 0:

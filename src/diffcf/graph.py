@@ -4,23 +4,20 @@ A hop-h neighborhood is the set of nodes at shortest-path distance
 exactly h from a user (even h lands on users, odd h on items). For each
 node in that level set we count the edges arriving from the previous
 level set, then normalize the counts to sum to one. Those normalized
-vectors, zero-padded to max(num_users, num_items), are the conditioning
-signal handed to the denoiser.
+rows, one sparse matrix per hop, are the conditioning signal handed to
+the denoiser.
 
-Two implementations produce identical float32 values:
+`build_contexts` computes them for every user with sparse matrix
+products: counts to level h are the binarized level h-1 support times
+the adjacency matrix, minus already-visited columns. It runs in chunks
+of users to bound memory and switches to dense BLAS when the frontier
+support gets dense enough that a GEMM beats a sparse product. Counts are
+integers that float32 holds exactly (edge totals stay far below 2**24);
+they are divided in float64 and rounded once to float32, so both routes
+give identical values. The tests keep a per-user BFS as the reference.
 
-- `hop_frontier` / `encode_hop` / `encode_context`: per-user BFS over
-  adjacency lists. Simple and obviously correct; used as the reference
-  and for single-user inspection.
-- `build_contexts`: whole-dataset builder using sparse matrix products
-  (counts to level h are the binarized level h-1 support times the
-  adjacency matrix, minus already-visited columns). Runs in chunks of
-  users to bound memory and switches to dense BLAS when the frontier
-  support gets dense enough that a GEMM beats a sparse product.
-
-Both count with integers that float32 holds exactly (edge totals stay
-far below 2**24), then divide in float64 and round once to float32, so
-equality between the two paths is exact, not approximate.
+The cache file stores each hop's CSR arrays contiguously behind a short
+header, so reading it is one read per array.
 """
 
 from __future__ import annotations
@@ -31,11 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .dataset import InteractionMatrix, TAG_TRAIN, as_csr
-from .errors import ContractError, FormatError
+from .dataset import as_csr
+from .errors import ContractError, ExactReader, FormatError
 
 _MAGIC = b"CFHC"
-_VERSION = 1
+_VERSION = 2
 
 # A GEMM retires roughly this many multiply-adds in the time a sparse
 # product retires one nonzero product on this class of hardware.
@@ -50,102 +47,6 @@ def hop_side(h: int) -> str:
 
 def _side_dim(h: int, num_users: int, num_items: int) -> int:
     return num_items if hop_side(h) == "item" else num_users
-
-
-# ------------------------------------------------------------ reference path
-
-
-@dataclass(frozen=True)
-class BipartiteGraph:
-    num_users: int
-    num_items: int
-    user_adj: list[np.ndarray]  # user -> sorted item ids
-    item_adj: list[np.ndarray]  # item -> sorted user ids
-
-
-@dataclass(frozen=True)
-class HopVector:
-    hop: int
-    side: str
-    values: np.ndarray  # float32 over the full side dimension; sums to 1 or is all-zero
-
-
-@dataclass(frozen=True)
-class HighOrderContext:
-    user: int
-    hops: tuple[int, ...]
-    padded: np.ndarray  # float32, shape (len(hops), max(num_users, num_items))
-
-
-def build_bipartite(matrix: InteractionMatrix, tags=(TAG_TRAIN,)) -> BipartiteGraph:
-    """Adjacency lists over the selected split tags (train by default, so
-    held-out interactions never leak into the conditioning signal)."""
-    m = as_csr(matrix, tags=tags)
-    mt = m.tocsc()
-    user_adj = [m.indices[m.indptr[u]:m.indptr[u + 1]].astype(np.int64)
-                for u in range(matrix.num_users)]
-    item_adj = [mt.indices[mt.indptr[i]:mt.indptr[i + 1]].astype(np.int64)
-                for i in range(matrix.num_items)]
-    return BipartiteGraph(matrix.num_users, matrix.num_items, user_adj, item_adj)
-
-
-def hop_frontier(graph: BipartiteGraph, user: int, h: int):
-    """BFS level set at distance exactly h from `user`.
-
-    Returns (sorted node ids, {node: edges from the previous level}, total
-    edge count). Node ids index the side given by `hop_side(h)`.
-    """
-    if not 0 <= user < graph.num_users:
-        raise ContractError(f"user {user} out of range 0..{graph.num_users - 1}")
-    if h < 1:
-        raise ContractError(f"hop must be >= 1, got {h}")
-    visited_u = {user}
-    visited_i: set[int] = set()
-    frontier = [user]
-    counts: dict[int, int] = {user: 1}
-    for depth in range(1, h + 1):
-        adj = graph.user_adj if depth % 2 == 1 else graph.item_adj
-        visited = visited_i if depth % 2 == 1 else visited_u
-        nxt: dict[int, int] = {}
-        for node in frontier:
-            for nb in adj[node]:
-                nb = int(nb)
-                if nb in visited:
-                    continue
-                nxt[nb] = nxt.get(nb, 0) + 1
-        visited.update(nxt)
-        counts = nxt
-        frontier = list(nxt)
-    ids = np.array(sorted(counts), dtype=np.int64)
-    return ids, counts, sum(counts.values())
-
-
-def encode_hop(graph: BipartiteGraph, user: int, h: int) -> HopVector:
-    """Normalized edge-count vector for the distance-h level set."""
-    _, counts, total = hop_frontier(graph, user, h)
-    dim = _side_dim(h, graph.num_users, graph.num_items)
-    values = np.zeros(dim, dtype=np.float32)
-    if total:
-        idx = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
-        c = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
-        values[idx] = (c / total).astype(np.float32)
-    return HopVector(h, hop_side(h), values)
-
-
-def encode_context(graph: BipartiteGraph, user: int,
-                   hops: tuple[int, ...] = (2, 3)) -> HighOrderContext:
-    """Stack the requested hop vectors, zero-padded to a common width."""
-    if not hops or min(hops) < 2:
-        raise ContractError(f"context hops must all be >= 2, got {hops}")
-    width = max(graph.num_users, graph.num_items)
-    padded = np.zeros((len(hops), width), dtype=np.float32)
-    for row, h in enumerate(hops):
-        v = encode_hop(graph, user, h).values
-        padded[row, : v.size] = v
-    return HighOrderContext(user, tuple(hops), padded)
-
-
-# ----------------------------------------------------------- production path
 
 
 @dataclass(frozen=True)
@@ -165,9 +66,6 @@ class HopContexts:
     def batch_rows(self, users: np.ndarray, h: int) -> np.ndarray:
         """Dense float32 rows of hop h for the given users."""
         return np.asarray(self.hops[h][users].todense(), dtype=np.float32)
-
-    def user_vector(self, user: int, h: int) -> np.ndarray:
-        return self.batch_rows(np.asarray([user]), h)[0]
 
 
 def _binarize(a: sp.csr_matrix) -> sp.csr_matrix:
@@ -233,7 +131,6 @@ def build_contexts(source, H: int, chunk: int = 2048,
     """Normalized hop-count matrices for every user, hops 2..H.
 
     `source` is an InteractionMatrix (train tag used) or a binary CSR.
-    Matches `encode_hop` exactly, row for row.
     """
     if H < 2:
         raise ContractError(f"context depth H must be >= 2, got {H}")
@@ -273,60 +170,49 @@ def build_contexts(source, H: int, chunk: int = 2048,
 
 
 def save_contexts(path, ctxs: HopContexts) -> None:
-    """Per-user, per-hop runs of (u32 index, f32 value), behind a header
-    carrying the dimensions and depth the cache was built for."""
+    """Header (dimensions, depth H, nonzeros per hop), then for each hop
+    2..H its CSR indptr (u64), indices (u32) and data (f32)."""
     hops = ctxs.hop_list
     if not hops or hops != tuple(range(2, hops[-1] + 1)):
         raise ContractError(f"cache expects contiguous hops starting at 2, got {hops}")
-    pair = np.dtype([("i", "<u4"), ("v", "<f4")])
     with open(path, "wb") as f:
         f.write(_MAGIC)
         f.write(struct.pack("<H", _VERSION))
         f.write(struct.pack("<QQH", ctxs.num_users, ctxs.num_items, hops[-1]))
-        for u in range(ctxs.num_users):
-            for h in hops:
-                a = ctxs.hops[h]
-                lo, hi = int(a.indptr[u]), int(a.indptr[u + 1])
-                run = np.empty(hi - lo, dtype=pair)
-                run["i"] = a.indices[lo:hi]
-                run["v"] = a.data[lo:hi]
-                f.write(struct.pack("<I", hi - lo))
-                f.write(run.tobytes())
+        f.write(struct.pack(f"<{len(hops)}Q", *(ctxs.hops[h].nnz for h in hops)))
+        for h in hops:
+            a = ctxs.hops[h]
+            for arr, dtype in ((a.indptr, "<u8"), (a.indices, "<u4"), (a.data, "<f4")):
+                f.write(np.ascontiguousarray(arr, dtype=dtype))
 
 
 def load_contexts(path) -> HopContexts:
-    pair = np.dtype([("i", "<u4"), ("v", "<f4")])
+    """Read a cache written by `save_contexts`. The file comes from outside
+    the program, so its length, offsets and indices are all checked."""
     with open(path, "rb") as f:
-        if f.read(4) != _MAGIC:
+        r = ExactReader(f, path)
+        if r.read(4) != _MAGIC:
             raise FormatError(f"{path}: not a context cache (bad magic)")
-        (version,) = struct.unpack("<H", f.read(2))
+        (version,) = r.unpack("<H")
         if version != _VERSION:
             raise FormatError(f"{path}: unsupported cache version {version}")
-        num_users, num_items, H = struct.unpack("<QQH", f.read(18))
-        if H < 2:
-            raise FormatError(f"{path}: cache depth {H} < 2")
-        per_hop: dict[int, tuple[list, list, list]] = \
-            {h: ([0], [], []) for h in range(2, H + 1)}
-        for _ in range(num_users):
-            for h in range(2, H + 1):
-                raw = f.read(4)
-                if len(raw) != 4:
-                    raise FormatError(f"{path}: truncated cache")
-                (n,) = struct.unpack("<I", raw)
-                payload = f.read(8 * n)
-                if len(payload) != 8 * n:
-                    raise FormatError(f"{path}: truncated cache")
-                run = np.frombuffer(payload, dtype=pair)
-                indptr, indices, data = per_hop[h]
-                indptr.append(indptr[-1] + n)
-                indices.append(run["i"].astype(np.int32))
-                data.append(run["v"].astype(np.float32))
-    hops = {}
-    for h, (indptr, indices, data) in per_hop.items():
-        dim = _side_dim(h, num_users, num_items)
-        hops[h] = sp.csr_matrix(
-            (np.concatenate(data) if data else np.empty(0, dtype=np.float32),
-             np.concatenate(indices) if indices else np.empty(0, dtype=np.int32),
-             np.asarray(indptr, dtype=np.int64)),
-            shape=(num_users, dim))
+        num_users, num_items, H = r.unpack("<QQH")
+        if H < 2 or max(num_users, num_items) >= 2**31:
+            raise FormatError(f"{path}: implausible header {num_users}x{num_items}, H={H}")
+        nnz = r.unpack(f"<{H - 1}Q")
+        size = f.tell() + sum(8 * (num_users + 1) + 8 * n for n in nnz)
+        if size != r.size:
+            raise FormatError(f"{path}: {r.size} bytes where the header implies {size}")
+        hops = {}
+        for h, n in zip(range(2, H + 1), nnz):
+            dim = _side_dim(h, num_users, num_items)
+            indptr, indices = r.array("<u8", num_users + 1), r.array("<u4", n)
+            if indptr[0] != 0 or indptr[-1] != n or (indptr[1:] < indptr[:-1]).any():
+                raise FormatError(f"{path}: hop {h} offsets are not 0..{n} non-decreasing")
+            if n and int(indices.max()) >= dim:
+                raise FormatError(f"{path}: hop {h} has an index >= its dimension {dim}")
+            hops[h] = sp.csr_matrix(
+                (r.array("<f4", n), indices.view("<i4"), indptr.view("<i8")),
+                shape=(num_users, dim))
+        r.end()
     return HopContexts(int(num_users), int(num_items), hops)

@@ -13,10 +13,10 @@ Conventions:
 - scipy CSR matrices are accepted only as non-trainable 2-D leaves used on
   the left of `matmul` (gradients never flow into them).
 - Non-finite values are rejected at op boundaries. Checking every huge
-  intermediate would dominate runtime on large batches, so by default
-  arrays above `finite_check_limit` elements are only validated where it
-  matters (leaves and the loss node, which `backward` always checks).
-  Pass finite_mode="all" to check everything, "off" to check only the loss.
+  intermediate would dominate runtime on large batches, so op outputs
+  above `finite_check_limit` elements are not checked; leaves and the loss
+  (which `backward` always checks) are. A limit of `math.inf` checks
+  everything, 0 only leaves and the loss.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ContractError, FormatError, NumericError, ShapeError
+from .errors import ContractError, ExactReader, FormatError, NumericError, ShapeError
 
 DTYPE = np.float32
 
@@ -38,9 +38,7 @@ OPS = (
     "matmul",
     "add",
     "scale",
-    "row_softmax",
     "relu",
-    "mean_over_cols",
     "mse",
     "sinusoidal_embed",
     "weighted_sum",
@@ -180,11 +178,10 @@ def _attention_backward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
 class Tape:
     """Wengert list: append-only op trace with a single reverse sweep."""
 
-    def __init__(self, finite_mode: str = "small", finite_check_limit: int = 1 << 20):
-        if finite_mode not in ("all", "small", "off"):
-            raise ContractError(f"finite_mode must be all|small|off, got {finite_mode!r}")
+    def __init__(self, finite_check_limit: float = 1 << 20):
+        if not finite_check_limit >= 0:
+            raise ContractError(f"finite_check_limit must be >= 0, got {finite_check_limit!r}")
         self.nodes: list[Node] = []
-        self.finite_mode = finite_mode
         self.finite_check_limit = finite_check_limit
 
     # ------------------------------------------------------------------ leaves
@@ -237,18 +234,9 @@ class Tape:
             out = a * c
             if out.shape != a.shape:
                 raise ShapeError(f"scale: factor {np.shape(c)} broadcasts {a.shape} up to {out.shape}")
-        elif op == "row_softmax":
-            (a,) = vals
-            shifted = a - a.max(axis=-1, keepdims=True)
-            e = np.exp(shifted)
-            denom = e.sum(axis=-1, keepdims=True, dtype=np.float64)
-            out = (e / denom).astype(a.dtype)
         elif op == "relu":
             (a,) = vals
             out = np.maximum(a, 0)
-        elif op == "mean_over_cols":
-            (a,) = vals
-            out = a.mean(axis=-1, keepdims=True, dtype=np.float64).astype(a.dtype)
         elif op == "mse":
             a, b = vals
             if a.shape != b.shape:
@@ -364,15 +352,8 @@ class Tape:
             yield ids[1], _reduce_to(g, b.shape)
         elif op == "scale":
             yield ids[0], g * node.ctx["factor"]
-        elif op == "row_softmax":
-            s = node.value
-            inner = (g * s).sum(axis=-1, keepdims=True, dtype=np.float64).astype(s.dtype)
-            yield ids[0], s * (g - inner)
         elif op == "relu":
             yield ids[0], g * (vals[0] > 0)
-        elif op == "mean_over_cols":
-            a = vals[0]
-            yield ids[0], np.broadcast_to(g / a.shape[-1], a.shape).astype(a.dtype, copy=True)
         elif op == "mse":
             a, b = vals
             d = 2.0 * float(g) * (a - b)
@@ -395,28 +376,8 @@ class Tape:
         else:  # pragma: no cover - record() rejects unknown ops
             raise ContractError(f"no vjp for op {op!r}")
 
-    # ------------------------------------------------------------------- misc
-
-    def replay(self) -> None:
-        """Recompute every non-leaf value in order (determinism checks)."""
-        for nid, node in enumerate(self.nodes):
-            if node.op == "leaf":
-                continue
-            sub = Tape(finite_mode="off")
-            sub.nodes = self.nodes[:nid]
-            const = dict(node.ctx)
-            const.pop("softmax", None)
-            const.pop("old_shape", None)
-            if node.op == "reshape":
-                const["shape"] = node.value.shape
-            fresh = sub.record(node.op, *node.inputs, **const)
-            node.value = sub.nodes[fresh].value
-            node.ctx = sub.nodes[fresh].ctx
-
     def _check_finite(self, arr: np.ndarray, op: str, force: bool = False) -> None:
-        if self.finite_mode == "off" and not force:
-            return
-        if not force and self.finite_mode == "small" and arr.size > self.finite_check_limit:
+        if not force and arr.size > self.finite_check_limit:
             return
         if not np.isfinite(arr).all():
             raise NumericError(f"{op}: produced non-finite values")
@@ -445,24 +406,34 @@ def init_adam(params: dict[str, np.ndarray], lr: float, beta1: float = 0.9,
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState) -> AdamState:
     """Bias-corrected Adam. Updates `params` arrays in place; missing grads
-    are treated as exact zeros (so untouched parameters stay put from init)."""
+    are treated as exact zeros (so untouched parameters stay put from init).
+
+    Every parameter is updated through two scratch buffers (per dtype,
+    sized for the largest parameter), in the operation order of
+    p -= (lr / c1) * m / (sqrt(v / c2) + eps), so the bits are those of
+    that expression without its temporaries."""
     state.step += 1
     c1 = 1.0 - state.beta1 ** state.step
     c2 = 1.0 - state.beta2 ** state.step
+    scratch: dict[np.dtype, np.ndarray] = {}
     for name, p in params.items():
         g = grads.get(name)
         m, v = state.m[name], state.v[name]
-        if g is None:
-            m *= state.beta1
-            v *= state.beta2
-        else:
-            if g.shape != p.shape:
-                raise ShapeError(f"adam_step: grad {g.shape} vs param {p.shape} for {name!r}")
-            m *= state.beta1
-            m += (1.0 - state.beta1) * g
-            v *= state.beta2
-            v += (1.0 - state.beta2) * (g * g)
-        p -= (state.lr / c1) * m / (np.sqrt(v / c2) + state.eps)
+        if g is not None and g.shape != p.shape:
+            raise ShapeError(f"adam_step: grad {g.shape} vs param {p.shape} for {name!r}")
+        if m.dtype not in scratch:
+            size = max(a.size for a in state.m.values() if a.dtype == m.dtype)
+            scratch[m.dtype] = np.empty((2, size), m.dtype)
+        num, den = (buf[: m.size].reshape(m.shape) for buf in scratch[m.dtype])
+        m *= state.beta1
+        v *= state.beta2
+        if g is not None:
+            gs = num if g.dtype == m.dtype else np.empty_like(g)
+            m += np.multiply(g, 1.0 - state.beta1, out=gs)
+            v += np.multiply(np.multiply(g, g, out=gs), 1.0 - state.beta2, out=gs)
+        np.sqrt(np.divide(v, c2, out=den), out=den)
+        den += state.eps
+        p -= np.divide(np.multiply(m, state.lr / c1, out=num), den, out=num)
     return state
 
 
@@ -502,7 +473,7 @@ def gradient_check(build_fn, params: dict[str, np.ndarray], eps: float = 1e-3,
     p64 = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
 
     def run(ps) -> tuple[Tape, int, dict[str, int]]:
-        tape = Tape(finite_mode="all")
+        tape = Tape(finite_check_limit=math.inf)
         leaves = {k: tape.leaf(v, trainable=True) for k, v in ps.items()}
         loss_id = build_fn(tape, leaves)
         return tape, loss_id, leaves
@@ -565,17 +536,12 @@ def _write_tensor(f, name: str, arr: np.ndarray) -> None:
     f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
-def _read_tensor(f) -> tuple[str, np.ndarray]:
-    raw = f.read(2)
-    if len(raw) != 2:
-        raise FormatError("checkpoint: truncated tensor record")
-    (nlen,) = struct.unpack("<H", raw)
-    name = f.read(nlen).decode("utf-8")
-    (ndim,) = struct.unpack("<B", f.read(1))
-    shape = tuple(struct.unpack("<Q", f.read(8))[0] for _ in range(ndim))
-    count = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(f.read(4 * count), dtype="<f4").reshape(shape)
-    return name, data.astype(np.float32)
+def _read_tensor(r: ExactReader) -> tuple[str, np.ndarray]:
+    (nlen,) = r.unpack("<H")
+    name = r.text(nlen)
+    (ndim,) = r.unpack("<B")
+    shape = r.unpack(f"<{ndim}Q")
+    return name, r.array("<f4", math.prod(shape)).reshape(shape)
 
 
 def save_checkpoint(path, params: dict[str, np.ndarray], config_text: str,
@@ -617,20 +583,18 @@ def save_checkpoint(path, params: dict[str, np.ndarray], config_text: str,
 def load_checkpoint(path):
     """Returns (params, adam_state_or_None, schedule_fields, config_text)."""
     with open(path, "rb") as f:
-        if f.read(4) != _CKPT_MAGIC:
+        r = ExactReader(f, path)
+        if r.read(4) != _CKPT_MAGIC:
             raise FormatError(f"{path}: not a checkpoint file (bad magic)")
-        (version,) = struct.unpack("<H", f.read(2))
+        (version,) = r.unpack("<H")
         if version != _CKPT_VERSION:
             raise FormatError(f"{path}: unsupported checkpoint version {version}")
-        digest = f.read(32)
-        (T,) = struct.unpack("<I", f.read(4))
-        (beta_min,) = struct.unpack("<d", f.read(8))
-        (beta_max,) = struct.unpack("<d", f.read(8))
-        (klen,) = struct.unpack("<H", f.read(2))
-        kind = f.read(klen).decode("utf-8")
-        (scale,) = struct.unpack("<d", f.read(8))
-        (count,) = struct.unpack("<I", f.read(4))
-        tensors = dict(_read_tensor(f) for _ in range(count))
+        digest = r.read(32)
+        T, beta_min, beta_max, klen = r.unpack("<IddH")
+        kind = r.text(klen)
+        scale, count = r.unpack("<dI")
+        tensors = dict(_read_tensor(r) for _ in range(count))
+        r.end()
 
     try:
         with open(str(path) + ".config", "r", encoding="utf-8") as f:

@@ -68,16 +68,6 @@ def _cols(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
     return coef.reshape(-1, 1)
 
 
-def diffuse_step(u_prev: np.ndarray, t, sched: NoiseSchedule,
-                 noise: np.ndarray) -> np.ndarray:
-    """One forward corruption step: sqrt(1-beta_t) * u + sqrt(beta_t) * eps."""
-    u_prev = np.asarray(u_prev)
-    t = _check_t(t, sched.T)
-    b = sched.betas[t - 1]
-    out = _cols(np.sqrt(1.0 - b), u_prev) * u_prev + _cols(np.sqrt(b), u_prev) * noise
-    return out.astype(u_prev.dtype)
-
-
 def diffuse_to(u0: np.ndarray, t, sched: NoiseSchedule,
                noise: np.ndarray) -> np.ndarray:
     """Jump straight to step t: sqrt(abar_t) * u0 + sqrt(1-abar_t) * eps."""

@@ -30,22 +30,6 @@ from .schedule import NoiseSchedule, diffuse_to, posterior_mean
 WEIGHTINGS = ("vlb", "simple")
 
 
-def vlb_term(t: int, mu_hat: np.ndarray, target: np.ndarray, beta_t: float,
-             weighting: str = "vlb") -> float:
-    """One user's loss term: squared error against the clean row at t = 1,
-    against the posterior mean at t >= 2 (scaled by 1/(2 beta_t) under
-    the vlb weighting)."""
-    if weighting not in WEIGHTINGS:
-        raise ContractError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
-    if t < 1:
-        raise ContractError(f"t must be >= 1, got {t}")
-    d = np.asarray(mu_hat, dtype=np.float64) - np.asarray(target, dtype=np.float64)
-    sq = float(np.dot(d.ravel(), d.ravel()))
-    if t == 1 or weighting == "simple":
-        return sq
-    return sq / (2.0 * beta_t)
-
-
 def step_weights(t: np.ndarray, sched: NoiseSchedule, weighting: str) -> np.ndarray:
     """Per-user loss weights for a vector of sampled timesteps."""
     if weighting not in WEIGHTINGS:
@@ -92,9 +76,7 @@ def train_step(params: dict, adam: nd.AdamState, model_cfg: camae.CamAeConfig,
     target = posterior_mean(u_t, u0, t, sched)  # equals u0 exactly at t = 1
     scale = np.sqrt(step_weights(t, sched, weighting) / batch).astype(u0.dtype)
 
-    tape = nd.Tape()
-    leaves = camae.bind_params(tape, params)
-    mu = camae.camae_forward(tape, leaves, model_cfg, u_t, contexts, t)
+    tape, leaves, mu = camae.run_batch(params, model_cfg, u_t, contexts, t, trainable=True)
     mu_scaled = tape.record("scale", mu, factor=scale[:, None])
     target_leaf = tape.leaf(target * scale[:, None])
     loss_id = tape.record("mse", mu_scaled, target_leaf)

@@ -116,25 +116,26 @@ def test_01_hop_encoding_matches_enumeration_oracle():
         items = int(rng.integers(1, 51))
         dense = rng.random((users, items)) < 0.1
         rows = [np.flatnonzero(dense[u]).tolist() for u in range(users)]
-        g = graph.build_bipartite(make_matrix(rows, num_items=items))
+        ctxs = graph.build_contexts(make_matrix(rows, num_items=items), H=4)
         graphs += 1
+        everyone = np.arange(users)
         for h in (2, 3, 4):
+            got = ctxs.batch_rows(everyone, h)
             for u in range(users):
-                got = graph.encode_hop(g, u, h).values
-                if not np.array_equal(got, dense_hop_oracle(dense, u, h)):
+                if not np.array_equal(got[u], dense_hop_oracle(dense, u, h)):
                     mismatches += 1
 
     worked = make_matrix([[0, 1, 4], [1, 2, 3], [1, 3, 4]], num_items=5)
-    gw = graph.build_bipartite(worked)
-    two = graph.encode_hop(gw, 0, 2).values
-    three = graph.encode_hop(gw, 0, 3).values
+    cw = graph.build_contexts(worked, H=3)
+    two = cw.batch_rows(np.array([0]), 2)[0]
+    three = cw.batch_rows(np.array([0]), 3)[0]
     example_ok = (np.array_equal(two, np.array([0, 1 / 3, 2 / 3],
                                                dtype=np.float32))
                   and np.array_equal(three, np.array([0, 0, 1 / 3, 2 / 3, 0],
                                                      dtype=np.float32)))
     elapsed = time.perf_counter() - started
     ok = mismatches == 0 and example_ok and elapsed < 10.0
-    verdict(1, ok, f"hop encoder vs enumeration oracle: {mismatches} "
+    verdict(1, ok, f"build_contexts vs enumeration oracle: {mismatches} "
                    f"mismatches over {graphs} graphs x hops 2..4, worked "
                    f"example {'ok' if example_ok else 'WRONG'}, "
                    f"{elapsed:.1f}s (limit 10s)")

@@ -11,9 +11,10 @@ import math
 import numpy as np
 import pytest
 
-from diffcf import camae, ndtensor as nd
+from diffcf import camae, eval as evaluation, ndtensor as nd, train
 from diffcf.camae import CamAeConfig
 from diffcf.errors import ContractError, ShapeError
+from diffcf.schedule import build_schedule
 
 
 def small_config(**overrides):
@@ -177,8 +178,9 @@ class TestCrossAttention:
         k = rng.normal(size=(3, 5, 6))
         v = rng.normal(size=(3, 5, 2))
         want = softmax_rows(q @ k.transpose(0, 2, 1) / math.sqrt(6)) @ v
-        np.testing.assert_allclose(camae.cross_attention(q, k, v), want,
-                                   rtol=1e-12, atol=1e-12)
+        tape = nd.Tape()
+        got = tape.record("cross_attention", tape.leaf(q), tape.leaf(k), tape.leaf(v))
+        np.testing.assert_allclose(tape.value(got), want, rtol=1e-12, atol=1e-12)
 
 
 class TestForwardOracle:
@@ -319,25 +321,45 @@ class TestConvenienceWrappers:
                                        np.array([4, 4, 4]))
         np.testing.assert_array_equal(tape1.value(o1), tape2.value(o2))
 
-    def test_denoise_single_matches_batch_row(self):
-        cfg = small_config()
-        params = random_params(cfg, seed=30)
-        u_t, contexts, _ = random_inputs(cfg, batch=1, seed=31)
-        rows = np.zeros((len(cfg.hop_list), cfg.width))
-        for i, h in enumerate(cfg.hop_list):
-            rows[i, : cfg.hop_dim(h)] = contexts[h][0]
-        got = camae.denoise_single(params, cfg, u_t[0], rows, t=3)
-        tape, _, out = camae.run_batch(params, cfg, u_t, contexts, 3)
-        assert got.shape == (cfg.num_items,)
-        np.testing.assert_array_equal(got, tape.value(out)[0])
-
     def test_gradients_reach_every_parameter(self):
         cfg = small_config()
         params = random_params(cfg, seed=32)
         u_t, contexts, t = random_inputs(cfg, batch=3, seed=33)
-        tape, leaves, out = camae.run_batch(params, cfg, u_t, contexts, t)
+        tape, leaves, out = camae.run_batch(params, cfg, u_t, contexts, t, trainable=True)
         target = tape.leaf(np.zeros_like(u_t))
         loss = tape.record("mse", out, target)
         grads = tape.backward(loss)
         for name, nid in leaves.items():
             assert nid in grads and np.any(grads[nid] != 0.0), name
+
+
+class TestOpCoverage:
+    def test_pipeline_records_exactly_the_tape_ops(self, monkeypatch):
+        """Training and inference steps over every variant, with the
+        timestep code and residual stacking each on and off, together
+        record every op the tape offers: an op none of them records is
+        dead code."""
+        seen = set()
+        record = nd.Tape.record
+
+        def spy(tape, op, *inputs, **const):
+            seen.add(op)
+            return record(tape, op, *inputs, **const)
+
+        monkeypatch.setattr(nd.Tape, "record", spy)
+        rng = np.random.default_rng(34)
+        sched = build_schedule(5)
+        for variant in camae.VARIANTS:
+            for t_embed in (False, True):
+                for residual in (False, True):
+                    cfg = small_config(variant=variant, t_embed=t_embed, residual=residual)
+                    assert cfg.num_users != cfg.num_items
+                    params = camae.init_params(cfg, seed=35)
+                    u0 = (rng.random((3, cfg.num_items)) < 0.5).astype(np.float32)
+                    ctx = {h: rng.random((3, cfg.hop_dim(h))).astype(np.float32)
+                           for h in cfg.hop_list}
+                    noise = rng.standard_normal(u0.shape).astype(np.float32)
+                    train.train_step(params, nd.init_adam(params, lr=1e-3), cfg, sched,
+                                     "vlb", u0, ctx, np.array([1, 2, 5]), noise)
+                    evaluation.denoise_infer(params, cfg, sched, u0, ctx, infer_steps=2)
+        assert seen == set(nd.OPS)

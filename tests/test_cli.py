@@ -5,6 +5,7 @@ and produced artifacts can all be asserted without subprocesses.
 """
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -265,3 +266,18 @@ class TestContextCache:
         assert len(cached) == 1
         ctxs = graph.load_contexts(cached[0])
         assert ctxs.hop_list == (2, 3)
+
+    def test_stale_cache_is_rebuilt(self, trained, tmp_path, monkeypatch):
+        monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "matrix.cfdm").write_bytes((trained["data"] / "matrix.cfdm").read_bytes())
+        fresh = (trained["data"] / "contexts-h3.cfhc").read_bytes()
+        # A cache as the first format version wrote it: same header fields,
+        # then per-user runs.
+        stale = b"CFHC" + struct.pack("<HQQH", 1, 12, 16, 3) + bytes(8 * 12)
+        (data / "contexts-h3.cfhc").write_bytes(stale)
+        rc = cli.main(["evaluate", "--data", str(data),
+                       "--checkpoint", str(trained["checkpoint"])])
+        assert rc == 0
+        assert (data / "contexts-h3.cfhc").read_bytes() == fresh

@@ -306,13 +306,13 @@ class TestDenoiseInfer:
 
         # The same walk through trainable leaves gives the same bits.
         if steps == 0:
-            tape, _, out = camae.run_batch(params, cfg, u_obs, contexts, 1)
+            tape, _, out = camae.run_batch(params, cfg, u_obs, contexts, 1, trainable=True)
             want = tape.value(out)
         else:
             noise = np.random.default_rng(94).standard_normal(u_obs.shape)
             want = diffuse_to(u_obs, steps, sched, noise.astype(u_obs.dtype))
             for t in range(steps, 0, -1):
-                tape, _, out = camae.run_batch(params, cfg, want, contexts, t)
+                tape, _, out = camae.run_batch(params, cfg, want, contexts, t, trainable=True)
                 assert any("softmax" in n.ctx for n in tape.nodes)
                 want = tape.value(out)
         assert np.array_equal(got, want)

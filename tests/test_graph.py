@@ -1,18 +1,23 @@
 """Verification suite for multi-hop connectivity encoding.
 
-The oracle here walks an explicit dense adjacency over the combined
-user+item node set: nodes at shortest-path distance exactly h, scored by
-how many distance-(h-1) nodes they connect to. It shares no code with
-either production path (adjacency-list BFS, masked sparse products), so
-agreement is meaningful.
+Two oracles live here. `dense_hop_oracle` walks an explicit dense
+adjacency over the combined user+item node set: nodes at shortest-path
+distance exactly h, scored by how many distance-(h-1) nodes they connect
+to. The reference encoder (`build_bipartite` / `hop_frontier` /
+`encode_hop` / `encode_context`) is a per-user BFS over adjacency lists.
+Neither shares code with `graph.build_contexts` (masked sparse products),
+so agreement is meaningful.
 """
+
+import struct
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from conftest import make_matrix
-from diffcf import dataset, graph
-from diffcf.dataset import TAG_TEST, TAG_TRAIN
+from diffcf import graph
+from diffcf.dataset import TAG_TEST, TAG_TRAIN, as_csr
 from diffcf.errors import ContractError, FormatError
 
 
@@ -43,6 +48,106 @@ def dense_hop_oracle(mat: np.ndarray, user: int, h: int) -> np.ndarray:
     return out
 
 
+# ------------------------------------------------------- reference encoder
+
+
+@dataclass(frozen=True)
+class BipartiteGraph:
+    num_users: int
+    num_items: int
+    user_adj: list[np.ndarray]  # user -> sorted item ids
+    item_adj: list[np.ndarray]  # item -> sorted user ids
+
+
+@dataclass(frozen=True)
+class HopVector:
+    hop: int
+    side: str
+    values: np.ndarray  # float32 over the full side dimension; sums to 1 or is all-zero
+
+
+@dataclass(frozen=True)
+class HighOrderContext:
+    user: int
+    hops: tuple[int, ...]
+    padded: np.ndarray  # float32, shape (len(hops), max(num_users, num_items))
+
+
+def build_bipartite(matrix, tags=(TAG_TRAIN,)) -> BipartiteGraph:
+    """Adjacency lists over the selected split tags (train by default, so
+    held-out interactions never leak into the conditioning signal)."""
+    m = as_csr(matrix, tags=tags)
+    mt = m.tocsc()
+    user_adj = [m.indices[m.indptr[u]:m.indptr[u + 1]].astype(np.int64)
+                for u in range(matrix.num_users)]
+    item_adj = [mt.indices[mt.indptr[i]:mt.indptr[i + 1]].astype(np.int64)
+                for i in range(matrix.num_items)]
+    return BipartiteGraph(matrix.num_users, matrix.num_items, user_adj, item_adj)
+
+
+def hop_frontier(g: BipartiteGraph, user: int, h: int):
+    """BFS level set at distance exactly h from `user`.
+
+    Returns (sorted node ids, {node: edges from the previous level}, total
+    edge count). Node ids index the side given by `graph.hop_side(h)`.
+    """
+    if not 0 <= user < g.num_users:
+        raise ContractError(f"user {user} out of range 0..{g.num_users - 1}")
+    if h < 1:
+        raise ContractError(f"hop must be >= 1, got {h}")
+    visited_u = {user}
+    visited_i: set[int] = set()
+    frontier = [user]
+    counts: dict[int, int] = {user: 1}
+    for depth in range(1, h + 1):
+        adj = g.user_adj if depth % 2 == 1 else g.item_adj
+        visited = visited_i if depth % 2 == 1 else visited_u
+        nxt: dict[int, int] = {}
+        for node in frontier:
+            for nb in adj[node]:
+                nb = int(nb)
+                if nb in visited:
+                    continue
+                nxt[nb] = nxt.get(nb, 0) + 1
+        visited.update(nxt)
+        counts = nxt
+        frontier = list(nxt)
+    ids = np.array(sorted(counts), dtype=np.int64)
+    return ids, counts, sum(counts.values())
+
+
+def encode_hop(g: BipartiteGraph, user: int, h: int) -> HopVector:
+    """Normalized edge-count vector for the distance-h level set."""
+    _, counts, total = hop_frontier(g, user, h)
+    dim = g.num_items if graph.hop_side(h) == "item" else g.num_users
+    values = np.zeros(dim, dtype=np.float32)
+    if total:
+        idx = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
+        c = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
+        values[idx] = (c / total).astype(np.float32)
+    return HopVector(h, graph.hop_side(h), values)
+
+
+def encode_context(g: BipartiteGraph, user: int,
+                   hops: tuple[int, ...] = (2, 3)) -> HighOrderContext:
+    """Stack the requested hop vectors, zero-padded to a common width."""
+    if not hops or min(hops) < 2:
+        raise ContractError(f"context hops must all be >= 2, got {hops}")
+    width = max(g.num_users, g.num_items)
+    padded = np.zeros((len(hops), width), dtype=np.float32)
+    for row, h in enumerate(hops):
+        v = encode_hop(g, user, h).values
+        padded[row, : v.size] = v
+    return HighOrderContext(user, tuple(hops), padded)
+
+
+def user_row(ctxs: graph.HopContexts, user: int, h: int) -> np.ndarray:
+    return ctxs.batch_rows(np.asarray([user]), h)[0]
+
+
+# ------------------------------------------------------------------ tests
+
+
 def worked_example_matrix():
     """Three users, five items: user 0 holds {0, 1, 4}, user 1 holds
     {1, 2, 3}, user 2 holds {1, 3, 4}."""
@@ -59,22 +164,22 @@ def random_matrix(rng, max_users=30, max_items=30, p=0.1):
 
 class TestWorkedExample:
     def test_two_hop_vector(self):
-        g = graph.build_bipartite(worked_example_matrix())
-        v = graph.encode_hop(g, 0, 2)
+        g = build_bipartite(worked_example_matrix())
+        v = encode_hop(g, 0, 2)
         assert v.side == "user"
         np.testing.assert_array_equal(
             v.values, np.array([0, 1 / 3, 2 / 3], dtype=np.float32))
 
     def test_three_hop_vector(self):
-        g = graph.build_bipartite(worked_example_matrix())
-        v = graph.encode_hop(g, 0, 3)
+        g = build_bipartite(worked_example_matrix())
+        v = encode_hop(g, 0, 3)
         assert v.side == "item"
         np.testing.assert_array_equal(
             v.values, np.array([0, 0, 1 / 3, 2 / 3, 0], dtype=np.float32))
 
     def test_context_stacks_and_pads(self):
-        g = graph.build_bipartite(worked_example_matrix())
-        ctx = graph.encode_context(g, 0, hops=(2, 3))
+        g = build_bipartite(worked_example_matrix())
+        ctx = encode_context(g, 0, hops=(2, 3))
         assert ctx.padded.shape == (2, 5)
         np.testing.assert_array_equal(ctx.padded[0, :3],
                                       np.array([0, 1 / 3, 2 / 3], dtype=np.float32))
@@ -88,8 +193,8 @@ class TestReferenceEncoder:
 
     def test_one_hop_is_normalized_neighborhood(self):
         m = worked_example_matrix()
-        g = graph.build_bipartite(m)
-        v = graph.encode_hop(g, 1, 1)
+        g = build_bipartite(m)
+        v = encode_hop(g, 1, 1)
         np.testing.assert_array_equal(
             v.values, np.array([0, 1 / 3, 1 / 3, 1 / 3, 0], dtype=np.float32))
 
@@ -97,36 +202,36 @@ class TestReferenceEncoder:
         rng = np.random.default_rng(0)
         for _ in range(30):
             m, dense = random_matrix(rng)
-            g = graph.build_bipartite(m)
+            g = build_bipartite(m)
             for h in (2, 3, 4):
                 for u in range(m.num_users):
-                    got = graph.encode_hop(g, u, h).values
+                    got = encode_hop(g, u, h).values
                     want = dense_hop_oracle(dense, u, h)
                     assert np.array_equal(got, want), (
                         f"user {u} hop {h}: {got} vs {want}")
 
     def test_exhausted_frontier_is_all_zero(self):
         m = make_matrix([[0], [1]], num_items=2)  # two disjoint pairs
-        g = graph.build_bipartite(m)
-        assert graph.encode_hop(g, 0, 2).values.sum() == 0.0
-        assert graph.encode_hop(g, 0, 3).values.sum() == 0.0
+        g = build_bipartite(m)
+        assert encode_hop(g, 0, 2).values.sum() == 0.0
+        assert encode_hop(g, 0, 3).values.sum() == 0.0
 
     def test_argument_contracts(self):
-        g = graph.build_bipartite(worked_example_matrix())
+        g = build_bipartite(worked_example_matrix())
         with pytest.raises(ContractError):
-            graph.hop_frontier(g, 99, 2)
+            hop_frontier(g, 99, 2)
         with pytest.raises(ContractError):
-            graph.hop_frontier(g, 0, 0)
+            hop_frontier(g, 0, 0)
         with pytest.raises(ContractError):
-            graph.encode_context(g, 0, hops=(1, 2))
+            encode_context(g, 0, hops=(1, 2))
 
     def test_held_out_edges_do_not_leak(self):
         m = make_matrix([[0, 1], [1, 2]], num_items=3,
                         tags=[[TAG_TRAIN, TAG_TEST], [TAG_TRAIN, TAG_TRAIN]])
-        g = graph.build_bipartite(m)
+        g = build_bipartite(m)
         np.testing.assert_array_equal(g.user_adj[0], [0])
         # Without the test edge user 0 shares no item with user 1.
-        assert graph.encode_hop(g, 0, 2).values.sum() == 0.0
+        assert encode_hop(g, 0, 2).values.sum() == 0.0
 
 
 class TestBatchBuilder:
@@ -134,14 +239,14 @@ class TestBatchBuilder:
         rng = np.random.default_rng(1)
         for trial in range(12):
             m, _ = random_matrix(rng)
-            g = graph.build_bipartite(m)
+            g = build_bipartite(m)
             for dense_adj in (False, True):
                 ctxs = graph.build_contexts(m, H=4, chunk=7,
                                             dense_adjacency=dense_adj)
                 for h in (2, 3, 4):
                     for u in range(m.num_users):
-                        got = ctxs.user_vector(u, h)
-                        want = graph.encode_hop(g, u, h).values
+                        got = user_row(ctxs, u, h)
+                        want = encode_hop(g, u, h).values
                         assert np.array_equal(got, want), (
                             f"trial {trial} dense={dense_adj} user {u} hop {h}")
 
@@ -150,7 +255,7 @@ class TestBatchBuilder:
         ctxs = graph.build_contexts(m, H=3)
         rows = ctxs.batch_rows(np.array([2, 0]), 2)
         assert rows.shape == (2, 3)
-        np.testing.assert_array_equal(rows[1], ctxs.user_vector(0, 2))
+        np.testing.assert_array_equal(rows[1], user_row(ctxs, 0, 2))
         assert ctxs.hop_list == (2, 3)
         assert ctxs.max_dim == 5
 
@@ -162,7 +267,7 @@ class TestBatchBuilder:
         m = make_matrix([[0, 1], [1, 2]], num_items=3,
                         tags=[[TAG_TRAIN, TAG_TEST], [TAG_TRAIN, TAG_TRAIN]])
         ctxs = graph.build_contexts(m, H=2)
-        assert ctxs.user_vector(0, 2).sum() == 0.0
+        assert user_row(ctxs, 0, 2).sum() == 0.0
 
 
 class TestContextIO:
@@ -210,3 +315,39 @@ class TestContextIO:
         (tmp_path / "cut.cfhc").write_bytes(raw[:-5])
         with pytest.raises(FormatError):
             graph.load_contexts(tmp_path / "cut.cfhc")
+
+    def test_layout_is_header_then_csr_arrays(self, tmp_path):
+        ctxs = graph.build_contexts(worked_example_matrix(), H=3)
+        path = tmp_path / "ctx.cfhc"
+        graph.save_contexts(path, ctxs)
+        want = b"CFHC" + struct.pack("<HQQH2Q", 2, 3, 5, 3,
+                                     ctxs.hops[2].nnz, ctxs.hops[3].nnz)
+        for h in (2, 3):
+            a = ctxs.hops[h]
+            want += (a.indptr.astype("<u8").tobytes() + a.indices.astype("<u4").tobytes()
+                     + a.data.astype("<f4").tobytes())
+        assert path.read_bytes() == want
+
+    @staticmethod
+    def write_hop2_cache(path, indptr, indices):
+        """A depth-2 cache over 3 users and 5 items with two nonzeros."""
+        path.write_bytes(b"CFHC" + struct.pack("<HQQHQ", 2, 3, 5, 2, 2)
+                         + np.asarray(indptr, "<u8").tobytes()
+                         + np.asarray(indices, "<u4").tobytes()
+                         + np.ones(2, "<f4").tobytes())
+
+    def test_hand_written_cache_loads(self, tmp_path):
+        self.write_hop2_cache(tmp_path / "ctx.cfhc", [0, 1, 2, 2], [1, 0])
+        rows = graph.load_contexts(tmp_path / "ctx.cfhc").batch_rows(np.arange(3), 2)
+        np.testing.assert_array_equal(rows, [[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+
+    @pytest.mark.parametrize("indptr, indices", [
+        ([1, 1, 2, 2], [1, 0]),  # does not start at 0
+        ([0, 2, 1, 2], [1, 0]),  # decreases
+        ([0, 1, 1, 1], [1, 0]),  # ends before nnz
+        ([0, 1, 2, 2], [1, 3]),  # index beyond the 3 users of hop 2
+    ])
+    def test_malformed_arrays_rejected(self, tmp_path, indptr, indices):
+        self.write_hop2_cache(tmp_path / "ctx.cfhc", indptr, indices)
+        with pytest.raises(FormatError):
+            graph.load_contexts(tmp_path / "ctx.cfhc")

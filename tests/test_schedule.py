@@ -29,6 +29,12 @@ def grid_posterior_mean(u_t: float, u0: float, t: int,
     return float((x * w).sum() / w.sum())
 
 
+def diffuse_step(u_prev, t: int, sched: schedule.NoiseSchedule, noise):
+    """One forward corruption step: sqrt(1-beta_t) * u + sqrt(beta_t) * eps."""
+    b = sched.betas[t - 1]
+    return np.sqrt(1.0 - b) * u_prev + np.sqrt(b) * noise
+
+
 class TestBuildSchedule:
     def test_endpoints_and_spacing(self):
         s = schedule.build_schedule(10, 1e-4, 0.02)
@@ -83,15 +89,21 @@ class TestBuildSchedule:
 
 class TestDiffuse:
     def test_one_step_closed_form(self):
+        # t single steps with noises eps_1..eps_t land where one jump lands
+        # with their combined noise sum_s sqrt(beta_s) prod_{r>s} sqrt(alpha_r)
+        # eps_s, rescaled to unit variance by sqrt(1 - abar_t).
         s = schedule.build_schedule(8, 0.01, 0.3)
         rng = np.random.default_rng(0)
-        u = rng.standard_normal((4, 6))
-        eps = rng.standard_normal((4, 6))
+        u0 = rng.standard_normal((4, 6))
         for t in (1, 5, 8):
-            got = schedule.diffuse_step(u, t, s, eps)
-            b = s.betas[t - 1]
-            np.testing.assert_allclose(got, np.sqrt(1 - b) * u + np.sqrt(b) * eps,
-                                       rtol=1e-12)
+            eps = rng.standard_normal((t, 4, 6))
+            u, combined = u0, np.zeros_like(u0)
+            for step in range(1, t + 1):
+                u = diffuse_step(u, step, s, eps[step - 1])
+                combined = np.sqrt(s.alphas[step - 1]) * combined \
+                    + np.sqrt(s.betas[step - 1]) * eps[step - 1]
+            jump = schedule.diffuse_to(u0, t, s, combined / np.sqrt(1 - s.alpha_bars[t]))
+            np.testing.assert_allclose(u, jump, rtol=1e-12, atol=1e-12)
 
     def test_jump_closed_form(self):
         s = schedule.build_schedule(8, 0.01, 0.3)
@@ -136,7 +148,6 @@ class TestDiffuse:
         u = np.ones((2, 3), dtype=np.float32)
         eps = np.zeros((2, 3), dtype=np.float32)
         assert schedule.diffuse_to(u, 3, s, eps).dtype == np.float32
-        assert schedule.diffuse_step(u, 3, s, eps).dtype == np.float32
 
     def test_t_out_of_range(self):
         s = schedule.build_schedule(5)

@@ -2,8 +2,9 @@
 
 The batch-loss oracle recomputes each user's term separately (forward
 pass through the public batch runner, closed-form posterior target,
-per-term weighting) and averages by hand, so the fused row-scaled
-sum-of-squares inside train_step is checked against first principles.
+per-term weighting by `vlb_term` below) and averages by hand, so the
+fused row-scaled sum-of-squares inside train_step is checked against
+first principles.
 """
 
 import json
@@ -32,6 +33,21 @@ def world():
     return matrix, contexts, cfg, sched
 
 
+def vlb_term(t: int, mu_hat, target, beta_t: float, weighting: str = "vlb") -> float:
+    """One user's loss term: squared error against the clean row at t = 1,
+    against the posterior mean at t >= 2 (scaled by 1/(2 beta_t) under
+    the vlb weighting)."""
+    if weighting not in train.WEIGHTINGS:
+        raise ContractError(f"weighting must be one of {train.WEIGHTINGS}, got {weighting!r}")
+    if t < 1:
+        raise ContractError(f"t must be >= 1, got {t}")
+    d = np.asarray(mu_hat, dtype=np.float64) - np.asarray(target, dtype=np.float64)
+    sq = float(np.dot(d.ravel(), d.ravel()))
+    if t == 1 or weighting == "simple":
+        return sq
+    return sq / (2.0 * beta_t)
+
+
 def sample_batch(world, batch, seed, dtype=np.float64):
     matrix, contexts, cfg, sched = world
     rng = np.random.default_rng(seed)
@@ -48,21 +64,21 @@ def sample_batch(world, batch, seed, dtype=np.float64):
 class TestVlbTerm:
     def test_first_step_is_plain_squared_error(self):
         for weighting in train.WEIGHTINGS:
-            got = train.vlb_term(1, [1.0, 2.0], [0.0, 0.0], 0.5, weighting)
+            got = vlb_term(1, [1.0, 2.0], [0.0, 0.0], 0.5, weighting)
             assert got == 5.0
 
     def test_later_steps_scale_by_half_inverse_beta(self):
-        assert train.vlb_term(2, [1.0, 0.0], [0.0, 0.0], 0.5) == 1.0
-        assert train.vlb_term(3, [1.0, 1.0], [0.0, 0.0], 0.25) == 4.0
+        assert vlb_term(2, [1.0, 0.0], [0.0, 0.0], 0.5) == 1.0
+        assert vlb_term(3, [1.0, 1.0], [0.0, 0.0], 0.25) == 4.0
 
     def test_simple_weighting_ignores_beta(self):
-        assert train.vlb_term(5, [2.0], [0.0], 1e-3, "simple") == 4.0
+        assert vlb_term(5, [2.0], [0.0], 1e-3, "simple") == 4.0
 
     def test_contracts(self):
         with pytest.raises(ContractError):
-            train.vlb_term(0, [1.0], [0.0], 0.5)
+            vlb_term(0, [1.0], [0.0], 0.5)
         with pytest.raises(ContractError):
-            train.vlb_term(1, [1.0], [0.0], 0.5, "huber")
+            vlb_term(1, [1.0], [0.0], 0.5, "huber")
 
 
 class TestStepWeights:
@@ -98,7 +114,7 @@ class TestTrainStep:
         target = posterior_mean(u_t, u0, t, sched)
         tape, _, out = camae.run_batch(frozen, cfg, u_t, ctx, t)
         mu = tape.value(out)
-        want = sum(train.vlb_term(int(t[i]), mu[i], target[i],
+        want = sum(vlb_term(int(t[i]), mu[i], target[i],
                                   sched.betas[t[i] - 1], weighting)
                    for i in range(4)) / 4.0
         np.testing.assert_allclose(loss, want, rtol=1e-12)
