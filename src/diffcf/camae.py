@@ -140,42 +140,40 @@ def _identity_pad(n_in: int, n_out: int, dtype) -> np.ndarray:
     return pad
 
 
-def encode_interactions(tape: nd.Tape, leaves: dict[str, int],
-                        config: CamAeConfig, u_id: int) -> int:
+def encode_interactions(tape: nd.Tape, leaves: dict[str, nd.Node],
+                        config: CamAeConfig, u: nd.Node) -> nd.Node:
     """Compress interaction rows (B, |items|) to latents (B, k)."""
     if config.variant == "no-ae":
-        dtype = tape.value(u_id).dtype
-        pad = tape.leaf(_identity_pad(config.num_items, config.width, dtype))
-        return tape.record("matmul", u_id, pad)
+        pad = tape.leaf(_identity_pad(config.num_items, config.width, u.value.dtype))
+        return tape.record("matmul", u, pad)
     enc_t = tape.record("transpose_last2", leaves["enc_items"])
-    return tape.record("matmul", u_id, enc_t)
+    return tape.record("matmul", u, enc_t)
 
 
-def encode_hops(tape: nd.Tape, leaves: dict[str, int], config: CamAeConfig,
-                ctx_ids: dict[int, int]) -> dict[int, int]:
+def encode_hops(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig,
+                ctx_nodes: dict[int, nd.Node]) -> dict[int, nd.Node]:
     """Compress each hop vector batch (B, dim_h) to latents (B, k)."""
-    out: dict[int, int] = {}
+    out: dict[int, nd.Node] = {}
     for h in config.hop_list:
-        cid = ctx_ids[h]
-        n_h = tape.value(cid).shape[-1]
+        c = ctx_nodes[h]
+        n_h = c.value.shape[-1]
         if n_h != config.hop_dim(h):
             raise ShapeError(f"hop {h} context has width {n_h}, expected {config.hop_dim(h)}")
         if config.variant == "no-ae":
-            dtype = tape.value(cid).dtype
-            pad = tape.leaf(_identity_pad(n_h, config.width, dtype))
-            out[h] = tape.record("matmul", cid, pad)
+            pad = tape.leaf(_identity_pad(n_h, config.width, c.value.dtype))
+            out[h] = tape.record("matmul", c, pad)
             continue
         enc = leaves[f"enc_hop{h}"]
         if n_h != config.width:
             enc = tape.record("col_slice", enc, n=n_h)
-        out[h] = tape.record("matmul", cid, tape.record("transpose_last2", enc))
+        out[h] = tape.record("matmul", c, tape.record("transpose_last2", enc))
     return out
 
 
-def camae_forward(tape: nd.Tape, leaves: dict[str, int], config: CamAeConfig,
+def camae_forward(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig,
                   u_t: np.ndarray, contexts: dict[int, np.ndarray],
-                  t: np.ndarray) -> int:
-    """Record the full denoiser on `tape`; returns the node id of the
+                  t: np.ndarray) -> nd.Node:
+    """Record the full denoiser on `tape`; returns the node of the
     reconstructed interaction rows (B, |items|).
 
     `u_t` is (B, |items|), `contexts[h]` is (B, hop_dim(h)) for h in 2..H,
@@ -192,20 +190,20 @@ def camae_forward(tape: nd.Tape, leaves: dict[str, int], config: CamAeConfig,
     if missing:
         raise ContractError(f"missing contexts for hops {missing}")
 
-    dtype = tape.value(leaves["collapse"]).dtype
-    u_id = tape.leaf(u_t.astype(dtype, copy=False))
-    ctx_ids = {h: tape.leaf(np.asarray(contexts[h], dtype=dtype)) for h in config.hop_list}
+    dtype = leaves["collapse"].value.dtype
+    u = tape.leaf(u_t.astype(dtype, copy=False))
+    ctx_nodes = {h: tape.leaf(np.asarray(contexts[h], dtype=dtype)) for h in config.hop_list}
 
     seq = config.seq_len
-    z_obs = encode_interactions(tape, leaves, config, u_id)
+    z_obs = encode_interactions(tape, leaves, config, u)
     tokens = tape.record("matmul", tape.record("reshape", z_obs, shape=(batch, seq, 1)),
                          leaves["expand_obs"])
     if config.t_embed:
-        emb = tape.record("sinusoidal_embed", t=t, dim=config.attn_dim, dtype=dtype)
+        emb = tape.leaf(nd.sinusoidal_embedding(t, config.attn_dim, dtype))
         tokens = tape.record("add", tokens, emb)
 
-    z_hops = encode_hops(tape, leaves, config, ctx_ids)
-    queries: dict[int, int] = {}
+    z_hops = encode_hops(tape, leaves, config, ctx_nodes)
+    queries: dict[int, nd.Node] = {}
     for h in config.hop_list:
         if config.variant == "self-attn":
             queries[h] = tokens
@@ -243,8 +241,8 @@ def run_batch(params: dict[str, np.ndarray], config: CamAeConfig, u_t: np.ndarra
               contexts: dict[int, np.ndarray], t, trainable: bool = False):
     """Bind `params` as leaves of a fresh tape and record the denoiser on it;
     a scalar `t` applies to every row. Trainable leaves make the tape keep
-    what `backward` needs; plain ones keep nothing for a backward pass.
-    Returns (tape, {param name: leaf id}, output id)."""
+    what `backward` needs; with plain ones it keeps no node at all.
+    Returns (tape, {param name: leaf node}, output node)."""
     tape = nd.Tape()
     leaves = {name: tape.leaf(value, trainable=trainable) for name, value in params.items()}
     t = np.full(u_t.shape[0], t, dtype=np.int64) if np.isscalar(t) else np.asarray(t)

@@ -224,8 +224,12 @@ def load_matrix(path) -> InteractionMatrix:
         indices = r.array("<u4", nnz)
         tags = r.array("u1", nnz)
         r.end()
-    if num_users and int(indptr[-1]) != nnz:
-        raise FormatError(f"{path}: offsets do not cover all interactions")
+    if indptr[0] != 0 or indptr[-1] != nnz or (indptr[1:] < indptr[:-1]).any():
+        raise FormatError(f"{path}: offsets are not 0..{nnz} non-decreasing")
+    if nnz and int(indices.max()) >= num_items:
+        raise FormatError(f"{path}: an item id is >= the item count {num_items}")
+    if nnz and int(tags.max()) > TAG_TEST:
+        raise FormatError(f"{path}: a split tag is outside 0..{TAG_TEST}")
     return InteractionMatrix(int(num_users), int(num_items),
                              indptr.astype(np.uint64), indices.astype(np.uint32),
                              tags.astype(np.uint8))

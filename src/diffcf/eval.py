@@ -39,8 +39,8 @@ def denoise_infer(params: dict, config: camae.CamAeConfig, sched: NoiseSchedule,
         raise ContractError(f"infer_steps must lie in 0..{sched.T}, got {infer_steps}")
 
     def denoise(u: np.ndarray, t: int) -> np.ndarray:
-        tape, _, out = camae.run_batch(params, config, u, contexts, t)
-        return tape.value(out)
+        _, _, out = camae.run_batch(params, config, u, contexts, t)
+        return out.value
 
     if infer_steps == 0:
         scores = denoise(u_obs, 1)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .dataset import as_csr
+from .dataset import InteractionMatrix, as_csr
 from .errors import ContractError, ExactReader, FormatError
 
 _MAGIC = b"CFHC"
@@ -58,10 +58,6 @@ class HopContexts:
     @property
     def hop_list(self) -> tuple[int, ...]:
         return tuple(sorted(self.hops))
-
-    @property
-    def max_dim(self) -> int:
-        return max(self.num_users, self.num_items)
 
     def batch_rows(self, users: np.ndarray, h: int) -> np.ndarray:
         """Dense float32 rows of hop h for the given users."""
@@ -126,16 +122,13 @@ def _masked_product(prev_bin: sp.csr_matrix, right: sp.csr_matrix,
     return out
 
 
-def build_contexts(source, H: int, chunk: int = 2048,
+def build_contexts(matrix: InteractionMatrix, H: int, chunk: int = 2048,
                    dense_adjacency: bool | None = None) -> HopContexts:
-    """Normalized hop-count matrices for every user, hops 2..H.
-
-    `source` is an InteractionMatrix (train tag used) or a binary CSR.
-    """
+    """Normalized hop-count matrices for every user over the train
+    interactions, hops 2..H."""
     if H < 2:
         raise ContractError(f"context depth H must be >= 2, got {H}")
-    m = source if sp.issparse(source) else as_csr(source)
-    m = m.tocsr().astype(np.float32)
+    m = as_csr(matrix)
     num_users, num_items = m.shape
     mt = m.T.tocsr()
     if dense_adjacency is None:

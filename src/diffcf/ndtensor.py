@@ -1,17 +1,21 @@
 """Flat-tape reverse-mode autodiff over numpy arrays.
 
-The model code records every operation on a `Tape` (a Wengert list); each
-node stores the op kind, input node ids, and the eagerly computed value.
-`Tape.backward` walks the list once in reverse and returns exact gradients
-for every trainable leaf, with zeros for leaves the loss never touched.
+The model code runs every operation through a `Tape` (a Wengert list).
+Each op returns a `Node` holding its eagerly computed value. The tape
+keeps only what `Tape.backward` visits: trainable leaves, and the nodes
+of ops with an input that requires a gradient, together with their
+inputs and the values their backward pass reads. Any other node is
+returned with no inputs and no saved values, and is not kept, so a
+forward pass with no trainable leaf holds nothing beyond what its
+caller holds. `Tape.backward` walks the kept list once in reverse and
+returns exact gradients for every trainable leaf, with zeros for leaves
+the loss never touched.
 
 Conventions:
 - Values are 2-D or 3-D float arrays; a leading axis, when present, is a
   batch axis. Scalars (losses) are 0-d arrays.
 - Storage is float32 by default; reductions and softmax normalizers
   accumulate in float64. A float64 mode exists for finite-difference work.
-- scipy CSR matrices are accepted only as non-trainable 2-D leaves used on
-  the left of `matmul` (gradients never flow into them).
 - Non-finite values are rejected at op boundaries. Checking every huge
   intermediate would dominate runtime on large batches, so op outputs
   above `finite_check_limit` elements are not checked; leaves and the loss
@@ -27,7 +31,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ContractError, ExactReader, FormatError, NumericError, ShapeError
 
@@ -40,7 +43,6 @@ OPS = (
     "scale",
     "relu",
     "mse",
-    "sinusoidal_embed",
     "weighted_sum",
     "cross_attention",
     "transpose_last2",
@@ -49,17 +51,15 @@ OPS = (
 )
 
 
-@dataclass
+@dataclass(eq=False)
 class Node:
+    """One value on a tape; hashed and compared by identity."""
+
     op: str
-    inputs: tuple[int, ...]
-    value: np.ndarray | sp.csr_matrix
+    inputs: tuple[Node, ...]
+    value: np.ndarray
     requires_grad: bool
     ctx: dict = field(default_factory=dict)
-
-
-def _is_sparse(x) -> bool:
-    return sp.issparse(x)
 
 
 def _swap(x: np.ndarray) -> np.ndarray:
@@ -94,9 +94,11 @@ def sinusoidal_embedding(t: np.ndarray, dim: int, dtype=DTYPE) -> np.ndarray:
 
 # ------------------------------------------------------------ cross-attention
 #
-# softmax(q k^T / sqrt(d)) v walks the batch axis in chunks, so that the
-# (chunk, m, n) score block it works in stays within ATTN_CHUNK_BYTES
-# instead of materialising every (B, m, n) temporary at once. Each chunk
+# The operands are (B, m, d) queries, (B, n, d) keys and (B, n, e) values
+# over one shared batch axis. softmax(q k^T / sqrt(d)) v walks that axis
+# in chunks, so that the (chunk, m, n) score block it works in stays
+# within ATTN_CHUNK_BYTES instead of materialising every (B, m, n)
+# temporary at once. Each chunk
 # is scaled, shifted, exponentiated and normalized in place; row sums
 # accumulate in float64 and the division runs in float64 before rounding
 # back, so every element comes out exactly as the whole-batch expression
@@ -106,77 +108,58 @@ def sinusoidal_embedding(t: np.ndarray, dim: int, dtype=DTYPE) -> np.ndarray:
 ATTN_CHUNK_BYTES = 1 << 22
 
 
-def _attention_batches(q: np.ndarray, k: np.ndarray, v: np.ndarray):
-    """Broadcast batch shape of the operands, views of them over a shared
-    leading batch axis (2-D operands become a batch of one), and the
-    number of leading entries per chunk."""
-    try:
-        batch = np.broadcast_shapes(q.shape[:-2], k.shape[:-2], v.shape[:-2])
-    except ValueError:
-        raise ShapeError(
-            f"cross_attention: batch shapes {q.shape}, {k.shape}, {v.shape} do not broadcast"
-        ) from None
-    lead = batch or (1,)
-    views = [np.broadcast_to(x, lead + x.shape[-2:]) for x in (q, k, v)]
-    block = math.prod(lead[1:]) * q.shape[-2] * k.shape[-2] * q.itemsize
-    return batch, views, max(1, ATTN_CHUNK_BYTES // block)
+def _chunk_len(q: np.ndarray, k: np.ndarray) -> int:
+    """Batch entries per chunk: as many (m, n) score blocks as fit the budget."""
+    return max(1, ATTN_CHUNK_BYTES // (q.shape[1] * k.shape[1] * q.itemsize))
 
 
 def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, keep_softmax: bool):
     """Returns (output, softmax or None)."""
-    batch, (qb, kb, vb), chunk = _attention_batches(q, k, v)
-    lead, m, n = qb.shape[:-2], q.shape[-2], k.shape[-2]
+    batch, chunk = len(q), _chunk_len(q, k)
     inv = np.asarray(1.0 / math.sqrt(q.shape[-1]), dtype=q.dtype)
-    held = lead if keep_softmax else (min(chunk, lead[0]),) + lead[1:]
-    s = np.empty(held + (m, n), q.dtype)
-    out = np.empty(batch + (m, v.shape[-1]), q.dtype)
-    out_b = out.reshape(lead + out.shape[-2:])
-    for lo in range(0, len(qb), chunk):
+    held = batch if keep_softmax else min(chunk, batch)
+    s = np.empty((held, q.shape[1], k.shape[1]), q.dtype)
+    out = np.empty((batch, q.shape[1], v.shape[-1]), q.dtype)
+    for lo in range(0, batch, chunk):
         part = slice(lo, lo + chunk)
-        e = s[part] if keep_softmax else s[: min(chunk, len(qb) - lo)]
-        np.matmul(qb[part], _swap(kb[part]), out=e)
+        e = s[part] if keep_softmax else s[: min(chunk, batch - lo)]
+        np.matmul(q[part], _swap(k[part]), out=e)
         e *= inv
         e -= e.max(axis=-1, keepdims=True)
         np.exp(e, out=e)
         np.divide(e, e.sum(axis=-1, keepdims=True, dtype=np.float64), out=e,
                   casting="unsafe")
-        np.matmul(e, vb[part], out=out_b[part])
-    if not keep_softmax:
-        return out, None
-    return out, s.reshape(batch + s.shape[-2:])
+        np.matmul(e, v[part], out=out[part])
+    return out, s if keep_softmax else None
 
 
 def _attention_backward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
                         s: np.ndarray, g: np.ndarray) -> list[np.ndarray]:
     """Gradients for (q, k, v) from the kept softmax and the output grad."""
-    batch, (qb, kb, vb), chunk = _attention_batches(q, k, v)
-    lead = qb.shape[:-2]
-    s_b = s.reshape(lead + s.shape[-2:])
-    g_b = g.reshape(lead + g.shape[-2:])
+    chunk = _chunk_len(q, k)
     inv = np.asarray(1.0 / math.sqrt(q.shape[-1]), dtype=s.dtype)
     dtype = np.result_type(g, s)
-    grads = [np.empty(lead + x.shape[-2:], dtype) for x in (qb, kb, vb)]
+    grads = [np.empty(x.shape, dtype) for x in (q, k, v)]
     gq, gk, gv = grads
-    gs = np.empty((min(chunk, len(s_b)),) + s_b.shape[1:], dtype)
+    gs = np.empty((min(chunk, len(s)),) + s.shape[1:], dtype)
     prod = np.empty_like(gs)
-    for lo in range(0, len(s_b), chunk):
+    for lo in range(0, len(s), chunk):
         part = slice(lo, lo + chunk)
-        sc, gc = s_b[part], g_b[part]
+        sc, gc = s[part], g[part]
         a, p = gs[: len(sc)], prod[: len(sc)]
         np.matmul(_swap(sc), gc, out=gv[part])
-        np.matmul(gc, _swap(vb[part]), out=a)
+        np.matmul(gc, _swap(v[part]), out=a)
         np.multiply(a, sc, out=p)
         a -= p.sum(axis=-1, keepdims=True, dtype=np.float64).astype(s.dtype)
         a *= sc
         a *= inv
-        np.matmul(a, kb[part], out=gq[part])
-        np.matmul(_swap(a), qb[part], out=gk[part])
-    return [_reduce_to(gx.reshape(batch + gx.shape[-2:]), x.shape)
-            for gx, x in zip(grads, (q, k, v))]
+        np.matmul(a, k[part], out=gq[part])
+        np.matmul(_swap(a), q[part], out=gk[part])
+    return grads
 
 
 class Tape:
-    """Wengert list: append-only op trace with a single reverse sweep."""
+    """Wengert list of the nodes a backward pass visits, swept once in reverse."""
 
     def __init__(self, finite_check_limit: float = 1 << 20):
         if not finite_check_limit >= 0:
@@ -186,40 +169,32 @@ class Tape:
 
     # ------------------------------------------------------------------ leaves
 
-    def leaf(self, value, trainable: bool = False) -> int:
-        if _is_sparse(value):
-            if trainable:
-                raise ContractError("sparse leaves cannot be trainable")
-            value = value.tocsr()
-            self._check_finite(value.data, "leaf", force=True)
-        else:
-            value = np.asarray(value)
-            if value.dtype not in (np.float32, np.float64):
-                raise ContractError(f"leaf dtype must be float32/float64, got {value.dtype}")
-            self._check_finite(value, "leaf", force=True)
-        self.nodes.append(Node("leaf", (), value, trainable))
-        return len(self.nodes) - 1
-
-    def value(self, node_id: int) -> np.ndarray:
-        return self.nodes[node_id].value
+    def leaf(self, value, trainable: bool = False) -> Node:
+        """Bind an array; only a trainable leaf is kept on the tape."""
+        value = np.asarray(value)
+        if value.dtype not in (np.float32, np.float64):
+            raise ContractError(f"leaf dtype must be float32/float64, got {value.dtype}")
+        self._check_finite(value, "leaf", force=True)
+        node = Node("leaf", (), value, trainable)
+        if trainable:
+            self.nodes.append(node)
+        return node
 
     # ------------------------------------------------------------------ record
 
-    def record(self, op: str, *inputs: int, **const) -> int:
-        """Execute `op` on the given node ids, append the result, return its id."""
-        vals = [self.nodes[i].value for i in inputs]
-        req = any(self.nodes[i].requires_grad for i in inputs)
+    def record(self, op: str, *inputs: Node, **const) -> Node:
+        """Execute `op` on the given nodes and return the result's node. It is
+        kept on the tape, with its inputs and `ctx`, only when an input
+        requires a gradient."""
+        vals = [n.value for n in inputs]
+        req = any(n.requires_grad for n in inputs)
         ctx: dict = {}
 
         if op == "matmul":
             a, b = vals
-            if _is_sparse(b):
-                raise ContractError("sparse operands are only supported on the left of matmul")
-            an = a.shape[-1]
-            bm = b.shape[-2] if b.ndim >= 2 else None
-            if a.ndim < 2 or b.ndim < 2 or an != bm:
+            if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
                 raise ShapeError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
-            out = a @ b if _is_sparse(a) else np.matmul(a, b)
+            out = np.matmul(a, b)
         elif op == "add":
             a, b = vals
             try:
@@ -243,13 +218,6 @@ class Tape:
                 raise ShapeError(f"mse: shapes differ {a.shape} vs {b.shape}")
             d = (a - b).ravel()
             out = np.asarray(np.dot(d.astype(np.float64), d.astype(np.float64)), dtype=a.dtype)
-        elif op == "sinusoidal_embed":
-            t = np.asarray(const["t"])
-            dim = int(const["dim"])
-            ctx["t"] = t
-            ctx["dim"] = dim
-            ctx["dtype"] = const.get("dtype", DTYPE)
-            out = sinusoidal_embedding(t, dim, dtype=ctx["dtype"])
         elif op == "weighted_sum":
             w = tuple(float(x) for x in const["weights"])
             if len(w) != len(vals) or not vals:
@@ -263,16 +231,16 @@ class Tape:
                 out += wi * vi
         elif op == "cross_attention":
             q, k, v = vals
-            if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
+            if not (q.ndim == k.ndim == v.ndim == 3 and len(q) == len(k) == len(v)
+                    and q.shape[-1] == k.shape[-1] and k.shape[-2] == v.shape[-2]):
                 raise ShapeError(
-                    f"cross_attention: shapes {q.shape}, {k.shape}, {v.shape} do not chain"
-                )
+                    f"cross_attention: shapes {q.shape}, {k.shape}, {v.shape} are not "
+                    "(B, m, d), (B, n, d), (B, n, e)")
             if not q.dtype == k.dtype == v.dtype:
                 raise ContractError(
                     f"cross_attention: dtypes {q.dtype}, {k.dtype}, {v.dtype} differ")
             out, s = _attention_forward(q, k, v, keep_softmax=req)
-            if req:
-                ctx["softmax"] = s
+            ctx["softmax"] = s
         elif op == "transpose_last2":
             (a,) = vals
             if a.ndim < 2:
@@ -297,82 +265,72 @@ class Tape:
             raise ContractError(f"unknown op {op!r}")
 
         self._check_finite(out, op)
-        self.nodes.append(Node(op, inputs, out, req, ctx))
-        return len(self.nodes) - 1
+        if not req:
+            return Node(op, (), out, False)
+        node = Node(op, inputs, out, True, ctx)
+        self.nodes.append(node)
+        return node
 
     # ---------------------------------------------------------------- backward
 
-    def backward(self, loss_id: int) -> dict[int, np.ndarray]:
-        """Reverse sweep from `loss_id`. Returns {leaf id: gradient} covering
+    def backward(self, loss: Node) -> dict[Node, np.ndarray]:
+        """Reverse sweep from `loss`. Returns {leaf node: gradient} covering
         every trainable leaf on the tape (zeros when unreachable)."""
-        loss = self.nodes[loss_id]
         if np.size(loss.value) != 1:
             raise ContractError(f"backward: loss must be scalar, got shape {np.shape(loss.value)}")
         if not np.isfinite(loss.value).all():
             raise NumericError("backward: loss is not finite")
 
-        adj: dict[int, np.ndarray] = {loss_id: np.ones_like(loss.value)}
-        for nid in range(loss_id, -1, -1):
-            node = self.nodes[nid]
-            if node.op == "leaf" or not node.requires_grad:
+        adj: dict[Node, np.ndarray] = {loss: np.ones_like(loss.value)}
+        for node in reversed(self.nodes):
+            if node.op == "leaf":
                 continue
-            g = adj.pop(nid, None)
+            g = adj.pop(node, None)
             if g is None:
                 continue
-            for iid, gi in self._vjp(node, g):
-                if gi is None or not self.nodes[iid].requires_grad:
+            for inp, gi in self._vjp(node, g):
+                if not inp.requires_grad:
                     continue
-                if iid in adj:
-                    adj[iid] = adj[iid] + gi
-                else:
-                    adj[iid] = gi
-
-        out = {}
-        for nid, node in enumerate(self.nodes):
-            if node.op == "leaf" and node.requires_grad:
-                out[nid] = adj.get(nid, np.zeros_like(node.value))
-        return out
+                adj[inp] = adj[inp] + gi if inp in adj else gi
+        return {node: adj.get(node, np.zeros_like(node.value))
+                for node in self.nodes if node.op == "leaf"}
 
     def _vjp(self, node: Node, g: np.ndarray):
         op = node.op
-        vals = [self.nodes[i].value for i in node.inputs]
-        ids = node.inputs
+        vals = [n.value for n in node.inputs]
+        ins = node.inputs
 
         if op == "matmul":
             a, b = vals
-            if _is_sparse(a):
-                yield ids[0], None
-                yield ids[1], (a.T @ g)
-            else:
-                yield ids[0], _reduce_to(np.matmul(g, _swap(b)), a.shape)
-                yield ids[1], _reduce_to(np.matmul(_swap(a), g), b.shape)
+            yield ins[0], _reduce_to(np.matmul(g, _swap(b)), a.shape)
+            yield ins[1], _reduce_to(np.matmul(_swap(a), g), b.shape)
         elif op == "add":
             a, b = vals
-            yield ids[0], _reduce_to(g, a.shape)
-            yield ids[1], _reduce_to(g, b.shape)
+            yield ins[0], _reduce_to(g, a.shape)
+            yield ins[1], _reduce_to(g, b.shape)
         elif op == "scale":
-            yield ids[0], g * node.ctx["factor"]
+            yield ins[0], g * node.ctx["factor"]
         elif op == "relu":
-            yield ids[0], g * (vals[0] > 0)
+            yield ins[0], g * (vals[0] > 0)
         elif op == "mse":
             a, b = vals
             d = 2.0 * float(g) * (a - b)
-            yield ids[0], d
-            yield ids[1], -d
+            yield ins[0], d
+            yield ins[1], -d
         elif op == "weighted_sum":
-            for iid, w in zip(ids, node.ctx["weights"]):
-                yield iid, w * g
+            for inp, w in zip(ins, node.ctx["weights"]):
+                yield inp, w * g
         elif op == "cross_attention":
-            yield from zip(ids, _attention_backward(*vals, node.ctx["softmax"], g))
+            yield from zip(ins, _attention_backward(*vals, node.ctx["softmax"], g))
         elif op == "transpose_last2":
-            yield ids[0], _swap(g)
+            yield ins[0], _swap(g)
         elif op == "reshape":
-            yield ids[0], g.reshape(node.ctx["old_shape"])
+            yield ins[0], g.reshape(node.ctx["old_shape"])
         elif op == "col_slice":
             a = vals[0]
             ga = np.zeros_like(a)
             ga[..., : node.ctx["n"]] = g
-            yield ids[0], ga
+            yield ins[0], ga
         else:  # pragma: no cover - record() rejects unknown ops
             raise ContractError(f"no vjp for op {op!r}")
 
@@ -459,7 +417,7 @@ def gradient_check(build_fn, params: dict[str, np.ndarray], eps: float = 1e-3,
     """Compare reverse-mode gradients with central differences.
 
     `build_fn(tape, leaves)` must record the computation and return the loss
-    node id, where `leaves` maps each param name to its leaf id. All math is
+    node, where `leaves` maps each param name to its leaf node. All math is
     forced to float64 so the difference quotient stays trustworthy down to
     the smallest probe step.
 
@@ -472,15 +430,14 @@ def gradient_check(build_fn, params: dict[str, np.ndarray], eps: float = 1e-3,
     """
     p64 = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
 
-    def run(ps) -> tuple[Tape, int, dict[str, int]]:
+    def run(ps) -> tuple[Tape, Node, dict[str, Node]]:
         tape = Tape(finite_check_limit=math.inf)
         leaves = {k: tape.leaf(v, trainable=True) for k, v in ps.items()}
-        loss_id = build_fn(tape, leaves)
-        return tape, loss_id, leaves
+        return tape, build_fn(tape, leaves), leaves
 
-    tape, loss_id, leaves = run(p64)
-    grads_by_id = tape.backward(loss_id)
-    analytic = {k: grads_by_id[leaves[k]] for k in p64}
+    tape, loss, leaves = run(p64)
+    grads = tape.backward(loss)
+    analytic = {k: grads[leaves[k]] for k in p64}
 
     entries = [(k, i) for k in sorted(p64) for i in range(p64[k].size)]
     rng = np.random.default_rng(seed)
@@ -493,8 +450,7 @@ def gradient_check(build_fn, params: dict[str, np.ndarray], eps: float = 1e-3,
         losses = []
         for delta in (step, -step):
             p64[name].ravel()[idx] = base + delta
-            t2, l2, _ = run(p64)
-            losses.append(float(t2.nodes[l2].value))
+            losses.append(float(run(p64)[1].value))
         p64[name].ravel()[idx] = base
         return (losses[0] - losses[1]) / (2.0 * step)
 

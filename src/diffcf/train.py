@@ -78,14 +78,13 @@ def train_step(params: dict, adam: nd.AdamState, model_cfg: camae.CamAeConfig,
 
     tape, leaves, mu = camae.run_batch(params, model_cfg, u_t, contexts, t, trainable=True)
     mu_scaled = tape.record("scale", mu, factor=scale[:, None])
-    target_leaf = tape.leaf(target * scale[:, None])
-    loss_id = tape.record("mse", mu_scaled, target_leaf)
+    loss_node = tape.record("mse", mu_scaled, tape.leaf(target * scale[:, None]))
 
-    loss = float(tape.value(loss_id))
+    loss = float(loss_node.value)
     if not np.isfinite(loss):
         raise NumericError(f"train_step: non-finite loss {loss}")
-    grads_by_id = tape.backward(loss_id)
-    grads = {name: grads_by_id[nid] for name, nid in leaves.items()}
+    grads_by_leaf = tape.backward(loss_node)
+    grads = {name: grads_by_leaf[leaf] for name, leaf in leaves.items()}
     nd.adam_step(params, grads, adam)
     return loss
 
@@ -152,7 +151,7 @@ def gradcheck_case(model_cfg: camae.CamAeConfig, sched: NoiseSchedule,
     scale = np.sqrt(step_weights(t, sched, weighting) / batch)
     params = camae.init_params(model_cfg, seed=data_seed)
 
-    def build(tape: nd.Tape, leaves: dict[str, int]) -> int:
+    def build(tape: nd.Tape, leaves: dict[str, nd.Node]) -> nd.Node:
         mu = camae.camae_forward(tape, leaves, model_cfg, u_t, contexts, t)
         mu_scaled = tape.record("scale", mu, factor=scale[:, None])
         return tape.record("mse", mu_scaled, tape.leaf(target * scale[:, None]))

@@ -319,10 +319,14 @@ def _sweep_medians(axis: str, seed: int) -> list[float]:
     allocator history (a prior large workload in the same process makes
     mid-size temporaries arena-cached while the largest still page-fault,
     which reads as spurious curvature), so each replicate gets a fresh
-    interpreter."""
+    interpreter. The child imports the same `diffcf` as this process,
+    whether or not PYTHONPATH names it."""
+    src = str(Path(bench.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run([sys.executable, "-c", _SWEEP_SNIPPET, axis,
                            str(seed)], capture_output=True, text=True,
-                          timeout=540)
+                          timeout=540, env=env)
     if proc.returncode != 0:
         raise RuntimeError(f"sweep subprocess failed: {proc.stderr[-500:]}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -398,7 +402,7 @@ def _frozen_batch_loss(params, cfg, sched, matrix, contexts) -> float:
     tape, _, out = camae.run_batch(params, cfg, u_t, ctx, t)
     scaled = tape.record("scale", out, factor=scale[:, None])
     loss = tape.record("mse", scaled, tape.leaf(target * scale[:, None]))
-    return float(tape.value(loss))
+    return float(loss.value)
 
 
 @criterion(8)

@@ -180,7 +180,7 @@ class TestCrossAttention:
         want = softmax_rows(q @ k.transpose(0, 2, 1) / math.sqrt(6)) @ v
         tape = nd.Tape()
         got = tape.record("cross_attention", tape.leaf(q), tape.leaf(k), tape.leaf(v))
-        np.testing.assert_allclose(tape.value(got), want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(got.value, want, rtol=1e-12, atol=1e-12)
 
 
 class TestForwardOracle:
@@ -191,7 +191,7 @@ class TestForwardOracle:
         params = random_params(cfg, seed=7)
         u_t, contexts, t = random_inputs(cfg, batch=3, seed=8)
         tape, _, out = camae.run_batch(params, cfg, u_t, contexts, t)
-        got = tape.value(out)
+        got = out.value
         want = forward_oracle(params, cfg, u_t, contexts, t)
         assert got.shape == (3, cfg.num_items)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
@@ -202,7 +202,7 @@ class TestForwardOracle:
         params = random_params(cfg, seed=9)
         u_t, contexts, t = random_inputs(cfg, batch=2, seed=10)
         tape, _, out = camae.run_batch(params, cfg, u_t, contexts, t)
-        np.testing.assert_allclose(tape.value(out),
+        np.testing.assert_allclose(out.value,
                                    forward_oracle(params, cfg, u_t, contexts, t),
                                    rtol=1e-10, atol=1e-10)
 
@@ -211,7 +211,7 @@ class TestForwardOracle:
         params = random_params(cfg, seed=11)
         u_t, contexts, t = random_inputs(cfg, batch=2, seed=12)
         tape, _, out = camae.run_batch(params, cfg, u_t, contexts, t)
-        np.testing.assert_allclose(tape.value(out),
+        np.testing.assert_allclose(out.value,
                                    forward_oracle(params, cfg, u_t, contexts, t),
                                    rtol=1e-10, atol=1e-10)
 
@@ -220,19 +220,19 @@ class TestForwardOracle:
         params = random_params(cfg, seed=13)
         u_t, contexts, t = random_inputs(cfg, batch=2, seed=14)
         tape, _, out = camae.run_batch(params, cfg, u_t, contexts, t)
-        np.testing.assert_allclose(tape.value(out),
+        np.testing.assert_allclose(out.value,
                                    forward_oracle(params, cfg, u_t, contexts, t),
                                    rtol=1e-10, atol=1e-10)
         plain = camae.run_batch(params, small_config(layers=3), u_t,
                                 contexts, t)
-        assert not np.allclose(tape.value(out), plain[0].value(plain[2]))
+        assert not np.allclose(out.value, plain[2].value)
 
     def test_float32_params_give_float32_output(self):
         cfg = small_config()
         params = random_params(cfg, seed=13, dtype=np.float32)
         u_t, contexts, t = random_inputs(cfg, batch=2, seed=14)
         tape, _, out = camae.run_batch(params, cfg, u_t, contexts, t)
-        assert tape.value(out).dtype == np.float32
+        assert out.value.dtype == np.float32
 
 
 class TestStructuralProperties:
@@ -243,7 +243,7 @@ class TestStructuralProperties:
         u_t = np.zeros((2, cfg.num_items))
         contexts = {h: np.zeros((2, cfg.hop_dim(h))) for h in cfg.hop_list}
         tape, _, out = camae.run_batch(params, cfg, u_t, contexts, t=1)
-        np.testing.assert_array_equal(tape.value(out), 0.0)
+        np.testing.assert_array_equal(out.value, 0.0)
 
     def test_timestep_sensitivity_tracks_flag(self):
         u_t, contexts, _ = random_inputs(small_config(), batch=2, seed=16)
@@ -252,7 +252,7 @@ class TestStructuralProperties:
             params = random_params(cfg, seed=17)
             tape1, _, o1 = camae.run_batch(params, cfg, u_t, contexts, t=1)
             tape2, _, o2 = camae.run_batch(params, cfg, u_t, contexts, t=9)
-            same = np.array_equal(tape1.value(o1), tape2.value(o2))
+            same = np.array_equal(o1.value, o2.value)
             assert same != should_differ
 
     def test_self_attn_ignores_hop_encoders_and_contexts(self):
@@ -265,7 +265,7 @@ class TestStructuralProperties:
             mutated[name] += 100.0
         other = {h: v + 5.0 for h, v in contexts.items()}
         tape2, _, out2 = camae.run_batch(mutated, cfg, u_t, other, t)
-        np.testing.assert_array_equal(tape.value(out), tape2.value(out2))
+        np.testing.assert_array_equal(out.value, out2.value)
 
     def test_no_cross_attn_ignores_attention_weights(self):
         cfg = small_config(variant="no-cross-attn")
@@ -275,7 +275,7 @@ class TestStructuralProperties:
         mutated = {k: (v + 100.0 if "attn" in k else v.copy())
                    for k, v in params.items()}
         tape2, _, out2 = camae.run_batch(mutated, cfg, u_t, contexts, t)
-        np.testing.assert_array_equal(tape.value(out), tape2.value(out2))
+        np.testing.assert_array_equal(out.value, out2.value)
 
     def test_full_variant_uses_attention_weights(self):
         cfg = small_config()
@@ -285,7 +285,7 @@ class TestStructuralProperties:
         mutated = {k: (v + 1.0 if k == "attn1_hop2_q" else v.copy())
                    for k, v in params.items()}
         tape2, _, out2 = camae.run_batch(mutated, cfg, u_t, contexts, t)
-        assert not np.array_equal(tape.value(out), tape2.value(out2))
+        assert not np.array_equal(out.value, out2.value)
 
 
 class TestContracts:
@@ -319,7 +319,7 @@ class TestConvenienceWrappers:
         tape1, _, o1 = camae.run_batch(params, cfg, u_t, contexts, 4)
         tape2, _, o2 = camae.run_batch(params, cfg, u_t, contexts,
                                        np.array([4, 4, 4]))
-        np.testing.assert_array_equal(tape1.value(o1), tape2.value(o2))
+        np.testing.assert_array_equal(o1.value, o2.value)
 
     def test_gradients_reach_every_parameter(self):
         cfg = small_config()
@@ -329,8 +329,8 @@ class TestConvenienceWrappers:
         target = tape.leaf(np.zeros_like(u_t))
         loss = tape.record("mse", out, target)
         grads = tape.backward(loss)
-        for name, nid in leaves.items():
-            assert nid in grads and np.any(grads[nid] != 0.0), name
+        for name, leaf in leaves.items():
+            assert leaf in grads and np.any(grads[leaf] != 0.0), name
 
 
 class TestOpCoverage:

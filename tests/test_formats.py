@@ -1,12 +1,15 @@
 """Every binary reader against damaged files: each artifact cut at every
 byte offset, or with bytes appended, must raise FormatError rather than
-any other exception."""
+any other exception, and so must a matrix file whose arrays hold values
+outside its declared shape."""
+
+import struct
 
 import numpy as np
 import pytest
 
 from conftest import make_matrix
-from diffcf import dataset, graph, ndtensor as nd
+from diffcf import cli, dataset, graph, ndtensor as nd
 from diffcf.errors import FormatError
 
 
@@ -39,3 +42,38 @@ def test_every_cut_and_appended_bytes_raise_format_error(tmp_path, write):
         path.write_bytes(damaged)
         with pytest.raises(FormatError):
             load(path)
+
+
+def hand_written_matrix(indptr, indices, tags, num_items=3):
+    """A matrix file laid out byte by byte, bypassing `save_matrix`."""
+    return (b"CFDM" + struct.pack("<HQQQ", 1, len(indptr) - 1, num_items, len(indices))
+            + np.asarray(indptr, "<u8").tobytes() + np.asarray(indices, "<u4").tobytes()
+            + np.asarray(tags, "u1").tobytes())
+
+
+MALFORMED_MATRICES = {
+    "item id past the catalog": ([0, 2, 3], [0, 7, 1], [0, 0, 0]),
+    "offsets start above 0": ([1, 2, 3], [0, 1, 2], [0, 0, 0]),
+    "offsets decrease": ([0, 3, 2], [0, 1], [0, 0]),
+    "offsets end short": ([0, 1, 2], [0, 1, 2], [0, 0, 0]),
+    "split tag 3": ([0, 2, 3], [0, 1, 2], [0, 3, 0]),
+}
+
+
+def test_hand_written_matrix_loads(tmp_path):
+    path = tmp_path / "matrix.cfdm"
+    path.write_bytes(hand_written_matrix([0, 2, 3], [0, 2, 1], [0, 2, 1]))
+    m = dataset.load_matrix(path)
+    assert (m.num_users, m.num_items) == (2, 3)
+    assert m.user_items(0).tolist() == [0, 2] and m.user_items(1, tag=1).tolist() == [1]
+
+
+@pytest.mark.parametrize("arrays", MALFORMED_MATRICES.values(), ids=MALFORMED_MATRICES)
+def test_matrix_values_outside_its_shape_raise_format_error(tmp_path, capsys, arrays):
+    path = tmp_path / "matrix.cfdm"
+    path.write_bytes(hand_written_matrix(*arrays))
+    with pytest.raises(FormatError, match="matrix.cfdm"):
+        dataset.load_matrix(path)
+    rc = cli.main(["train", "--data", str(tmp_path), "--out-dir", str(tmp_path / "run")])
+    assert rc == 2
+    assert "diffcf: error: format:" in capsys.readouterr().err

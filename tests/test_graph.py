@@ -257,7 +257,6 @@ class TestBatchBuilder:
         assert rows.shape == (2, 3)
         np.testing.assert_array_equal(rows[1], user_row(ctxs, 0, 2))
         assert ctxs.hop_list == (2, 3)
-        assert ctxs.max_dim == 5
 
     def test_depth_contract(self):
         with pytest.raises(ContractError):

@@ -113,7 +113,7 @@ class TestTrainStep:
         u_t = diffuse_to(u0, t, sched, noise)
         target = posterior_mean(u_t, u0, t, sched)
         tape, _, out = camae.run_batch(frozen, cfg, u_t, ctx, t)
-        mu = tape.value(out)
+        mu = out.value
         want = sum(vlb_term(int(t[i]), mu[i], target[i],
                                   sched.betas[t[i] - 1], weighting)
                    for i in range(4)) / 4.0
