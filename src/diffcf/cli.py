@@ -161,16 +161,18 @@ def cmd_train(args) -> int:
         epochs=int(cfg["epochs"]), weighting=str(cfg["weighting"]),
         seed=int(cfg["train_seed"]), eval_every=int(cfg["eval_every"]),
         patience=int(cfg["patience"]), max_hours=float(cfg["max_hours"]),
-        infer_steps=int(cfg["infer_steps"]), eval_batch=int(cfg["eval_batch"]))
+        infer_steps=int(cfg["infer_steps"]), infer_seed=int(cfg["infer_seed"]),
+        stochastic_infer=bool(cfg["stochastic_infer"]), eval_batch=int(cfg["eval_batch"]))
     config_text = cfgmod.config_to_text(cfg)
 
     params = camae.init_params(model_cfg, seed=int(cfg["train_seed"]))
-    adam = None
+    adam = fit_state = None
     start_epoch = 1
     if args.resume:
         params, adam, _, old_text = nd.load_checkpoint(args.resume)
         if old_text != config_text:
             raise ContractError("resume: checkpoint config differs from requested config")
+        fit_state = nd.load_fit_state(args.resume)
         if adam is not None:
             batches = -(-matrix.num_users // train_cfg.batch_size)
             start_epoch = adam.step // batches + 1
@@ -180,7 +182,7 @@ def cmd_train(args) -> int:
     result = training.fit(params, model_cfg, train_cfg, sched, matrix, contexts,
                           config_text=config_text, checkpoint_path=ckpt,
                           log_path=out / "train_log.jsonl", adam=adam,
-                          start_epoch=start_epoch, quiet=args.quiet)
+                          start_epoch=start_epoch, quiet=args.quiet, fit_state=fit_state)
     summary = {
         "best_epoch": result.best_epoch,
         "best_val_ndcg": result.best_metric if np.isfinite(result.best_metric) else None,

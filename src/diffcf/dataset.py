@@ -22,7 +22,8 @@ import struct
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ContractError, EmptyInputError, ExactReader, FormatError, ParseError
+from .errors import (ContractError, EmptyInputError, ExactReader, FormatError, ParseError,
+                     atomic_write)
 
 TAG_TRAIN, TAG_VAL, TAG_TEST = 0, 1, 2
 _TAG_NAMES = {"train": TAG_TRAIN, "val": TAG_VAL, "test": TAG_TEST}
@@ -200,7 +201,7 @@ def item_popularity(matrix: InteractionMatrix, tag: int = TAG_TRAIN) -> np.ndarr
 
 
 def save_matrix(path, matrix: InteractionMatrix) -> None:
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(_MAGIC)
         f.write(struct.pack("<H", _VERSION))
         f.write(struct.pack("<Q", matrix.num_users))

@@ -1,4 +1,5 @@
-"""Shared error taxonomy, and the exact reader of binary artifacts.
+"""Shared error taxonomy, and the exact reader and atomic writer of
+binary artifacts.
 
 Every failure the package raises deliberately goes through one of these
 classes so the CLI can map it to an exit code and a stable stderr prefix.
@@ -6,6 +7,7 @@ classes so the CLI can map it to an exit code and a stable stderr prefix.
 
 import os
 import struct
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -99,3 +101,21 @@ class ExactReader:
         at = self.f.tell()
         if at != self.size:
             raise FormatError(f"{self.path}: {self.size - at} trailing bytes after byte {at}")
+
+
+@contextmanager
+def atomic_write(path, mode: str = "wb"):
+    """Yields a file opened on a temporary file beside `path`, and renames
+    it over `path` once the block ends. If the block raises, the temporary
+    file is removed and `path` keeps its old contents. This guards against
+    a failing writer or a killed process, not against power loss (nothing
+    is fsynced)."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise

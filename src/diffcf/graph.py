@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dataset import InteractionMatrix, as_csr
-from .errors import ContractError, ExactReader, FormatError
+from .errors import ContractError, ExactReader, FormatError, atomic_write
 
 _MAGIC = b"CFHC"
 _VERSION = 2
@@ -168,7 +168,7 @@ def save_contexts(path, ctxs: HopContexts) -> None:
     hops = ctxs.hop_list
     if not hops or hops != tuple(range(2, hops[-1] + 1)):
         raise ContractError(f"cache expects contiguous hops starting at 2, got {hops}")
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(_MAGIC)
         f.write(struct.pack("<H", _VERSION))
         f.write(struct.pack("<QQH", ctxs.num_users, ctxs.num_items, hops[-1]))

@@ -52,6 +52,8 @@ class TrainConfig:
     patience: int = 10
     max_hours: float = 0.0
     infer_steps: int = 10
+    infer_seed: int = 0
+    stochastic_infer: bool = False
     eval_batch: int = 128
     monitor_k: int = 10
 
@@ -173,16 +175,30 @@ def fit(params: dict, model_cfg: camae.CamAeConfig, train_cfg: TrainConfig,
         sched: NoiseSchedule, matrix: InteractionMatrix, contexts: HopContexts,
         config_text: str = "", checkpoint_path=None, log_path=None,
         adam: nd.AdamState | None = None, start_epoch: int = 1,
-        quiet: bool = True) -> FitResult:
+        quiet: bool = True, fit_state: dict[str, float] | None = None) -> FitResult:
     """Epoch loop with periodic validation, early stopping on NDCG@k, an
-    optional wall-clock budget, and best-checkpoint saving."""
+    optional wall-clock budget, and best-checkpoint saving. A resumed run
+    passes the `fit_state` saved with its checkpoint (`nd.FIT_KEYS`), so
+    it beats the stored best before it overwrites the checkpoint, and
+    patience counts on from where it stopped."""
     if adam is None:
         adam = nd.init_adam(params, lr=train_cfg.lr)
     result = FitResult()
+    stale = 0
+    if fit_state is not None:
+        result.best_metric = fit_state["best_metric"]
+        result.best_epoch = int(fit_state["best_epoch"])
+        stale = int(fit_state["stale"])
     log_f = open(log_path, "a", encoding="utf-8") if log_path else None
     deadline = time.monotonic() + train_cfg.max_hours * 3600.0 \
         if train_cfg.max_hours > 0 else None
-    stale = 0
+
+    def save() -> None:
+        nd.save_checkpoint(checkpoint_path, params, config_text, sched.fields(), adam=adam,
+                           fit={"best_metric": result.best_metric,
+                                "best_epoch": result.best_epoch, "stale": stale})
+        result.checkpoint_path = str(checkpoint_path)
+
     try:
         for epoch in range(start_epoch, train_cfg.epochs + 1):
             stats = train_epoch(params, adam, model_cfg, train_cfg, sched,
@@ -196,6 +212,7 @@ def fit(params: dict, model_cfg: camae.CamAeConfig, train_cfg: TrainConfig,
                 report = evaluation.evaluate(
                     params, model_cfg, sched, matrix, contexts, split="val",
                     ks=(train_cfg.monitor_k,), infer_steps=train_cfg.infer_steps,
+                    infer_seed=train_cfg.infer_seed, stochastic=train_cfg.stochastic_infer,
                     batch_size=train_cfg.eval_batch, include_val=False)
                 metric = report.ndcg[train_cfg.monitor_k]
                 record[f"val_ndcg@{train_cfg.monitor_k}"] = metric
@@ -204,9 +221,7 @@ def fit(params: dict, model_cfg: camae.CamAeConfig, train_cfg: TrainConfig,
                     result.best_epoch = epoch
                     stale = 0
                     if checkpoint_path is not None:
-                        nd.save_checkpoint(checkpoint_path, params, config_text,
-                                           sched.fields(), adam=adam)
-                        result.checkpoint_path = str(checkpoint_path)
+                        save()
                 else:
                     stale += 1
             result.history.append(record)
@@ -228,6 +243,5 @@ def fit(params: dict, model_cfg: camae.CamAeConfig, train_cfg: TrainConfig,
             log_f.close()
     if result.best_epoch == 0 and checkpoint_path is not None:
         # never evaluated better than -inf (e.g. 0-eval run): still save last
-        nd.save_checkpoint(checkpoint_path, params, config_text, sched.fields(), adam=adam)
-        result.checkpoint_path = str(checkpoint_path)
+        save()
     return result

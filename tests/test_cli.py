@@ -10,7 +10,8 @@ import struct
 import numpy as np
 import pytest
 
-from diffcf import cli, config as cfgmod, dataset, graph, ndtensor as nd
+from diffcf import cli, config as cfgmod, dataset, eval as evaluation, graph
+from diffcf import ndtensor as nd
 
 TINY_TRAIN = ["--latent-dim", "4", "--attn-dim", "2", "--layers", "1",
               "--steps", "5", "--epochs", "2", "--eval-every", "1",
@@ -106,26 +107,61 @@ class TestTrain:
         assert fields[0] == 5 and adam is not None
         assert params["enc_items"].shape == (4, 16)
 
-    def test_resume_continues_epoch_numbering(self, prepared, tmp_path):
-        # A vanishing lr freezes the val metric, so patience=1 halts the
-        # first run after epoch 2 with the best checkpoint from epoch 1.
-        # Resuming under the identical config must pick up at epoch 2.
-        flags = list(TINY_TRAIN)
-        flags[flags.index("--lr") + 1] = "1e-12"
-        flags[flags.index("--epochs") + 1] = "4"
-        flags[flags.index("--patience") + 1] = "1"
-        first, second = tmp_path / "a", tmp_path / "b"
+    FROZEN = ["--lr", "1e-12", "--epochs", "4", "--patience", "1"]
+
+    def frozen_run(self, prepared, out):
+        """A vanishing lr freezes the val metric, so patience=1 halts the
+        run after epoch 2 with the best checkpoint from epoch 1."""
         assert cli.main(["train", "--data", str(prepared["data"]),
-                         "--out-dir", str(first)] + flags) == 0
-        log = [json.loads(line) for line
-               in (first / "train_log.jsonl").read_text().splitlines()]
+                         "--out-dir", str(out)] + TINY_TRAIN + self.FROZEN) == 0
+        return [json.loads(line) for line in (out / "train_log.jsonl").read_text().splitlines()]
+
+    def test_resume_continues_epoch_numbering(self, prepared, tmp_path):
+        # Resuming under the identical config picks up at epoch 2 with the
+        # stored best and patience, so it stops where the first run did.
+        first, second = tmp_path / "a", tmp_path / "b"
+        log = self.frozen_run(prepared, first)
         assert [r["epoch"] for r in log] == [1, 2]
         assert cli.main(["train", "--data", str(prepared["data"]),
                          "--out-dir", str(second), "--resume",
-                         str(first / "checkpoint.cfck")] + flags) == 0
-        log = [json.loads(line) for line
-               in (second / "train_log.jsonl").read_text().splitlines()]
-        assert [r["epoch"] for r in log] == [2, 3]
+                         str(first / "checkpoint.cfck")] + TINY_TRAIN + self.FROZEN) == 0
+        resumed = [json.loads(line)
+                   for line in (second / "train_log.jsonl").read_text().splitlines()]
+        assert [r["epoch"] for r in resumed] == [2]
+        assert {**resumed[0], "seconds": 0} == {**log[1], "seconds": 0}
+        result = json.loads((second / "result.json").read_text())
+        assert result["best_epoch"] == 1
+        assert result["stopped"] == "no val improvement in 1 evals"
+
+    def test_resume_keeps_a_checkpoint_it_does_not_beat(self, prepared, tmp_path):
+        self.frozen_run(prepared, tmp_path)
+        ckpt = tmp_path / "checkpoint.cfck"
+        best = json.loads((tmp_path / "result.json").read_text())["best_val_ndcg"]
+        assert nd.load_fit_state(ckpt) == {"best_metric": best, "best_epoch": 1, "stale": 0}
+        params, adam, fields, text = nd.load_checkpoint(ckpt)
+        # No NDCG reaches 2, so no evaluation after the resume may count
+        # as an improvement and overwrite the checkpoint.
+        nd.save_checkpoint(ckpt, params, text, fields, adam=adam,
+                           fit={"best_metric": 2.0, "best_epoch": 1, "stale": 0})
+        before = ckpt.read_bytes()
+        assert cli.main(["train", "--data", str(prepared["data"]), "--out-dir", str(tmp_path),
+                         "--resume", str(ckpt)] + TINY_TRAIN + self.FROZEN) == 0
+        assert ckpt.read_bytes() == before
+        result = json.loads((tmp_path / "result.json").read_text())
+        assert result["best_val_ndcg"] == 2.0 and result["best_epoch"] == 1
+
+    def test_inference_flags_reach_validation(self, prepared, tmp_path, monkeypatch):
+        seen = []
+        evaluate = evaluation.evaluate
+
+        def spy(*args, **kwargs):
+            seen.append((kwargs["infer_seed"], kwargs["stochastic"]))
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "evaluate", spy)
+        assert cli.main(["train", "--data", str(prepared["data"]), "--out-dir", str(tmp_path),
+                         "--infer-seed", "7", "--stochastic-infer"] + TINY_TRAIN) == 0
+        assert seen == [(7, True), (7, True)]
 
     def test_resume_rejects_config_drift(self, trained, tmp_path, capsys):
         args = ["train", "--data", str(trained["data"]),

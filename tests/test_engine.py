@@ -4,12 +4,15 @@ Every differentiable op is checked against central finite differences
 computed by an oracle in this file (not the engine's own checker), the
 fused attention op is cross-checked against its primitive composition
 and, bit for bit, against the whole-batch computation its chunked kernel
-replaced, Adam is compared to an independent reimplementation and, bit
-for bit, to the plain-expression update its scratch-buffer form
-replaced, and checkpoints must round-trip bitwise.
+replaced and across thread-pool sizes, Adam is compared to an independent
+reimplementation and, bit for bit, to the plain-expression update its
+scratch-buffer form replaced, and checkpoints must round-trip bitwise.
 """
 
 import math
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -396,6 +399,96 @@ class TestChunkedAttention:
         kv = tape.leaf(np.ones((3, 5, 4), np.float32))
         with pytest.raises(ShapeError):
             tape.record("cross_attention", q, kv, kv)
+
+
+class CountingPool(ThreadPoolExecutor):
+    """A thread pool that counts the jobs handed to it."""
+
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.jobs = 0
+
+    def submit(self, *args, **kwargs):
+        self.jobs += 1
+        return super().submit(*args, **kwargs)
+
+
+@pytest.fixture
+def attention_workers(monkeypatch):
+    """Returns a function that gives the attention pool `n` workers."""
+    pools = []
+
+    def use(n):
+        pools.append(CountingPool(n))
+        monkeypatch.setattr(nd, "_POOL", pools[-1])
+        monkeypatch.setattr(nd, "_WORKERS", n)
+        return pools[-1]
+
+    yield use
+    for pool in pools:
+        pool.shutdown()
+
+
+class TestAttentionWorkers:
+    """The forward's chunks run on a thread pool; the worker count must not
+    change a bit of the output, the kept softmax or the gradients."""
+
+    M, N, D, DV = TestChunkedAttention.M, TestChunkedAttention.N, 8, 5
+
+    def test_one_worker_per_usable_cpu(self):
+        assert nd._WORKERS == len(os.sched_getaffinity(0))
+        assert nd._POOL._max_workers == nd._WORKERS
+
+    @staticmethod
+    def run(q, k, v, g):
+        tape = nd.Tape()
+        ids = [tape.leaf(x, trainable=True) for x in (q, k, v)]
+        node = tape.record("cross_attention", *ids)
+        plain = tape.record("cross_attention", *(tape.leaf(x) for x in (q, k, v)))
+        grads = dict(tape._vjp(node, g))
+        return [node.value, plain.value, node.ctx["softmax"]] + [grads[i] for i in ids]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_values_do_not_depend_on_the_worker_count(self, dtype, attention_workers):
+        chunk = chunk_len(self.M, self.N, dtype)
+        rng = np.random.default_rng(44)
+        # 6 chunks + 1 give every count here at least two chunks per worker.
+        for batch in sorted({1, chunk, 2 * chunk + 1, 6 * chunk + 1}):
+            q = rng.standard_normal((batch, self.M, self.D)).astype(dtype)
+            k = rng.standard_normal((batch, self.N, self.D)).astype(dtype)
+            v = rng.standard_normal((batch, self.N, self.DV)).astype(dtype)
+            g = rng.standard_normal((batch, self.M, self.DV)).astype(dtype)
+            runs = {}
+            for workers in (1, 2, 3):
+                pool = attention_workers(workers)
+                switch = sys.getswitchinterval()
+                sys.setswitchinterval(1e-6)  # let the workers interleave finely
+                try:
+                    runs[workers] = self.run(q, k, v, g)
+                finally:
+                    sys.setswitchinterval(switch)
+                chunks = -(-batch // chunk)
+                # Two forwards, each one job per worker or none.
+                assert pool.jobs == (2 * workers if chunks >= 2 * workers else 0), \
+                    (batch, workers)
+            for workers in (2, 3):
+                for got, want in zip(runs[workers], runs[1]):
+                    assert got.dtype == want.dtype and np.array_equal(got, want), \
+                        (batch, workers)
+            assert np.array_equal(runs[1][0], runs[1][1])
+
+    def test_default_shape_matches_whole_batch(self):
+        # At k=500, d=16 the products run in row blocks, which BLAS may sum
+        # in another order than one whole product: equal to float32 rounding.
+        rng = np.random.default_rng(45)
+        q, k, v = (rng.standard_normal((9, 500, 16)).astype(np.float32) for _ in range(3))
+        g = rng.standard_normal((9, 500, 16)).astype(np.float32)
+        out, _, s, gq, gk, gv = self.run(q, k, v, g)
+        want, want_s = whole_batch_attention(q, k, v)
+        np.testing.assert_allclose(out, want, rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(s, want_s, rtol=1e-5, atol=1e-9)
+        for got, gx in zip((gq, gk, gv), whole_batch_attention_vjp(q, k, v, want_s, g)):
+            np.testing.assert_allclose(got, gx, rtol=1e-4, atol=1e-5)
 
 
 class TestSinusoidalEmbedding:

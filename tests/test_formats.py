@@ -1,9 +1,14 @@
 """Every binary reader against damaged files: each artifact cut at every
 byte offset, or with bytes appended, must raise FormatError rather than
 any other exception, and so must a matrix file whose arrays hold values
-outside its declared shape."""
+outside its declared shape. Every writer replaces its file atomically:
+a write that fails half-way leaves the old file as it was."""
 
+import contextlib
+import errno
+import os
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -42,6 +47,45 @@ def test_every_cut_and_appended_bytes_raise_format_error(tmp_path, write):
         path.write_bytes(damaged)
         with pytest.raises(FormatError):
             load(path)
+
+
+class CutFile:
+    """A file that fails, as a full disk would, once `limit` units are written."""
+
+    def __init__(self, f, limit):
+        self.f, self.left = f, limit
+
+    def write(self, data):
+        if not isinstance(data, str):
+            data = memoryview(data).cast("B")
+        if len(data) > self.left:
+            self.f.write(data[:self.left])
+            raise OSError(errno.ENOSPC, "disk full")
+        self.left -= len(data)
+        return self.f.write(data)
+
+
+@pytest.mark.parametrize("write", [write_matrix, write_contexts, write_checkpoint])
+def test_write_failing_half_way_keeps_the_old_file(tmp_path, monkeypatch, write):
+    path = tmp_path / "artifact"
+    load = write(path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    module = sys.modules[load.__module__]
+    atomic_write = module.atomic_write
+
+    @contextlib.contextmanager
+    def failing_write(target, mode="wb"):
+        with atomic_write(target, mode) as f:
+            yield CutFile(f, len(before[os.path.basename(target)]) // 2)
+
+    monkeypatch.setattr(module, "atomic_write", failing_write)
+    with pytest.raises(OSError, match="disk full"):
+        write(path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    load(path)
+    monkeypatch.undo()
+    write(path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def hand_written_matrix(indptr, indices, tags, num_items=3):
