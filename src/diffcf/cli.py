@@ -26,7 +26,7 @@ import numpy as np
 from . import bench, camae, config as cfgmod, dataset, eval as evaluation, graph
 from . import ndtensor as nd
 from . import train as training
-from .errors import ContractError, DiffcfError, FormatError, ParseError
+from .errors import ContractError, DiffcfError, FormatError, ParseError, atomic_write
 
 PREP_KEYS = ("min_rating", "split", "split_seed", "hops")
 MODEL_KEYS = ("hops", "latent_dim", "attn_dim", "layers", "hop_weights",
@@ -110,6 +110,12 @@ def _load_contexts(matrix: dataset.InteractionMatrix, mpath: Path,
     return ctxs
 
 
+def _write_text(path, text: str) -> None:
+    """Replaces `path` with `text`; a failed write leaves the old file."""
+    with atomic_write(path, "w") as f:
+        f.write(text)
+
+
 # ------------------------------------------------------------------ prepare
 
 
@@ -139,7 +145,7 @@ def cmd_prepare(args) -> int:
         "contexts": str(cpath),
         "config": {k: cfg[k] for k in PREP_KEYS},
     }
-    (out / "prepare.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_text(out / "prepare.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(json.dumps(summary, sort_keys=True))
     return 0
 
@@ -190,9 +196,10 @@ def cmd_train(args) -> int:
         "stopped": result.stopped_reason,
         "seconds": round(time.perf_counter() - started, 3),
         "checkpoint": result.checkpoint_path,
+        "last_checkpoint": result.last_path,
     }
-    (out / "result.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    (out / "config.echo").write_text(config_text)
+    _write_text(out / "result.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_text(out / "config.echo", config_text)
     print(json.dumps(summary, sort_keys=True))
     return 0
 
@@ -225,8 +232,7 @@ def cmd_evaluate(args) -> int:
     for rep in reports:
         print(rep.format_text())
     if args.json:
-        payload = "\n".join(rep.to_json() for rep in reports) + "\n"
-        Path(args.json).write_text(payload)
+        _write_text(args.json, "\n".join(rep.to_json() for rep in reports) + "\n")
     return 0
 
 
@@ -241,7 +247,7 @@ def cmd_bench_scaling(args) -> int:
                              seed=args.seed)
     csv = run.to_csv()
     if args.out:
-        Path(args.out).write_text(csv)
+        _write_text(args.out, csv)
     print(csv, end="")
     print(f"linear r2={run.linear.r2:.5f} quad_coef_ci="
           f"[{run.quadratic.ci_low:.3e},{run.quadratic.ci_high:.3e}]", file=sys.stderr)
@@ -255,7 +261,7 @@ def cmd_bench_attn(args) -> int:
                                           seed=args.seed)
     csv = result.to_csv()
     if args.out:
-        Path(args.out).write_text(csv)
+        _write_text(args.out, csv)
     print(csv, end="")
     return 0
 

@@ -14,8 +14,9 @@ the loss never touched.
 Conventions:
 - Values are 2-D or 3-D float arrays; a leading axis, when present, is a
   batch axis. Scalars (losses) are 0-d arrays.
-- Storage is float32 by default; reductions and softmax normalizers
-  accumulate in float64. A float64 mode exists for finite-difference work.
+- Storage is float32 by default; reductions accumulate in float64, except
+  the attention's row sums, which come out of its product with the values.
+  A float64 mode exists for finite-difference work.
 - Non-finite values are rejected at op boundaries. Checking every huge
   intermediate would dominate runtime on large batches, so op outputs
   above `finite_check_limit` elements are not checked; leaves and the loss
@@ -100,24 +101,27 @@ def sinusoidal_embedding(t: np.ndarray, dim: int, dtype=DTYPE) -> np.ndarray:
 #
 # The operands are (B, m, d) queries, (B, n, d) keys and (B, n, e) values
 # over one shared batch axis. softmax(q k^T / sqrt(d)) v walks that axis
-# in chunks, so that the (chunk, m, n) score block it works in stays
-# within ATTN_CHUNK_BYTES instead of materialising every (B, m, n)
-# temporary at once. Each chunk
-# is scaled, shifted, exponentiated and normalized in place; row sums
-# accumulate in float64 and the division runs in float64 before rounding
-# back, so from the same scores every element comes out exactly as the
-# whole-batch expression would give it. The full softmax is allocated only
-# when it must be kept for the backward pass.
+# in chunks, so that the (chunk, m, n) score blocks it works in stay
+# within ATTN_CHUNK_BYTES each instead of materialising every (B, m, n)
+# temporary at once.
 #
-# The forward runs its chunks on one worker thread per CPU the process may
-# use (numpy releases the GIL in its loops and in BLAS). Each product is
-# issued in blocks of query rows small enough that OpenBLAS runs it on the
-# calling thread: it hands a gemm with m*n*k above 2**18 to its own
-# threads, which would then fight the workers for the same CPUs. A row
-# block may be summed in another order than the whole product, so values
-# can differ from a whole-batch computation in the last bits. Chunk and
-# row-block boundaries depend only on the operand shapes, so the values do
-# not depend on the worker count or on which worker takes which chunk.
+# The forward normalises after the product, as FlashAttention does: each
+# chunk's scores are shifted by their row max and exponentiated in place,
+# and one product with [v | 1] gives the unnormalised output and the row
+# sums together. The backward keeps only the row log-sum-exp (B, m) of
+# the forward, rebuilds the softmax from it chunk by chunk, and uses
+# rowsum(dO * O) in place of rowsum(dP * P), so no (B, m, n) array lives
+# between the two passes.
+#
+# Both passes run their chunks on one worker thread per CPU the process
+# may use (numpy releases the GIL in its loops and in BLAS), each worker
+# in score buffers of its own. Each product is issued in blocks of rows
+# small enough that OpenBLAS runs it on the calling thread: it hands a
+# gemm with m*n*k above 2**18 to its own threads, which would then fight
+# the workers for the same CPUs. Chunk and block boundaries depend only on
+# the operand shapes, so the values depend neither on the worker count nor
+# on the BLAS thread count, and match a whole-batch computation up to
+# rounding.
 
 ATTN_CHUNK_BYTES = 1 << 22
 
@@ -132,74 +136,104 @@ def _chunk_len(q: np.ndarray, k: np.ndarray) -> int:
     return max(1, ATTN_CHUNK_BYTES // (q.shape[1] * k.shape[1] * q.itemsize))
 
 
-def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, keep_softmax: bool):
-    """Returns (output, softmax or None)."""
-    batch, chunk = len(q), _chunk_len(q, k)
-    m, n = q.shape[1], k.shape[1]
-    rows = max(1, _GEMM_ON_CALLER // (n * max(q.shape[-1], v.shape[-1])))
-    inv = np.asarray(1.0 / math.sqrt(q.shape[-1]), dtype=q.dtype)
-    s = np.empty((batch, m, n), q.dtype) if keep_softmax else None
-    out = np.empty((batch, m, v.shape[-1]), q.dtype)
+def _gemm(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = a @ b, issued in blocks of rows of `a` that OpenBLAS runs on
+    the calling thread."""
+    rows = max(1, _GEMM_ON_CALLER // (a.shape[-1] * b.shape[-1]))
+    for r in range(0, a.shape[-2], rows):
+        np.matmul(a[..., r:r + rows, :], b, out=out[..., r:r + rows, :])
+    return out
 
-    def run(starts):
-        """Works through the chunks `starts` yields, in a score buffer of its own."""
-        buf = None if keep_softmax else np.empty((min(chunk, batch), m, n), q.dtype)
-        for lo in starts:
-            part = slice(lo, lo + chunk)
-            e = s[part] if keep_softmax else buf[: min(chunk, batch - lo)]
-            kt, vp = _swap(k[part]), v[part]
-            for r in range(0, m, rows):
-                np.matmul(q[part, r:r + rows], kt, out=e[:, r:r + rows])
-            e *= inv
-            e -= e.max(axis=-1, keepdims=True)
-            np.exp(e, out=e)
-            np.divide(e, e.sum(axis=-1, keepdims=True, dtype=np.float64), out=e,
-                      casting="unsafe")
-            for r in range(0, m, rows):
-                np.matmul(e[:, r:r + rows], vp, out=out[part, r:r + rows])
 
+def _exp_scores(q: np.ndarray, k: np.ndarray, s: np.ndarray, shift=None) -> np.ndarray:
+    """Writes exp(q k^T / sqrt(d) - shift) into `s`, shifting each row by
+    its max when no shift is given; returns the shift."""
+    _gemm(q, _swap(k), s)
+    s *= np.asarray(1.0 / math.sqrt(q.shape[-1]), dtype=s.dtype)
+    if shift is None:
+        shift = s.max(axis=-1, keepdims=True)
+    s -= shift
+    np.exp(s, out=s)
+    return shift
+
+
+def _map_chunks(batch: int, chunk: int, run) -> None:
+    """Calls `run(starts)` with iterators that together yield every chunk
+    start once. With at least two chunks per worker, every worker of the
+    pool runs `run` and takes the next chunk when it is free; otherwise
+    one late worker would hold up the call (measured slower than one
+    thread at k=128, 2 chunks), so `run` walks all chunks here."""
     starts = range(0, batch, chunk)
     if len(starts) < 2 * _WORKERS:
-        # With fewer than two chunks per worker, one late worker holds up
-        # the call; measured slower than one thread at k=128 (2 chunks).
-        run(starts)
-    else:
-        # Each worker takes the next chunk when it is free.
-        todo, lock = iter(starts), threading.Lock()
+        run(iter(starts))
+        return
+    todo, lock = iter(starts), threading.Lock()
 
-        def take():
-            with lock:
-                return next(todo, None)
+    def take():
+        with lock:
+            return next(todo, None)
 
-        jobs = [_POOL.submit(run, iter(take, None)) for _ in range(_WORKERS)]
-        wait(jobs)
-        for job in jobs:
-            job.result()
-    return out, s
+    jobs = [_POOL.submit(run, iter(take, None)) for _ in range(_WORKERS)]
+    wait(jobs)
+    for job in jobs:
+        job.result()
 
 
-def _attention_backward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                        s: np.ndarray, g: np.ndarray) -> list[np.ndarray]:
-    """Gradients for (q, k, v) from the kept softmax and the output grad."""
-    chunk = _chunk_len(q, k)
-    inv = np.asarray(1.0 / math.sqrt(q.shape[-1]), dtype=s.dtype)
-    dtype = np.result_type(g, s)
+def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, keep_lse: bool):
+    """Returns (output, float64 row log-sum-exp (B, m) or None)."""
+    batch, chunk = len(q), _chunk_len(q, k)
+    m, n, e = q.shape[1], k.shape[1], v.shape[-1]
+    out = np.empty((batch, m, e), q.dtype)
+    lse = np.empty((batch, m), np.float64) if keep_lse else None
+
+    def run(starts):
+        width = min(chunk, batch)
+        s = np.empty((width, m, n), q.dtype)
+        v1 = np.ones((width, n, e + 1), q.dtype)
+        acc = np.empty((width, m, e + 1), q.dtype)
+        for lo in starts:
+            part = slice(lo, lo + chunk)
+            c = len(q[part])
+            shift = _exp_scores(q[part], k[part], s[:c])
+            v1[:c, :, :e] = v[part]
+            _gemm(s[:c], v1[:c], acc[:c])
+            np.divide(acc[:c, :, :e], acc[:c, :, e:], out=out[part])
+            if keep_lse:
+                np.add(np.log(acc[:c, :, e], dtype=np.float64), shift[..., 0], out=lse[part])
+
+    _map_chunks(batch, chunk, run)
+    return out, lse
+
+
+def _attention_backward(q: np.ndarray, k: np.ndarray, v: np.ndarray, out: np.ndarray,
+                        lse: np.ndarray, g: np.ndarray) -> list[np.ndarray]:
+    """Gradients for (q, k, v) from the forward's output and row log-sum-exp
+    and the output grad."""
+    batch, chunk = len(q), _chunk_len(q, k)
+    dtype = np.result_type(q, g)
+    inv = np.asarray(1.0 / math.sqrt(q.shape[-1]), dtype=dtype)
     grads = [np.empty(x.shape, dtype) for x in (q, k, v)]
     gq, gk, gv = grads
-    gs = np.empty((min(chunk, len(s)),) + s.shape[1:], dtype)
-    prod = np.empty_like(gs)
-    for lo in range(0, len(s), chunk):
-        part = slice(lo, lo + chunk)
-        sc, gc = s[part], g[part]
-        a, p = gs[: len(sc)], prod[: len(sc)]
-        np.matmul(_swap(sc), gc, out=gv[part])
-        np.matmul(gc, _swap(v[part]), out=a)
-        np.multiply(a, sc, out=p)
-        a -= p.sum(axis=-1, keepdims=True, dtype=np.float64).astype(s.dtype)
-        a *= sc
-        a *= inv
-        np.matmul(a, k[part], out=gq[part])
-        np.matmul(_swap(a), q[part], out=gk[part])
+
+    def run(starts):
+        width = min(chunk, batch)
+        p = np.empty((width, q.shape[1], k.shape[1]), dtype)
+        ds = np.empty_like(p)
+        for lo in starts:
+            part = slice(lo, lo + chunk)
+            c, gc = len(q[part]), g[part]
+            pc, dc = p[:c], ds[:c]
+            _exp_scores(q[part], k[part], pc, lse[part, :, None].astype(dtype))
+            _gemm(_swap(pc), gc, gv[part])
+            _gemm(gc, _swap(v[part]), dc)
+            dc -= np.multiply(gc, out[part]).sum(axis=-1, keepdims=True,
+                                                 dtype=np.float64).astype(dtype)
+            dc *= pc
+            dc *= inv
+            _gemm(dc, k[part], gq[part])
+            _gemm(_swap(dc), q[part], gk[part])
+
+    _map_chunks(batch, chunk, run)
     return grads
 
 
@@ -284,8 +318,7 @@ class Tape:
             if not q.dtype == k.dtype == v.dtype:
                 raise ContractError(
                     f"cross_attention: dtypes {q.dtype}, {k.dtype}, {v.dtype} differ")
-            out, s = _attention_forward(q, k, v, keep_softmax=req)
-            ctx["softmax"] = s
+            out, ctx["lse"] = _attention_forward(q, k, v, keep_lse=req)
         elif op == "transpose_last2":
             (a,) = vals
             if a.ndim < 2:
@@ -366,7 +399,7 @@ class Tape:
             for inp, w in zip(ins, node.ctx["weights"]):
                 yield inp, w * g
         elif op == "cross_attention":
-            yield from zip(ins, _attention_backward(*vals, node.ctx["softmax"], g))
+            yield from zip(ins, _attention_backward(*vals, node.value, node.ctx["lse"], g))
         elif op == "transpose_last2":
             yield ins[0], _swap(g)
         elif op == "reshape":

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -169,6 +170,7 @@ class FitResult:
     best_metric: float = -np.inf
     stopped_reason: str = ""
     checkpoint_path: str | None = None
+    last_path: str | None = None
 
 
 def fit(params: dict, model_cfg: camae.CamAeConfig, train_cfg: TrainConfig,
@@ -177,10 +179,12 @@ def fit(params: dict, model_cfg: camae.CamAeConfig, train_cfg: TrainConfig,
         adam: nd.AdamState | None = None, start_epoch: int = 1,
         quiet: bool = True, fit_state: dict[str, float] | None = None) -> FitResult:
     """Epoch loop with periodic validation, early stopping on NDCG@k, an
-    optional wall-clock budget, and best-checkpoint saving. A resumed run
-    passes the `fit_state` saved with its checkpoint (`nd.FIT_KEYS`), so
-    it beats the stored best before it overwrites the checkpoint, and
-    patience counts on from where it stopped."""
+    optional wall-clock budget, and best-checkpoint saving. When the loop
+    ends, whatever the reason, the final parameters, Adam state and fit
+    state go to `last.cfck` beside the checkpoint. A resumed run passes
+    the `fit_state` saved with its checkpoint (`nd.FIT_KEYS`), so it beats
+    the stored best before it overwrites the checkpoint, and patience
+    counts on from where it stopped."""
     if adam is None:
         adam = nd.init_adam(params, lr=train_cfg.lr)
     result = FitResult()
@@ -193,11 +197,11 @@ def fit(params: dict, model_cfg: camae.CamAeConfig, train_cfg: TrainConfig,
     deadline = time.monotonic() + train_cfg.max_hours * 3600.0 \
         if train_cfg.max_hours > 0 else None
 
-    def save() -> None:
-        nd.save_checkpoint(checkpoint_path, params, config_text, sched.fields(), adam=adam,
+    def save(path) -> str:
+        nd.save_checkpoint(path, params, config_text, sched.fields(), adam=adam,
                            fit={"best_metric": result.best_metric,
                                 "best_epoch": result.best_epoch, "stale": stale})
-        result.checkpoint_path = str(checkpoint_path)
+        return str(path)
 
     try:
         for epoch in range(start_epoch, train_cfg.epochs + 1):
@@ -221,7 +225,7 @@ def fit(params: dict, model_cfg: camae.CamAeConfig, train_cfg: TrainConfig,
                     result.best_epoch = epoch
                     stale = 0
                     if checkpoint_path is not None:
-                        save()
+                        result.checkpoint_path = save(checkpoint_path)
                 else:
                     stale += 1
             result.history.append(record)
@@ -241,7 +245,6 @@ def fit(params: dict, model_cfg: camae.CamAeConfig, train_cfg: TrainConfig,
     finally:
         if log_f:
             log_f.close()
-    if result.best_epoch == 0 and checkpoint_path is not None:
-        # never evaluated better than -inf (e.g. 0-eval run): still save last
-        save()
+    if checkpoint_path is not None:
+        result.last_path = save(Path(checkpoint_path).with_name("last.cfck"))
     return result

@@ -4,14 +4,17 @@ Commands run in-process through cli.main so exit codes, stdout, stderr,
 and produced artifacts can all be asserted without subprocesses.
 """
 
+import contextlib
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from diffcf import cli, config as cfgmod, dataset, eval as evaluation, graph
 from diffcf import ndtensor as nd
+from test_formats import CutFile
 
 TINY_TRAIN = ["--latent-dim", "4", "--attn-dim", "2", "--layers", "1",
               "--steps", "5", "--epochs", "2", "--eval-every", "1",
@@ -97,6 +100,7 @@ class TestTrain:
         assert result["stopped"] == "completed all epochs"
         assert result["best_val_ndcg"] is not None
         assert result["checkpoint"] == str(trained["checkpoint"])
+        assert result["last_checkpoint"] == str(out / "last.cfck")
         log = [json.loads(line)
                for line in (out / "train_log.jsonl").read_text().splitlines()]
         assert [r["epoch"] for r in log] == [1, 2]
@@ -150,6 +154,26 @@ class TestTrain:
         result = json.loads((tmp_path / "result.json").read_text())
         assert result["best_val_ndcg"] == 2.0 and result["best_epoch"] == 1
 
+    def test_resume_into_a_new_directory_keeps_the_last_state(self, prepared, tmp_path):
+        # A resumed run that never beats the stored best writes no best
+        # checkpoint, but its final state goes to last.cfck.
+        first, second = tmp_path / "a", tmp_path / "b"
+        self.frozen_run(prepared, first)
+        ckpt = first / "checkpoint.cfck"
+        params, adam, fields, text = nd.load_checkpoint(ckpt)
+        nd.save_checkpoint(ckpt, params, text, fields, adam=adam,
+                           fit={"best_metric": 2.0, "best_epoch": 1, "stale": 0})
+        assert cli.main(["train", "--data", str(prepared["data"]), "--out-dir", str(second),
+                         "--resume", str(ckpt)] + TINY_TRAIN + self.FROZEN) == 0
+        result = json.loads((second / "result.json").read_text())
+        assert result["checkpoint"] is None and not (second / "checkpoint.cfck").exists()
+        assert result["last_checkpoint"] == str(second / "last.cfck")
+        _, last_adam, _, last_text = nd.load_checkpoint(second / "last.cfck")
+        # 12 users in batches of 4: one more epoch is three more steps.
+        assert (adam.step, last_adam.step) == (3, 6) and last_text == text
+        assert nd.load_fit_state(second / "last.cfck") == {
+            "best_metric": 2.0, "best_epoch": 1, "stale": 1}
+
     def test_inference_flags_reach_validation(self, prepared, tmp_path, monkeypatch):
         seen = []
         evaluate = evaluation.evaluate
@@ -179,6 +203,38 @@ class TestTrain:
         assert rc == 0
         echoed = cfgmod.parse_config_text((tmp_path / "config.echo").read_text())
         assert echoed["variant"] == "self-attn"
+
+
+class TestAtomicOutputs:
+    def test_write_failing_half_way_keeps_the_old_file(self, prepared, tmp_path,
+                                                        monkeypatch, capsys):
+        data, run = tmp_path / "data", tmp_path / "run"
+        commands = [
+            (["prepare", "--input", str(prepared["ratings"]), "--out-dir", str(data),
+              "--split", "0.6,0.2,0.2"], data),
+            (["train", "--data", str(data), "--out-dir", str(run)] + TINY_TRAIN, run),
+            (["evaluate", "--data", str(data), "--checkpoint", str(run / "checkpoint.cfck"),
+              "--json", str(run / "reports.json")], run),
+        ]
+        for argv, _ in commands:
+            assert cli.main(argv) == 0
+        outputs = [data / "prepare.json", run / "result.json", run / "config.echo",
+                   run / "reports.json"]
+        before = {path: path.read_bytes() for path in outputs}
+        atomic_write = cli.atomic_write
+
+        @contextlib.contextmanager
+        def failing_write(target, mode="wb"):
+            with atomic_write(target, mode) as f:
+                yield CutFile(f, len(before[Path(target)]) // 2)
+
+        monkeypatch.setattr(cli, "atomic_write", failing_write)
+        capsys.readouterr()
+        for argv, out in commands:
+            assert cli.main(argv) == 2, argv[0]
+            assert "disk full" in capsys.readouterr().err
+            assert {path: path.read_bytes() for path in outputs} == before, argv[0]
+            assert not list(out.glob("*.tmp")), argv[0]
 
 
 class TestEvaluate:

@@ -3,16 +3,19 @@
 Every differentiable op is checked against central finite differences
 computed by an oracle in this file (not the engine's own checker), the
 fused attention op is cross-checked against its primitive composition
-and, bit for bit, against the whole-batch computation its chunked kernel
-replaced and across thread-pool sizes, Adam is compared to an independent
-reimplementation and, bit for bit, to the plain-expression update its
-scratch-buffer form replaced, and checkpoints must round-trip bitwise.
+and the whole-batch computation its chunked kernel replaced, and bit for
+bit across thread-pool sizes and BLAS thread counts, Adam is compared to
+an independent reimplementation and, bit for bit, to the plain-expression
+update its scratch-buffer form replaced, and checkpoints must round-trip
+bitwise.
 """
 
 import math
 import os
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -311,6 +314,13 @@ def whole_batch_attention(q, k, v):
     return np.matmul(s, v), s
 
 
+def whole_batch_lse(q, k):
+    """Row log-sum-exp of the scaled scores, in float64."""
+    logits = np.matmul(q, np.swapaxes(k, -1, -2), dtype=np.float64) / math.sqrt(q.shape[-1])
+    top = logits.max(axis=-1)
+    return top + np.log(np.exp(logits - top[..., None]).sum(axis=-1))
+
+
 def whole_batch_attention_vjp(q, k, v, s, g):
     """The whole-batch backward matching `whole_batch_attention`."""
     inv = 1.0 / math.sqrt(q.shape[-1])
@@ -323,12 +333,18 @@ def whole_batch_attention_vjp(q, k, v, s, g):
     return gq, gk, gv
 
 
+# Float32 rounding for values of order 1; float64 to ~1e-13.
+TOLERANCE = {np.float32: dict(rtol=1e-4, atol=1e-5), np.float64: dict(rtol=1e-10, atol=1e-12)}
+
+
 def chunk_len(m, n, dtype):
     return max(1, nd.ATTN_CHUNK_BYTES // (m * n * np.dtype(dtype).itemsize))
 
 
 class TestChunkedAttention:
-    """The chunked kernel against the whole-batch oracle, bit for bit."""
+    """The chunked kernel against the whole-batch oracle, to rounding: it
+    normalises after the product and rebuilds the softmax in its backward,
+    so its sums run in another order than the oracle's."""
 
     # Large enough that a handful of users fill a chunk of the budget.
     M, N, D, DV = 384, 512, 8, 5
@@ -338,14 +354,16 @@ class TestChunkedAttention:
         ids = [tape.leaf(x, trainable=True) for x in (q, k, v)]
         node = tape.record("cross_attention", *ids)
         want, want_s = whole_batch_attention(q, k, v)
+        tol = TOLERANCE[want.dtype.type]
         assert node.value.shape == want.shape and node.value.dtype == want.dtype
-        assert np.array_equal(node.value, want)
-        assert np.array_equal(node.ctx["softmax"], want_s)
+        np.testing.assert_allclose(node.value, want, **tol)
+        assert node.ctx["lse"].dtype == np.float64
+        np.testing.assert_allclose(node.ctx["lse"], whole_batch_lse(q, k), **tol)
         g = np.random.default_rng(seed).standard_normal(want.shape).astype(want.dtype)
         got = dict(tape._vjp(node, g))
         for leaf, x, gx in zip(ids, (q, k, v), whole_batch_attention_vjp(q, k, v, want_s, g)):
             assert got[leaf].shape == x.shape and got[leaf].dtype == gx.dtype
-            assert np.array_equal(got[leaf], gx)
+            np.testing.assert_allclose(got[leaf], gx, **tol)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_batches_around_the_chunk_length(self, dtype):
@@ -379,15 +397,17 @@ class TestChunkedAttention:
         self.assert_rejected([(3, M, D), (3, N, D), (1, N, DV)], dtype)
         self.assert_rejected([(2, 1, M, D), (2, 3, N, D), (2, 3, N, DV)], dtype)
 
-    def test_softmax_kept_only_for_gradients(self):
+    def test_only_row_statistics_kept_for_gradients(self):
         rng = np.random.default_rng(43)
-        q, k, v = (rng.standard_normal((3, 6, 4)).astype(np.float32) for _ in range(3))
+        q = rng.standard_normal((3, 6, 4)).astype(np.float32)
+        k, v = (rng.standard_normal((3, 7, 4)).astype(np.float32) for _ in range(2))
         tape = nd.Tape()
         plain = tape.record("cross_attention", *(tape.leaf(x) for x in (q, k, v)))
-        assert "softmax" not in plain.ctx and not plain.requires_grad
+        assert not plain.ctx and not plain.requires_grad
         ids = [tape.leaf(q, trainable=True), tape.leaf(k), tape.leaf(v)]
         kept = tape.record("cross_attention", *ids)
-        assert kept.ctx["softmax"].shape == (3, 6, 6)
+        # One float64 log-sum-exp per query row; no (6, 7) score block.
+        assert {name: a.shape for name, a in kept.ctx.items()} == {"lse": (3, 6)}
         assert np.array_equal(plain.value, kept.value)
 
     def test_rejects_mixed_dtypes_and_unbroadcastable_batches(self):
@@ -430,8 +450,9 @@ def attention_workers(monkeypatch):
 
 
 class TestAttentionWorkers:
-    """The forward's chunks run on a thread pool; the worker count must not
-    change a bit of the output, the kept softmax or the gradients."""
+    """The chunks of both passes run on a thread pool; the worker count
+    must not change a bit of the output, the kept row log-sum-exp or the
+    gradients."""
 
     M, N, D, DV = TestChunkedAttention.M, TestChunkedAttention.N, 8, 5
 
@@ -446,7 +467,7 @@ class TestAttentionWorkers:
         node = tape.record("cross_attention", *ids)
         plain = tape.record("cross_attention", *(tape.leaf(x) for x in (q, k, v)))
         grads = dict(tape._vjp(node, g))
-        return [node.value, plain.value, node.ctx["softmax"]] + [grads[i] for i in ids]
+        return [node.value, plain.value, node.ctx["lse"]] + [grads[i] for i in ids]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_values_do_not_depend_on_the_worker_count(self, dtype, attention_workers):
@@ -468,8 +489,8 @@ class TestAttentionWorkers:
                 finally:
                     sys.setswitchinterval(switch)
                 chunks = -(-batch // chunk)
-                # Two forwards, each one job per worker or none.
-                assert pool.jobs == (2 * workers if chunks >= 2 * workers else 0), \
+                # Two forwards and a backward, each one job per worker or none.
+                assert pool.jobs == (3 * workers if chunks >= 2 * workers else 0), \
                     (batch, workers)
             for workers in (2, 3):
                 for got, want in zip(runs[workers], runs[1]):
@@ -479,16 +500,50 @@ class TestAttentionWorkers:
 
     def test_default_shape_matches_whole_batch(self):
         # At k=500, d=16 the products run in row blocks, which BLAS may sum
-        # in another order than one whole product: equal to float32 rounding.
+        # in another order than one whole product, and the softmax is
+        # normalised after the product: equal to float32 rounding.
         rng = np.random.default_rng(45)
         q, k, v = (rng.standard_normal((9, 500, 16)).astype(np.float32) for _ in range(3))
         g = rng.standard_normal((9, 500, 16)).astype(np.float32)
-        out, _, s, gq, gk, gv = self.run(q, k, v, g)
+        out, _, lse, gq, gk, gv = self.run(q, k, v, g)
         want, want_s = whole_batch_attention(q, k, v)
         np.testing.assert_allclose(out, want, rtol=1e-5, atol=1e-6)
-        np.testing.assert_allclose(s, want_s, rtol=1e-5, atol=1e-9)
+        np.testing.assert_allclose(lse, whole_batch_lse(q, k), rtol=1e-6)
         for got, gx in zip((gq, gk, gv), whole_batch_attention_vjp(q, k, v, want_s, g)):
             np.testing.assert_allclose(got, gx, rtol=1e-4, atol=1e-5)
+
+
+    def test_values_do_not_depend_on_the_blas_thread_count(self):
+        # OpenBLAS splits a large product over its threads, which changes
+        # the order of its sums; every attention product stays below that
+        # size, so one and two BLAS threads give the same bits.
+        src = str(Path(nd.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                filter(None, (src, os.environ.get("PYTHONPATH")))))
+            proc = subprocess.run([sys.executable, "-c", _BLAS_THREADS_SNIPPET],
+                                  capture_output=True, text=True, timeout=300, env=env)
+            assert proc.returncode == 0, proc.stderr[-500:]
+            digests.append(proc.stdout.split()[-1])
+        assert digests[0] == digests[1]
+
+
+_BLAS_THREADS_SNIPPET = """
+import hashlib
+import numpy as np
+from diffcf import ndtensor as nd
+rng = np.random.default_rng(47)
+q, k, v, g = (rng.standard_normal((9, 500, 16)).astype(np.float32) for _ in range(4))
+tape = nd.Tape()
+ids = [tape.leaf(x, trainable=True) for x in (q, k, v)]
+node = tape.record("cross_attention", *ids)
+grads = dict(tape._vjp(node, g))
+digest = hashlib.sha256(node.value.tobytes())
+for leaf in ids:
+    digest.update(grads[leaf].tobytes())
+print(digest.hexdigest())
+"""
 
 
 class TestSinusoidalEmbedding:

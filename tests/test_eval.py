@@ -310,7 +310,11 @@ class TestDenoiseInfer:
             want = diffuse_to(u_obs, steps, sched, noise.astype(u_obs.dtype))
             for t in range(steps, 0, -1):
                 tape, _, out = camae.run_batch(params, cfg, want, contexts, t, trainable=True)
-                assert any("softmax" in n.ctx for n in tape.nodes)
+                # Attention keeps one log-sum-exp per query row for its
+                # backward, and no (k, k) score block.
+                kept = [n.ctx for n in tape.nodes if n.op == "cross_attention"]
+                assert kept and all({name: a.shape for name, a in ctx.items()}
+                                    == {"lse": (len(u_obs), cfg.seq_len)} for ctx in kept)
                 want = out.value
         assert np.array_equal(got, want)
 
