@@ -109,7 +109,7 @@ def param_shapes(config: CamAeConfig) -> dict[str, tuple[tuple[int, int], int, i
         k = config.latent_dim
         shapes["enc_items"] = ((k, config.num_items), config.num_items, k)
         for h in config.hop_list:
-            shapes[f"enc_hop{h}"] = ((k, config.width), config.width, k)
+            shapes[f"enc_hop{h}"] = ((k, config.hop_dim(h)), config.width, k)
         shapes["dec_items"] = ((config.num_items, k), k, config.num_items)
     shapes["expand_obs"] = ((1, d), 1, d)
     shapes["expand_ctx"] = ((1, d), 1, d)
@@ -125,10 +125,20 @@ def param_shapes(config: CamAeConfig) -> dict[str, tuple[tuple[int, int], int, i
 
 
 def init_params(config: CamAeConfig, seed: int = 0) -> dict[str, np.ndarray]:
-    """Xavier-uniform float32 tensors, reproducible for a given seed."""
+    """Xavier-uniform float32 tensors, reproducible for a given seed.
+
+    A hop encoder is drawn (k, width), with fan-in `width`, and cut to the
+    columns of its hop, so the stream of draws, and with it every other
+    parameter, does not depend on which side (users or items) a hop reads."""
     rng = np.random.default_rng(seed)
-    return {name: _xavier(rng, shape, fi, fo)
-            for name, (shape, fi, fo) in param_shapes(config).items()}
+    params = {}
+    for name, (shape, fi, fo) in param_shapes(config).items():
+        if name.startswith("enc_hop"):
+            full = _xavier(rng, (shape[0], config.width), fi, fo)
+            params[name] = np.ascontiguousarray(full[:, :shape[1]])
+        else:
+            params[name] = _xavier(rng, shape, fi, fo)
+    return params
 
 
 # ------------------------------------------------------------------- forward
@@ -163,10 +173,8 @@ def encode_hops(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig,
             pad = tape.leaf(_identity_pad(n_h, config.width, c.value.dtype))
             out[h] = tape.record("matmul", c, pad)
             continue
-        enc = leaves[f"enc_hop{h}"]
-        if n_h != config.width:
-            enc = tape.record("col_slice", enc, n=n_h)
-        out[h] = tape.record("matmul", c, tape.record("transpose_last2", enc))
+        enc_t = tape.record("transpose_last2", leaves[f"enc_hop{h}"])
+        out[h] = tape.record("matmul", c, enc_t)
     return out
 
 
@@ -231,8 +239,8 @@ def camae_forward(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig
     y = tape.record("matmul", state, leaves["collapse"])
     y = tape.record("reshape", y, shape=(batch, seq))
     if config.variant == "no-ae":
-        return tape.record("col_slice", y, n=config.num_items) \
-            if config.width != config.num_items else y
+        pad = tape.leaf(_identity_pad(config.width, config.num_items, y.value.dtype))
+        return tape.record("matmul", y, pad)
     dec_t = tape.record("transpose_last2", leaves["dec_items"])
     return tape.record("matmul", y, dec_t)
 

@@ -110,6 +110,26 @@ def _load_contexts(matrix: dataset.InteractionMatrix, mpath: Path,
     return ctxs
 
 
+def _check_shapes(path, model_cfg: camae.CamAeConfig, params: dict,
+                  adam: nd.AdamState | None = None) -> None:
+    """Raises ContractError unless the checkpoint at `path` holds exactly
+    the parameters `model_cfg` needs, each in its shape, and Adam moments
+    of the same shapes."""
+    want = {name: shape for name, (shape, _, _) in camae.param_shapes(model_cfg).items()}
+    groups = {"": params} | ({"adam.m.": adam.m, "adam.v.": adam.v} if adam else {})
+    for prefix, tensors in groups.items():
+        for name in sorted(want.keys() | tensors.keys()):
+            if name not in tensors:
+                raise ContractError(f"{path}: tensor {prefix + name!r} is missing; "
+                                    f"the model needs shape {want[name]}")
+            if name not in want:
+                raise ContractError(f"{path}: tensor {prefix + name!r} of shape "
+                                    f"{tensors[name].shape} is not a model parameter")
+            if tensors[name].shape != want[name]:
+                raise ContractError(f"{path}: tensor {prefix + name!r} has shape "
+                                    f"{tensors[name].shape}; the model needs {want[name]}")
+
+
 def _write_text(path, text: str) -> None:
     """Replaces `path` with `text`; a failed write leaves the old file."""
     with atomic_write(path, "w") as f:
@@ -178,6 +198,7 @@ def cmd_train(args) -> int:
         params, adam, _, old_text = nd.load_checkpoint(args.resume)
         if old_text != config_text:
             raise ContractError("resume: checkpoint config differs from requested config")
+        _check_shapes(args.resume, model_cfg, params, adam)
         fit_state = nd.load_fit_state(args.resume)
         if adam is not None:
             batches = -(-matrix.num_users // train_cfg.batch_size)
@@ -215,6 +236,7 @@ def cmd_evaluate(args) -> int:
     matrix = dataset.load_matrix(mpath)
     contexts = _load_contexts(matrix, mpath, int(cfg["hops"]))
     model_cfg = cfgmod.model_config(cfg, matrix.num_users, matrix.num_items)
+    _check_shapes(args.checkpoint, model_cfg, params)
     T, beta_min, beta_max, kind, scale = sched_fields
     sched = cfgmod.schedule_config({**cfg, "steps": T, "beta_min": beta_min,
                                     "beta_max": beta_max, "schedule": kind,

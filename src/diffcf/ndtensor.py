@@ -52,7 +52,6 @@ OPS = (
     "cross_attention",
     "transpose_last2",
     "reshape",
-    "col_slice",
 )
 
 
@@ -295,8 +294,8 @@ class Tape:
             a, b = vals
             if a.shape != b.shape:
                 raise ShapeError(f"mse: shapes differ {a.shape} vs {b.shape}")
-            d = (a - b).ravel()
-            out = np.asarray(np.dot(d.astype(np.float64), d.astype(np.float64)), dtype=a.dtype)
+            d = (a - b).ravel().astype(np.float64)
+            out = np.asarray(np.dot(d, d), dtype=a.dtype)
         elif op == "weighted_sum":
             w = tuple(float(x) for x in const["weights"])
             if len(w) != len(vals) or not vals:
@@ -332,13 +331,6 @@ class Tape:
                 out = a.reshape(shape)
             except ValueError:
                 raise ShapeError(f"reshape: cannot view {a.shape} as {shape}") from None
-        elif op == "col_slice":
-            (a,) = vals
-            n = int(const["n"])
-            if not 0 < n <= a.shape[-1]:
-                raise ShapeError(f"col_slice: n={n} out of range for {a.shape}")
-            ctx["n"] = n
-            out = np.ascontiguousarray(a[..., :n])
         else:
             raise ContractError(f"unknown op {op!r}")
 
@@ -367,25 +359,28 @@ class Tape:
             if g is None:
                 continue
             for inp, gi in self._vjp(node, g):
-                if not inp.requires_grad:
-                    continue
                 adj[inp] = adj[inp] + gi if inp in adj else gi
         return {node: adj.get(node, np.zeros_like(node.value))
                 for node in self.nodes if node.op == "leaf"}
 
     def _vjp(self, node: Node, g: np.ndarray):
+        """Yields (input, gradient) for the inputs of `node` that require a
+        gradient; no product is computed for the others."""
         op = node.op
         vals = [n.value for n in node.inputs]
         ins = node.inputs
+        need = [n.requires_grad for n in ins]
 
         if op == "matmul":
             a, b = vals
-            yield ins[0], _reduce_to(np.matmul(g, _swap(b)), a.shape)
-            yield ins[1], _reduce_to(np.matmul(_swap(a), g), b.shape)
+            if need[0]:
+                yield ins[0], _reduce_to(np.matmul(g, _swap(b)), a.shape)
+            if need[1]:
+                yield ins[1], _reduce_to(np.matmul(_swap(a), g), b.shape)
         elif op == "add":
-            a, b = vals
-            yield ins[0], _reduce_to(g, a.shape)
-            yield ins[1], _reduce_to(g, b.shape)
+            for inp, x, wanted in zip(ins, vals, need):
+                if wanted:
+                    yield inp, _reduce_to(g, x.shape)
         elif op == "scale":
             yield ins[0], g * node.ctx["factor"]
         elif op == "relu":
@@ -393,22 +388,21 @@ class Tape:
         elif op == "mse":
             a, b = vals
             d = 2.0 * float(g) * (a - b)
-            yield ins[0], d
-            yield ins[1], -d
+            if need[0]:
+                yield ins[0], d
+            if need[1]:
+                yield ins[1], -d
         elif op == "weighted_sum":
-            for inp, w in zip(ins, node.ctx["weights"]):
-                yield inp, w * g
+            for inp, w, wanted in zip(ins, node.ctx["weights"], need):
+                if wanted:
+                    yield inp, w * g
         elif op == "cross_attention":
-            yield from zip(ins, _attention_backward(*vals, node.value, node.ctx["lse"], g))
+            grads = _attention_backward(*vals, node.value, node.ctx["lse"], g)
+            yield from ((inp, gi) for inp, gi, wanted in zip(ins, grads, need) if wanted)
         elif op == "transpose_last2":
             yield ins[0], _swap(g)
         elif op == "reshape":
             yield ins[0], g.reshape(node.ctx["old_shape"])
-        elif op == "col_slice":
-            a = vals[0]
-            ga = np.zeros_like(a)
-            ga[..., : node.ctx["n"]] = g
-            yield ins[0], ga
         else:  # pragma: no cover - record() rejects unknown ops
             raise ContractError(f"no vjp for op {op!r}")
 
@@ -439,37 +433,79 @@ def init_adam(params: dict[str, np.ndarray], lr: float, beta1: float = 0.9,
     return AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps, step=0, m=zeros(), v=zeros())
 
 
+# Adam is a handful of elementwise passes over every parameter, bound by
+# memory bandwidth. It walks each parameter in tiles of about ADAM_TILE
+# elements, so that a tile's slices of p, m, v and g and its two scratch
+# slices stay in a core's L2 cache between the passes, and runs the tiles
+# on the attention pool. A tile of a matrix spans all its rows when they
+# are few, and is at least sqrt(ADAM_TILE) columns wide: the gradients of
+# the encoders and the decoder arrive as transposed views, and a tile of
+# such a view is read in runs of a hundred or more elements, not one
+# element per cache line as a slab of whole rows would be. Such a tile is
+# copied once into scratch laid out as p, so the passes after it run on
+# one layout. Each element goes through the same operations in the same
+# order wherever its tile falls, so the bits depend on neither the tile
+# shape nor the worker count.
+
+ADAM_TILE = 1 << 16
+
+
+def _adam_tiles(shape: tuple[int, ...]) -> list[tuple]:
+    """Index tuples of the tiles, of at most ADAM_TILE elements each, that
+    cover an array of `shape` (at least 1-D)."""
+    if len(shape) == 1:
+        return [(slice(lo, lo + ADAM_TILE),) for lo in range(0, shape[0], ADAM_TILE)]
+    rows, cols = shape[-2:]
+    width = min(cols, max(math.isqrt(ADAM_TILE), ADAM_TILE // rows))
+    height = ADAM_TILE // width
+    return [(*lead, slice(r, r + height), slice(c, c + width))
+            for lead in np.ndindex(shape[:-2])
+            for r in range(0, rows, height) for c in range(0, cols, width)]
+
+
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState) -> AdamState:
     """Bias-corrected Adam. Updates `params` arrays in place; missing grads
     are treated as exact zeros (so untouched parameters stay put from init).
 
-    Every parameter is updated through two scratch buffers (per dtype,
-    sized for the largest parameter), in the operation order of
-    p -= (lr / c1) * m / (sqrt(v / c2) + eps), so the bits are those of
-    that expression without its temporaries."""
-    state.step += 1
-    c1 = 1.0 - state.beta1 ** state.step
-    c2 = 1.0 - state.beta2 ** state.step
-    scratch: dict[np.dtype, np.ndarray] = {}
+    Every tile is updated through two scratch buffers of its worker, in the
+    operation order of p -= (lr / c1) * m / (sqrt(v / c2) + eps), so the
+    bits are those of that expression without its temporaries."""
+    tiles = []
     for name, p in params.items():
         g = grads.get(name)
-        m, v = state.m[name], state.v[name]
         if g is not None and g.shape != p.shape:
             raise ShapeError(f"adam_step: grad {g.shape} vs param {p.shape} for {name!r}")
-        if m.dtype not in scratch:
-            size = max(a.size for a in state.m.values() if a.dtype == m.dtype)
-            scratch[m.dtype] = np.empty((2, size), m.dtype)
-        num, den = (buf[: m.size].reshape(m.shape) for buf in scratch[m.dtype])
-        m *= state.beta1
-        v *= state.beta2
-        if g is not None:
-            gs = num if g.dtype == m.dtype else np.empty_like(g)
-            m += np.multiply(g, 1.0 - state.beta1, out=gs)
-            v += np.multiply(np.multiply(g, g, out=gs), 1.0 - state.beta2, out=gs)
-        np.sqrt(np.divide(v, c2, out=den), out=den)
-        den += state.eps
-        p -= np.divide(np.multiply(m, state.lr / c1, out=num), den, out=num)
+        arrays = (p, state.m[name], state.v[name], g)
+        tiles += [(arrays, at) for at in _adam_tiles(p.shape)]
+    state.step += 1
+    b1, b2, eps = state.beta1, state.beta2, state.eps
+    c2 = 1.0 - b2 ** state.step
+    lr_c1 = state.lr / (1.0 - b1 ** state.step)
+
+    def run(todo):
+        scratch: dict[np.dtype, np.ndarray] = {}
+        for i in todo:
+            (p, m, v, g), at = tiles[i]
+            p, m, v = p[at], m[at], v[at]
+            if m.dtype not in scratch:
+                scratch[m.dtype] = np.empty((2, ADAM_TILE), m.dtype)
+            num, den = (b[: m.size].reshape(m.shape) for b in scratch[m.dtype])
+            m *= b1
+            v *= b2
+            if g is not None:
+                g = g[at]
+                if g.dtype == m.dtype and g.strides[-1] != g.itemsize:
+                    np.copyto(den, g)  # den is free until the gradient is used up
+                    g = den
+                gs = num if g.dtype == m.dtype else np.empty_like(g)
+                m += np.multiply(g, 1.0 - b1, out=gs)
+                v += np.multiply(np.multiply(g, g, out=gs), 1.0 - b2, out=gs)
+            np.sqrt(np.divide(v, c2, out=den), out=den)
+            den += eps
+            p -= np.divide(np.multiply(m, lr_c1, out=num), den, out=num)
+
+    _map_chunks(len(tiles), 1, run)
     return state
 
 

@@ -184,7 +184,9 @@ def fit(params: dict, model_cfg: camae.CamAeConfig, train_cfg: TrainConfig,
     state go to `last.cfck` beside the checkpoint. A resumed run passes
     the `fit_state` saved with its checkpoint (`nd.FIT_KEYS`), so it beats
     the stored best before it overwrites the checkpoint, and patience
-    counts on from where it stopped."""
+    counts on from where it stopped. The log at `log_path` gets one line
+    per epoch; a run that starts at epoch 1 replaces it, a resumed one
+    appends to it."""
     if adam is None:
         adam = nd.init_adam(params, lr=train_cfg.lr)
     result = FitResult()
@@ -193,7 +195,8 @@ def fit(params: dict, model_cfg: camae.CamAeConfig, train_cfg: TrainConfig,
         result.best_metric = fit_state["best_metric"]
         result.best_epoch = int(fit_state["best_epoch"])
         stale = int(fit_state["stale"])
-    log_f = open(log_path, "a", encoding="utf-8") if log_path else None
+    log_f = open(log_path, "a" if start_epoch > 1 else "w",
+                 encoding="utf-8") if log_path else None
     deadline = time.monotonic() + train_cfg.max_hours * 3600.0 \
         if train_cfg.max_hours > 0 else None
 

@@ -82,7 +82,7 @@ def forward_oracle(params, config, u_t, contexts, t):
         if config.variant == "no-ae":
             z_h = contexts[h] @ identity_pad(n_h)
         else:
-            z_h = contexts[h] @ params[f"enc_hop{h}"][:, :n_h].T
+            z_h = contexts[h] @ params[f"enc_hop{h}"].T
         queries[h] = z_h[:, :, None] * params["expand_ctx"][0]
 
     state = tokens
@@ -129,6 +129,19 @@ class TestConfig:
         assert small_config(variant="no-ae").seq_len == 7
 
 
+def full_width_init(config, seed):
+    """`camae.init_params` as it was when every hop encoder was (k, width):
+    the oracle for the values of the sized encoders."""
+    rng = np.random.default_rng(seed)
+    out = {}
+    for name, (shape, fan_in, fan_out) in camae.param_shapes(config).items():
+        if name.startswith("enc_hop"):
+            shape = (config.latent_dim, config.width)
+        bound = math.sqrt(6.0 / (fan_in + fan_out))
+        out[name] = rng.uniform(-bound, bound, size=shape).astype(np.float32)
+    return out
+
+
 class TestParamShapes:
     def test_names_order_and_fans(self):
         cfg = small_config()
@@ -144,13 +157,25 @@ class TestParamShapes:
             "collapse",
         ]
         assert shapes["enc_items"] == ((4, 7), 7, 4)
-        assert shapes["enc_hop2"] == ((4, 7), 7, 4)  # width, sliced at use
+        assert shapes["enc_hop2"] == ((4, 5), 7, 4)  # users side; fan-in stays width
+        assert shapes["enc_hop3"] == ((4, 7), 7, 4)
         assert shapes["dec_items"] == ((7, 4), 4, 7)
         assert shapes["expand_obs"] == ((1, 2), 1, 2)
         assert shapes["attn1_hop2_q"] == ((2, 2), 2, 2)
         assert shapes["ff_hop2_in"] == ((2, 8), 2, 8)
         assert shapes["ff_hop2_out"] == ((8, 2), 8, 2)
         assert shapes["collapse"] == ((2, 1), 2, 1)
+
+    @pytest.mark.parametrize("overrides", [{}, dict(hops=4, hop_weights=(0.5, 0.3, 0.2)),
+                                           dict(num_users=9)])
+    def test_init_equals_full_width_init_sliced(self, overrides):
+        cfg = small_config(**overrides)
+        params = camae.init_params(cfg, seed=7)
+        want = full_width_init(cfg, seed=7)
+        assert list(params) == list(want)
+        for name, value in params.items():
+            assert value.flags.c_contiguous, name
+            assert np.array_equal(value, want[name][:, :value.shape[1]]), name
 
     def test_no_ae_drops_codec(self):
         names = set(camae.param_shapes(small_config(variant="no-ae")))
@@ -197,7 +222,7 @@ class TestForwardOracle:
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
     def test_wide_user_side(self):
-        # More users than items flips which hop needs slicing.
+        # More users than items flips which hop encoder is the narrower.
         cfg = small_config(num_users=9, num_items=4)
         params = random_params(cfg, seed=9)
         u_t, contexts, t = random_inputs(cfg, batch=2, seed=10)
@@ -226,6 +251,26 @@ class TestForwardOracle:
         plain = camae.run_batch(params, small_config(layers=3), u_t,
                                 contexts, t)
         assert not np.allclose(out.value, plain[2].value)
+
+    @pytest.mark.parametrize("num_users", [5, 9])
+    def test_no_ae_output_is_the_leading_columns_exactly(self, num_users, monkeypatch):
+        # The no-ae output multiplies the (B, width) collapse by an identity
+        # pad: the first |items| columns, bit for bit, as a slice gives them.
+        cfg = small_config(variant="no-ae", num_users=num_users)
+        params = random_params(cfg, seed=15, dtype=np.float32)
+        u_t, contexts, t = random_inputs(cfg, batch=3, seed=16)
+        recorded = []
+        record = nd.Tape.record
+
+        def spy(tape, op, *inputs, **const):
+            recorded.append(record(tape, op, *inputs, **const))
+            return recorded[-1]
+
+        monkeypatch.setattr(nd.Tape, "record", spy)
+        _, _, out = camae.run_batch(params, cfg, u_t, contexts, t)
+        collapsed, last = recorded[-2:]
+        assert last is out and collapsed.value.shape == (3, cfg.width)
+        assert np.array_equal(out.value, collapsed.value[:, :cfg.num_items])
 
     def test_float32_params_give_float32_output(self):
         cfg = small_config()
@@ -331,6 +376,48 @@ class TestConvenienceWrappers:
         grads = tape.backward(loss)
         for name, leaf in leaves.items():
             assert leaf in grads and np.any(grads[leaf] != 0.0), name
+
+
+class TestBackwardProducts:
+    @pytest.mark.parametrize("variant", ["full", "no-ae"])
+    def test_no_product_for_a_constant_and_the_same_bits(self, variant, monkeypatch):
+        """The interaction rows, the hop contexts, the timestep code, the
+        identity pads and the loss target are constants: backward must
+        compute no gradient for them, and the parameters' gradients must be
+        those of a tape on which every leaf is trainable, bit for bit."""
+        cfg = small_config(variant=variant)
+        params = random_params(cfg, seed=36, dtype=np.float32)
+        u_t, contexts, t = random_inputs(cfg, batch=3, seed=37)
+        constant_shapes = {(3, cfg.hop_dim(h)) for h in (1, *cfg.hop_list)}
+        leaf, matmul = nd.Tape.leaf, np.matmul
+        shapes = []
+
+        def counted_matmul(*args, **kwargs):
+            out = matmul(*args, **kwargs)
+            shapes.append(out.shape)
+            return out
+
+        def run(all_trainable):
+            with monkeypatch.context() as m:
+                if all_trainable:
+                    m.setattr(nd.Tape, "leaf",
+                              lambda tape, value, trainable=False: leaf(tape, value, True))
+                tape, leaves, out = camae.run_batch(params, cfg, u_t, contexts, t,
+                                                    trainable=True)
+                loss = tape.record("mse", out, tape.leaf(np.zeros_like(out.value)))
+                shapes.clear()
+                m.setattr(np, "matmul", counted_matmul)
+                grads = tape.backward(loss)
+            return {name: grads[node] for name, node in leaves.items()}, list(shapes)
+
+        grads, products = run(False)
+        all_grads, all_products = run(True)
+        assert len(products) < len(all_products)
+        if variant == "full":  # no-ae's (B, width) state shares their shapes
+            assert not constant_shapes & set(products)
+            assert constant_shapes <= set(all_products)
+        for name in params:
+            assert np.array_equal(grads[name], all_grads[name]), name
 
 
 class TestOpCoverage:

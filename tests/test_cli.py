@@ -174,6 +174,46 @@ class TestTrain:
         assert nd.load_fit_state(second / "last.cfck") == {
             "best_metric": 2.0, "best_epoch": 1, "stale": 1}
 
+    def test_fresh_run_replaces_the_log(self, prepared, tmp_path):
+        for _ in range(2):
+            assert cli.main(["train", "--data", str(prepared["data"]),
+                             "--out-dir", str(tmp_path)] + TINY_TRAIN) == 0
+        log = [json.loads(line)
+               for line in (tmp_path / "train_log.jsonl").read_text().splitlines()]
+        assert [r["epoch"] for r in log] == [1, 2]
+
+    @pytest.mark.parametrize("edit, message", [
+        ("widen", "tensor 'enc_hop2' has shape (4, 16); the model needs (4, 12)"),
+        ("drop", "tensor 'collapse' is missing; the model needs shape (2, 1)"),
+        ("add", "tensor 'stray' of shape (1, 1) is not a model parameter"),
+        ("moment", "tensor 'adam.m.enc_hop2' has shape (4, 16); the model needs (4, 12)")])
+    def test_checkpoint_of_another_shape_exits_1(self, trained, tmp_path, capsys,
+                                                  edit, message):
+        # A checkpoint whose hop-2 encoder is (k, width), as written before
+        # the hop encoders were sized to their hops, is one such file.
+        params, adam, fields, text = nd.load_checkpoint(trained["checkpoint"])
+        wide = np.zeros((4, 16), np.float32)
+        if edit == "widen":
+            params["enc_hop2"] = wide
+        elif edit == "drop":
+            del params["collapse"]
+        elif edit == "add":
+            params["stray"] = np.zeros((1, 1), np.float32)
+        else:
+            adam.m["enc_hop2"] = wide
+        ckpt = tmp_path / "old.cfck"
+        nd.save_checkpoint(ckpt, params, text, fields, adam=adam)
+        commands = [["train", "--data", str(trained["data"]), "--out-dir",
+                     str(tmp_path / "run"), "--resume", str(ckpt)] + TINY_TRAIN]
+        if edit != "moment":  # evaluate reads no Adam state
+            commands.append(["evaluate", "--data", str(trained["data"]),
+                             "--checkpoint", str(ckpt)])
+        for argv in commands:
+            capsys.readouterr()
+            assert cli.main(argv) == 1, argv[0]
+            err = capsys.readouterr().err
+            assert f"diffcf: error: contract: {ckpt}: {message}" in err, argv[0]
+
     def test_inference_flags_reach_validation(self, prepared, tmp_path, monkeypatch):
         seen = []
         evaluate = evaluation.evaluate

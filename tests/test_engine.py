@@ -165,12 +165,6 @@ class TestOpGradients:
             lambda t, ids: sum_of_squares(t, t.record("reshape", ids[0], shape=(3, 4))),
             [a])
 
-    def test_col_slice(self):
-        rng = np.random.default_rng(15)
-        a = rng.standard_normal((3, 5))
-        check_op_gradients(
-            lambda t, ids: sum_of_squares(t, t.record("col_slice", ids[0], n=2)), [a])
-
     def test_shared_leaf_accumulates(self):
         # A leaf feeding two branches must receive the sum of both adjoints.
         rng = np.random.default_rng(16)
@@ -283,11 +277,9 @@ class TestOpValues:
         for a, b in zip(analytic_gradients(fused, [q, k, v]), composed):
             np.testing.assert_allclose(a, b, atol=1e-10)
 
-    def test_col_slice_and_transpose_values(self):
+    def test_transpose_values(self):
         tape = nd.Tape()
         a = tape.leaf(np.arange(6, dtype=np.float64).reshape(2, 3))
-        sliced = tape.record("col_slice", a, n=2).value
-        np.testing.assert_array_equal(sliced, [[0, 1], [3, 4]])
         swapped = tape.record("transpose_last2", a).value
         np.testing.assert_array_equal(swapped, [[0, 3], [1, 4], [2, 5]])
 
@@ -611,8 +603,6 @@ class TestTapeContracts:
         with pytest.raises(ShapeError):
             tape.record("reshape", a, shape=(7, 7))
         with pytest.raises(ShapeError):
-            tape.record("col_slice", a, n=9)
-        with pytest.raises(ShapeError):
             tape.record("transpose_last2", tape.leaf(np.ones(3)))
 
     def test_sparse_leaf_rejected(self):
@@ -690,6 +680,11 @@ def adam_step_with_temporaries(params, grads, state):
     return state
 
 
+def _transposed_normal(rng, x):
+    """A random array shaped like `x`, as a transposed view of its storage."""
+    return rng.standard_normal(x.shape[::-1]).T
+
+
 class TestAdam:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bit_identical_to_plain_expressions(self, dtype):
@@ -707,6 +702,42 @@ class TestAdam:
                 assert np.array_equal(params[k], ref[k])
                 assert np.array_equal(state.m[k], ref_state.m[k])
                 assert np.array_equal(state.v[k], ref_state.v[k])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("tile", [16, nd.ADAM_TILE])
+    def test_tiles_bit_identical_on_any_worker_count(self, dtype, tile, monkeypatch,
+                                                     attention_workers):
+        # "w" spans several tiles down its rows with ragged last ones, "e"
+        # gets its gradient as a transposed view, as the encoders do, "b"
+        # is 1-D, "wide" is cut across its columns and "cube" is 3-D; every
+        # third step only "w" has a gradient.
+        monkeypatch.setattr(nd, "ADAM_TILE", tile)
+        rng = np.random.default_rng(42)
+        init = {"w": rng.standard_normal((3 * (tile // 7) + 1, 7)).astype(dtype),
+                "e": rng.standard_normal((5, 9)).astype(dtype),
+                "b": rng.standard_normal(37).astype(dtype),
+                "wide": rng.standard_normal((2, 40)).astype(dtype),
+                "cube": rng.standard_normal((3, 4, 6)).astype(dtype)}
+        steps = [{k: (_transposed_normal(rng, v) if k == "e" else rng.standard_normal(v.shape))
+                  .astype(dtype, copy=False)
+                  for k, v in init.items() if step % 3 != 2 or k == "w"}
+                 for step in range(5)]
+        assert not steps[0]["e"].flags.c_contiguous
+        ref = {k: v.copy() for k, v in init.items()}
+        ref_state = nd.init_adam(ref, lr=3e-3)
+        for grads in steps:
+            adam_step_with_temporaries(ref, grads, ref_state)
+        for workers in (1, 2, 3):
+            pool = attention_workers(workers)
+            params = {k: v.copy() for k, v in init.items()}
+            state = nd.init_adam(params, lr=3e-3)
+            for grads in steps:
+                nd.adam_step(params, grads, state)
+            assert pool.jobs == 5 * workers  # at least two tiles per worker
+            for k in params:
+                assert np.array_equal(params[k], ref[k]), (k, workers)
+                assert np.array_equal(state.m[k], ref_state.m[k]), (k, workers)
+                assert np.array_equal(state.v[k], ref_state.v[k]), (k, workers)
 
     @staticmethod
     def reference_adam(params, grads, state_m, state_v, step, lr=1e-3,
