@@ -80,13 +80,11 @@ def matrix_path(data_dir) -> Path:
 
 
 def context_cache_path(mpath: Path, hops: int) -> Path:
-    """Cache location for hop contexts: next to the matrix by default, or
-    content-addressed inside $DIFFCF_CACHE_DIR when that is set."""
-    cache_dir = os.environ.get(CACHE_ENV)
-    if not cache_dir:
-        return mpath.parent / f"contexts-h{hops}.cfhc"
+    """Cache location for hop contexts, named by the matrix's content so a
+    re-prepared matrix never picks up another matrix's contexts: next to
+    the matrix, or inside $DIFFCF_CACHE_DIR when that is set."""
     digest = hashlib.sha256(mpath.read_bytes()).hexdigest()[:16]
-    return Path(cache_dir) / f"{digest}-h{hops}.cfhc"
+    return Path(os.environ.get(CACHE_ENV) or mpath.parent) / f"{digest}-h{hops}.cfhc"
 
 
 def _load_contexts(matrix: dataset.InteractionMatrix, mpath: Path,
@@ -153,8 +151,7 @@ def cmd_prepare(args) -> int:
     cpath = context_cache_path(mpath, int(cfg["hops"]))
     cpath.parent.mkdir(parents=True, exist_ok=True)
     graph.save_contexts(cpath, ctxs)
-    no_test = sum(1 for u in range(matrix.num_users)
-                  if matrix.user_items(u, dataset.TAG_TEST).size == 0)
+    no_test = matrix.num_users - dataset.users_with_tag(matrix, dataset.TAG_TEST).size
     summary = {
         "num_users": matrix.num_users,
         "num_items": matrix.num_items,

@@ -178,6 +178,13 @@ def as_csr(matrix: InteractionMatrix, tags=(TAG_TRAIN,)) -> sp.csr_matrix:
                          shape=(matrix.num_users, matrix.num_items))
 
 
+def users_with_tag(matrix: InteractionMatrix, tag: int) -> np.ndarray:
+    """Ascending ids of the users holding at least one interaction tagged
+    `tag`."""
+    owner = np.repeat(np.arange(matrix.num_users), np.diff(matrix.indptr.astype(np.int64)))
+    return np.flatnonzero(np.bincount(owner[matrix.tags == tag], minlength=matrix.num_users))
+
+
 def dense_rows(matrix: InteractionMatrix, users: np.ndarray,
                tags=(TAG_TRAIN,), dtype=np.float32) -> np.ndarray:
     """Multi-hot rows for the given users over the selected split tags."""

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import camae
-from .dataset import InteractionMatrix, TAG_TRAIN, TAG_VAL, TAG_TEST, dense_rows, item_popularity
+from .dataset import (InteractionMatrix, TAG_TRAIN, TAG_VAL, TAG_TEST, dense_rows,
+                      item_popularity, users_with_tag)
 from .errors import ContractError, NumericError
 from .graph import HopContexts
 from .schedule import NoiseSchedule, diffuse_to
@@ -142,13 +143,6 @@ def _input_tags(split: str, include_val: bool):
     return (TAG_TRAIN,)
 
 
-def _scored_users(matrix: InteractionMatrix, target_tag: int) -> np.ndarray:
-    has_target = np.array([
-        (matrix.tags[int(matrix.indptr[u]):int(matrix.indptr[u + 1])] == target_tag).any()
-        for u in range(matrix.num_users)])
-    return np.flatnonzero(has_target)
-
-
 def evaluate_scores(score_fn, matrix: InteractionMatrix, split: str,
                     ks: tuple[int, ...], include_val: bool = True,
                     batch_size: int = 128, scorer: str = "model") -> MetricsReport:
@@ -159,7 +153,7 @@ def evaluate_scores(score_fn, matrix: InteractionMatrix, split: str,
         raise ContractError(f"cutoffs must be positive: {ks}")
     target = _SPLIT_TAGS[split]
     tags_in = _input_tags(split, include_val)
-    users = _scored_users(matrix, target)
+    users = users_with_tag(matrix, target)
     if users.size == 0:
         raise ContractError(f"no users hold {split} items")
     kmax = max(ks)

@@ -7,14 +7,28 @@ level set, then normalize the counts to sum to one. Those normalized
 rows, one sparse matrix per hop, are the conditioning signal handed to
 the denoiser.
 
-`build_contexts` computes them for every user with sparse matrix
-products: counts to level h are the binarized level h-1 support times
-the adjacency matrix, minus already-visited columns. It runs in chunks
-of users to bound memory and switches to dense BLAS when the frontier
-support gets dense enough that a GEMM beats a sparse product. Counts are
-integers that float32 holds exactly (edge totals stay far below 2**24);
-they are divided in float64 and rounded once to float32, so both routes
-give identical values. The tests keep a per-user BFS as the reference.
+`build_contexts` computes them for every user, one chunk of users at a
+time: counts to level h are the level h-1 support times the adjacency,
+with the columns visited at levels h-2, h-4, ... zeroed (the visited sets
+are dense bool blocks over the chunk). Each product takes one of two
+routes, picked from statistics of its blocks by `_dense_route`:
+
+- dense: the support as a dense block times the densified adjacency in
+  one GEMM; visited columns are zeroed and rows normalized in place, and
+  the block's CSR rows are read out once. The GEMM pays per multiply-add
+  and the rest per output cell, so this route wins when the output block
+  is mostly full (ML-1M's hops 2 and 3 are 86% and 97% nonzero).
+- sparse: a sparse product whose entries in visited columns are dropped,
+  then sorted and normalized. It pays per multiply-add and again per
+  output nonzero, so it wins when the output is sparse (a wide catalog
+  with few interactions per item).
+
+A product goes dense when the estimated cost is lower and its blocks fit
+`_DENSE_BYTES_CAP`. Each hop's CSR is then assembled once from the
+chunks' rows. Counts are integers that float32 holds exactly (edge
+totals stay far below 2**24); they are divided in float64 and rounded
+once to float32, so both routes give identical bits. The tests keep a
+per-user BFS as the reference.
 
 The cache file stores each hop's CSR arrays contiguously behind a short
 header, so reading it is one read per array.
@@ -34,9 +48,16 @@ from .errors import ContractError, ExactReader, FormatError, atomic_write
 _MAGIC = b"CFHC"
 _VERSION = 2
 
-# A GEMM retires roughly this many multiply-adds in the time a sparse
-# product retires one nonzero product on this class of hardware.
-_DENSE_ADVANTAGE = 256.0
+# Route costs, in units of one sparse multiply-add on this class of
+# hardware (about 15 ns on a 2-CPU x86 VM with OpenBLAS). In that time a
+# GEMM retires about this many multiply-adds (measured: 1500) ...
+_DENSE_ADVANTAGE = 1024.0
+# ... a sparse output nonzero costs this many units more to mask, sort
+# and normalize (measured: 6-7) ...
+_OUT_COST = 6.0
+# ... and a dense output cell this many to mask, normalize and scan
+# (measured: 1-1.3).
+_CELL_COST = 1.0
 _DENSE_BYTES_CAP = 1_500_000_000
 
 
@@ -64,98 +85,142 @@ class HopContexts:
         return np.asarray(self.hops[h][users].todense(), dtype=np.float32)
 
 
-def _binarize(a: sp.csr_matrix) -> sp.csr_matrix:
-    return sp.csr_matrix((np.ones(a.data.size, dtype=np.float32), a.indices, a.indptr),
-                         shape=a.shape)
+@dataclass
+class _Rows:
+    """One hop's rows for a chunk of users: nonzeros per row, column indices
+    ascending within each row, and the normalized values."""
+    row_nnz: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    def row_of(self) -> np.ndarray:
+        return np.repeat(np.arange(self.row_nnz.size), self.row_nnz)
+
+    def support(self, dim: int) -> sp.csr_matrix:
+        """The rows' 0/1 pattern as CSR."""
+        indptr = np.zeros(self.row_nnz.size + 1, dtype=np.int64)
+        np.cumsum(self.row_nnz, out=indptr[1:])
+        return sp.csr_matrix((np.ones(self.indices.size, dtype=np.float32), self.indices,
+                              indptr), shape=(self.row_nnz.size, dim))
 
 
-def _normalize_rows(a: sp.csr_matrix) -> sp.csr_matrix:
-    a = a.copy()
-    row_of = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
-    sums = np.bincount(row_of, weights=a.data.astype(np.float64), minlength=a.shape[0])
-    nz = sums[row_of] > 0
-    data = a.data.astype(np.float64)
-    data[nz] /= sums[row_of][nz]
-    a.data = data.astype(np.float32)
-    return a
+def _dense_route(rows: int, mid: int, out_dim: int, prev_nnz: int, adj_nnz: int) -> bool:
+    """Whether a (rows x mid) frontier with `prev_nnz` nonzeros times the
+    (mid x out_dim) adjacency with `adj_nnz` nonzeros should run as one
+    GEMM over dense blocks rather than as a sparse product.
+
+    The sparse route pays per multiply-add and again per output nonzero,
+    and the output holds at most min(multiply-adds, cells) of them; the
+    dense route pays per GEMM multiply-add and per output cell. The dense
+    blocks, with the dense adjacency, must also fit `_DENSE_BYTES_CAP`."""
+    sparse_ops = prev_nnz * (adj_nnz / max(mid, 1))
+    cells = float(rows) * out_dim
+    sparse_cost = sparse_ops + _OUT_COST * min(sparse_ops, cells)
+    dense_cost = cells * mid / _DENSE_ADVANTAGE + _CELL_COST * cells
+    # float32 support and adjacency; float32 counts, bool reached and the
+    # next hop's float32 support per output cell.
+    dense_bytes = 4.0 * (rows * mid + mid * out_dim) + 9.0 * cells
+    return dense_cost < sparse_cost and dense_bytes < _DENSE_BYTES_CAP
 
 
-class _DenseCache:
-    """Lazily densified adjacency, built only if a product ever wants it."""
-
-    def __init__(self, enabled: bool):
-        self.enabled = enabled
-        self.arrays: dict[int, np.ndarray] = {}
-
-    def get(self, mat: sp.csr_matrix) -> np.ndarray | None:
-        if not self.enabled:
-            return None
-        key = id(mat)
-        if key not in self.arrays:
-            self.arrays[key] = mat.toarray()
-        return self.arrays[key]
+def _dense_hop(support: np.ndarray, adj: np.ndarray,
+               visited: np.ndarray) -> tuple[_Rows, np.ndarray]:
+    """Counts as one GEMM with the visited columns zeroed, normalized in
+    place; returns the rows and the reached block."""
+    counts = support @ adj
+    counts[visited] = 0.0
+    reached = counts > 0
+    sums = counts.sum(axis=1, dtype=np.float64)
+    sums[sums == 0] = 1.0
+    np.divide(counts, sums[:, None], out=counts, casting="same_kind")
+    columns = np.broadcast_to(np.arange(adj.shape[1], dtype=np.int32), reached.shape)
+    return _Rows(np.count_nonzero(reached, axis=1), columns[reached], counts[reached]), reached
 
 
-def _masked_product(prev_bin: sp.csr_matrix, right: sp.csr_matrix,
-                    cache: _DenseCache, visited: sp.csr_matrix) -> sp.csr_matrix:
-    """(prev_bin @ right) with already-visited columns zeroed.
-
-    Picks dense BLAS when the estimated cost favors it and the operands fit.
-    """
-    c, mid = prev_bin.shape
-    out_dim = right.shape[1]
-    sparse_ops = prev_bin.nnz * (right.nnz / max(right.shape[0], 1))
-    dense_macs = float(c) * mid * out_dim
-    dense_bytes = 4.0 * (c * mid + mid * out_dim + 2.0 * c * out_dim)
-    right_dense = None
-    if dense_macs < _DENSE_ADVANTAGE * sparse_ops and dense_bytes < _DENSE_BYTES_CAP:
-        right_dense = cache.get(right)
-    if right_dense is not None:
-        raw = prev_bin.toarray() @ right_dense
-        raw[visited.toarray() > 0] = 0.0
-        out = sp.csr_matrix(raw)
-    else:
-        raw = (prev_bin @ right).tocsr()
-        out = (raw - raw.multiply(visited)).tocsr()
-        out.eliminate_zeros()
-    out.sort_indices()
-    return out
+def _sparse_hop(support: sp.csr_matrix, adj: sp.csr_matrix, visited: np.ndarray) -> _Rows:
+    """Counts as a sparse product with the visited columns dropped."""
+    counts = (support @ adj).tocsr()
+    row_of = np.repeat(np.arange(counts.shape[0]), np.diff(counts.indptr))
+    counts.data[visited[row_of, counts.indices]] = 0.0
+    counts.eliminate_zeros()
+    counts.sort_indices()
+    row_nnz = np.diff(counts.indptr)
+    row_of = np.repeat(np.arange(row_nnz.size), row_nnz)
+    data = counts.data.astype(np.float64)
+    data /= np.bincount(row_of, weights=data, minlength=row_nnz.size)[row_of]
+    return _Rows(row_nnz, counts.indices.astype(np.int32, copy=False), data.astype(np.float32))
 
 
-def build_contexts(matrix: InteractionMatrix, H: int, chunk: int = 2048,
-                   dense_adjacency: bool | None = None) -> HopContexts:
+def _assemble(chunks: list[_Rows], num_rows: int, dim: int) -> sp.csr_matrix:
+    """One CSR from the chunks' rows in order, freeing each chunk once it
+    is copied."""
+    nnz = sum(c.indices.size for c in chunks)
+    idx_dtype = np.int32 if max(nnz, dim) < 2**31 else np.int64
+    indptr = np.zeros(num_rows + 1, dtype=idx_dtype)
+    indices = np.empty(nnz, dtype=idx_dtype)
+    data = np.empty(nnz, dtype=np.float32)
+    row = pos = 0
+    while chunks:
+        c = chunks.pop(0)
+        r, n = c.row_nnz.size, c.indices.size
+        np.cumsum(c.row_nnz, out=indptr[row + 1:row + r + 1])
+        indptr[row + 1:row + r + 1] += pos
+        indices[pos:pos + n] = c.indices
+        data[pos:pos + n] = c.data
+        row, pos = row + r, pos + n
+    return sp.csr_matrix((data, indices, indptr), shape=(num_rows, dim), copy=False)
+
+
+def build_contexts(matrix: InteractionMatrix, H: int, chunk: int = 2048) -> HopContexts:
     """Normalized hop-count matrices for every user over the train
     interactions, hops 2..H."""
     if H < 2:
         raise ContractError(f"context depth H must be >= 2, got {H}")
     m = as_csr(matrix)
     num_users, num_items = m.shape
-    mt = m.T.tocsr()
-    if dense_adjacency is None:
-        dense_adjacency = 8.0 * m.shape[0] * m.shape[1] < _DENSE_BYTES_CAP
-    cache = _DenseCache(dense_adjacency)
+    dims = {"user": num_users, "item": num_items}
+    # The adjacency to multiply a frontier on each side by, sparse and,
+    # once a product first routes dense, dense (one array and its transpose).
+    sparse_adj = {"item": m.T.tocsr(), "user": m}
+    dense_adj: dict[str, np.ndarray] = {}
+    # The visited blocks take chunk x (users + items) bytes: at most an
+    # eighth of the cap.
+    chunk = max(1, min(chunk, _DENSE_BYTES_CAP // (8 * (num_users + num_items))))
 
-    blocks: dict[int, list[sp.csr_matrix]] = {h: [] for h in range(2, H + 1)}
+    pieces: dict[int, list[_Rows]] = {h: [] for h in range(2, H + 1)}
     for lo in range(0, num_users, chunk):
         hi = min(lo + chunk, num_users)
-        mc = m[lo:hi].tocsr()
         rows = hi - lo
-        own = sp.csr_matrix(
-            (np.ones(rows, dtype=np.float32), np.arange(lo, hi), np.arange(rows + 1)),
-            shape=(rows, num_users))
-        visited = {"user": own, "item": _binarize(mc)}
-        prev_bin = visited["item"]
+        mc = m[lo:hi]
+        prev, reached = _Rows(np.diff(mc.indptr), mc.indices, mc.data), None
+        visited = {side: np.zeros((rows, dim), dtype=bool) for side, dim in dims.items()}
+        visited["user"][np.arange(rows), np.arange(lo, hi)] = True
+        visited["item"][prev.row_of(), prev.indices] = True
         for h in range(2, H + 1):
-            prev_side = hop_side(h - 1)
-            right = mt if prev_side == "item" else m
-            counts = _masked_product(prev_bin, right, cache, visited[hop_side(h)])
-            visited[hop_side(h)] = _binarize(
-                (visited[hop_side(h)] + counts).tocsr())
-            blocks[h].append(_normalize_rows(counts))
-            prev_bin = _binarize(counts)
-    hops = {h: sp.vstack(blocks[h], format="csr") for h in blocks}
-    for a in hops.values():
-        a.sort_indices()
+            side, prev_side = hop_side(h), hop_side(h - 1)
+            mid = dims[prev_side]
+            if _dense_route(rows, mid, dims[side], prev.indices.size, m.nnz):
+                if not dense_adj:
+                    dense_adj["user"] = m.toarray()
+                    dense_adj["item"] = dense_adj["user"].T
+                if reached is None:
+                    support = np.zeros((rows, mid), dtype=np.float32)
+                    support[prev.row_of(), prev.indices] = 1.0
+                else:
+                    support = reached.astype(np.float32)
+                prev, reached = _dense_hop(support, dense_adj[prev_side], visited[side])
+                del support
+            else:
+                prev, reached = _sparse_hop(prev.support(mid), sparse_adj[prev_side],
+                                            visited[side]), None
+            if h + 2 <= H:  # hop h + 2 is the next to read this side's visited set
+                if reached is not None:
+                    visited[side] |= reached
+                else:
+                    visited[side][prev.row_of(), prev.indices] = True
+            pieces[h].append(prev)
+    hops = {h: _assemble(pieces.pop(h), num_users, dims[hop_side(h)])
+            for h in range(2, H + 1)}
     return HopContexts(num_users, num_items, hops)
 
 

@@ -444,9 +444,10 @@ def test_08_determinism_and_round_trips(tmp_path, monkeypatch):
         assert cli.main(["prepare", "--input", str(ratings),
                          "--out-dir", str(out)]) == 0
         outs.append(out)
+    cache = cli.context_cache_path(outs[0] / "matrix.cfdm", 3).name
     prepare_identical = all(
         (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-        for name in ("matrix.cfdm", "contexts-h3.cfhc"))
+        for name in ("matrix.cfdm", cache))
 
     ok = trains_identical and loss_identical and prepare_identical
     verdict(8, ok, f"two seeded 2-epoch runs byte-identical: "

@@ -5,6 +5,7 @@ and produced artifacts can all be asserted without subprocesses.
 """
 
 import contextlib
+import hashlib
 import json
 import struct
 from pathlib import Path
@@ -58,22 +59,23 @@ class TestPrepare:
     def test_artifacts_and_summary(self, prepared, capsys):
         data = prepared["data"]
         assert (data / "matrix.cfdm").exists()
-        assert (data / "contexts-h3.cfhc").exists()
         summary = json.loads((data / "prepare.json").read_text())
+        assert summary["contexts"] == str(cli.context_cache_path(data / "matrix.cfdm", 3))
         assert summary["num_users"] == 12 and summary["num_items"] == 16
         assert set(summary["tag_counts"]) == {"train", "val", "test"}
         assert summary["tag_counts"]["val"] > 0
         assert summary["config"]["split"] == [0.6, 0.2, 0.2]
         matrix = dataset.load_matrix(data / "matrix.cfdm")
         assert matrix.num_interactions == summary["num_interactions"]
-        ctxs = graph.load_contexts(data / "contexts-h3.cfhc")
+        ctxs = graph.load_contexts(summary["contexts"])
         assert ctxs.hop_list == (2, 3)
 
     def test_rerun_reproduces_identical_bytes(self, prepared, tmp_path):
         rc = cli.main(["prepare", "--input", str(prepared["ratings"]),
                        "--out-dir", str(tmp_path), "--split", "0.6,0.2,0.2"])
         assert rc == 0
-        for name in ("matrix.cfdm", "contexts-h3.cfhc"):
+        cache = cli.context_cache_path(tmp_path / "matrix.cfdm", 3).name
+        for name in ("matrix.cfdm", cache):
             assert (tmp_path / name).read_bytes() == \
                 (prepared["data"] / name).read_bytes()
 
@@ -383,7 +385,10 @@ class TestContextCache:
     def test_default_sits_beside_matrix(self, tmp_path, monkeypatch):
         monkeypatch.delenv(cli.CACHE_ENV, raising=False)
         mpath = tmp_path / "matrix.cfdm"
-        assert cli.context_cache_path(mpath, 3) == tmp_path / "contexts-h3.cfhc"
+        mpath.write_bytes(b"some matrix")
+        digest = hashlib.sha256(b"some matrix").hexdigest()[:16]
+        assert cli.context_cache_path(mpath, 3) == tmp_path / f"{digest}-h3.cfhc"
+        assert cli.context_cache_path(mpath, 4) == tmp_path / f"{digest}-h4.cfhc"
 
     def test_env_redirects_to_content_address(self, prepared, tmp_path,
                                               monkeypatch):
@@ -404,12 +409,41 @@ class TestContextCache:
         data = tmp_path / "data"
         data.mkdir()
         (data / "matrix.cfdm").write_bytes((trained["data"] / "matrix.cfdm").read_bytes())
-        fresh = (trained["data"] / "contexts-h3.cfhc").read_bytes()
+        cache = cli.context_cache_path(data / "matrix.cfdm", 3)
+        fresh = (trained["data"] / cache.name).read_bytes()
         # A cache as the first format version wrote it: same header fields,
         # then per-user runs.
         stale = b"CFHC" + struct.pack("<HQQH", 1, 12, 16, 3) + bytes(8 * 12)
-        (data / "contexts-h3.cfhc").write_bytes(stale)
+        cache.write_bytes(stale)
         rc = cli.main(["evaluate", "--data", str(data),
                        "--checkpoint", str(trained["checkpoint"])])
         assert rc == 0
-        assert (data / "contexts-h3.cfhc").read_bytes() == fresh
+        assert cache.read_bytes() == fresh
+
+    def test_replaced_matrix_of_the_same_shape_gets_fresh_contexts(
+            self, trained, tmp_path, monkeypatch):
+        monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+        data = tmp_path / "data"
+        data.mkdir()
+        old_cache = cli.context_cache_path(trained["data"] / "matrix.cfdm", 3)
+        (data / old_cache.name).write_bytes(old_cache.read_bytes())
+        # The same ratings split with another seed: same users and items,
+        # another train graph.
+        other = tmp_path / "other"
+        assert cli.main(["prepare", "--input", str(trained["ratings"]),
+                         "--out-dir", str(other), "--split", "0.6,0.2,0.2",
+                         "--split-seed", "1"]) == 0
+        new = dataset.load_matrix(other / "matrix.cfdm")
+        assert (new.num_users, new.num_items) == (12, 16)
+        # It takes the place of the matrix whose contexts sit in data/.
+        (data / "matrix.cfdm").write_bytes((other / "matrix.cfdm").read_bytes())
+        built = []
+        build = graph.build_contexts
+        monkeypatch.setattr(graph, "build_contexts",
+                            lambda *a, **k: built.append(1) or build(*a, **k))
+        assert cli.main(["evaluate", "--data", str(data),
+                         "--checkpoint", str(trained["checkpoint"])]) == 0
+        assert built == [1]
+        cache = cli.context_cache_path(data / "matrix.cfdm", 3)
+        assert cache.read_bytes() == cli.context_cache_path(other / "matrix.cfdm", 3).read_bytes()
+        assert cache.read_bytes() != old_cache.read_bytes()

@@ -188,6 +188,17 @@ class TestViews:
         np.testing.assert_array_equal(m.user_items(0, TAG_VAL), [2])
         np.testing.assert_array_equal(m.user_items(0), [0, 2, 5])
 
+    def test_users_with_tag_matches_per_user_loop(self):
+        rng = np.random.default_rng(4)
+        rows = [sorted(rng.choice(40, size=int(rng.integers(0, 6)), replace=False).tolist())
+                for _ in range(60)]
+        m = make_matrix(rows, num_items=40,
+                        tags=[rng.integers(0, 3, size=len(r)).tolist() for r in rows])
+        for tag in (TAG_TRAIN, TAG_VAL, TAG_TEST):
+            want = [u for u in range(m.num_users) if m.user_items(u, tag).size]
+            np.testing.assert_array_equal(dataset.users_with_tag(m, tag), want)
+        np.testing.assert_array_equal(dataset.users_with_tag(self._tagged(), TAG_TEST), [0, 2])
+
 
 class TestMatrixIO:
     def _matrix(self):

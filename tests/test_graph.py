@@ -5,8 +5,8 @@ adjacency over the combined user+item node set: nodes at shortest-path
 distance exactly h, scored by how many distance-(h-1) nodes they connect
 to. The reference encoder (`build_bipartite` / `hop_frontier` /
 `encode_hop` / `encode_context`) is a per-user BFS over adjacency lists.
-Neither shares code with `graph.build_contexts` (masked sparse products),
-so agreement is meaningful.
+Neither shares code with `graph.build_contexts` (masked products over
+sparse or dense row blocks), so agreement is meaningful.
 """
 
 import struct
@@ -145,6 +145,14 @@ def user_row(ctxs: graph.HopContexts, user: int, h: int) -> np.ndarray:
     return ctxs.batch_rows(np.asarray([user]), h)[0]
 
 
+def assert_rows_sorted(a) -> None:
+    """Column indices ascend within every row, as the cache format needs."""
+    b = a.copy()
+    b.has_sorted_indices = False
+    b.sort_indices()
+    assert np.array_equal(a.indices, b.indices) and np.array_equal(a.data, b.data)
+
+
 # ------------------------------------------------------------------ tests
 
 
@@ -234,21 +242,80 @@ class TestReferenceEncoder:
         assert encode_hop(g, 0, 2).values.sum() == 0.0
 
 
+def spy_routes(monkeypatch) -> list[str]:
+    """Records 'dense' or 'sparse' for every product the builder runs."""
+    ran = []
+    for route in ("dense", "sparse"):
+        hop = getattr(graph, f"_{route}_hop")
+        monkeypatch.setattr(graph, f"_{route}_hop",
+                            lambda *a, hop=hop, route=route: ran.append(route) or hop(*a))
+    return ran
+
+
 class TestBatchBuilder:
-    def test_matches_reference_both_routes(self):
+    def test_matches_reference_both_routes(self, monkeypatch):
+        ran = spy_routes(monkeypatch)
+        routes = {False: set(), True: set()}
         rng = np.random.default_rng(1)
         for trial in range(12):
             m, _ = random_matrix(rng)
             g = build_bipartite(m)
-            for dense_adj in (False, True):
-                ctxs = graph.build_contexts(m, H=4, chunk=7,
-                                            dense_adjacency=dense_adj)
+            for allow_dense in (False, True):
+                ran.clear()
+                with monkeypatch.context() as mp:
+                    if not allow_dense:
+                        mp.setattr(graph, "_dense_route", lambda *stats: False)
+                    ctxs = graph.build_contexts(m, H=4, chunk=7)
+                routes[allow_dense].update(ran)
                 for h in (2, 3, 4):
+                    assert_rows_sorted(ctxs.hops[h])
                     for u in range(m.num_users):
                         got = user_row(ctxs, u, h)
                         want = encode_hop(g, u, h).values
                         assert np.array_equal(got, want), (
-                            f"trial {trial} dense={dense_adj} user {u} hop {h}")
+                            f"trial {trial} dense={allow_dense} user {u} hop {h}")
+        assert routes[False] == {"sparse"} and "dense" in routes[True]
+
+    @pytest.mark.filterwarnings("error")  # no 0/0 for the empty rows either
+    @pytest.mark.parametrize("script", [(True, False, True), (False, True, False)])
+    def test_one_chunk_switching_routes_between_hops(self, monkeypatch, script):
+        """Hops 2, 3 and 4 of one chunk alternate routes, so each route
+        takes its frontier from the other. User 12 reaches user 13 at hop
+        2 and nothing at hops 3 and 4."""
+        dense = np.pad(np.random.default_rng(5).random((12, 10)) < 0.3, ((0, 2), (0, 1)))
+        dense[12:, -1] = True
+        m = make_matrix([np.flatnonzero(row).tolist() for row in dense],
+                        num_items=dense.shape[1])
+        ran = spy_routes(monkeypatch)
+        routes = iter(script)
+        monkeypatch.setattr(graph, "_dense_route", lambda *stats: next(routes))
+        ctxs = graph.build_contexts(m, H=4, chunk=m.num_users)
+        assert ran == ["dense" if d else "sparse" for d in script]
+        g = build_bipartite(m)
+        for h in (2, 3, 4):
+            assert_rows_sorted(ctxs.hops[h])
+            rows = ctxs.batch_rows(np.arange(m.num_users), h)
+            assert not np.isnan(rows).any()
+            for u in range(m.num_users):
+                assert np.array_equal(rows[u], encode_hop(g, u, h).values), (u, h)
+        np.testing.assert_array_equal(user_row(ctxs, 12, 2), np.eye(m.num_users)[13])
+        assert not user_row(ctxs, 12, 3).any() and not user_row(ctxs, 12, 4).any()
+
+    @pytest.mark.parametrize("shape, stats, dense", [
+        # 6040 users x 3706 items, 694,081 train edges, chunks of 2048 users:
+        # hop 2 multiplies the chunk's 232,550 items by the item-user
+        # adjacency, hop 3 its 10,660,601 hop-2 users by the user-item one.
+        ("ml1m hop 2", (2048, 3706, 6040, 232_550, 694_081), True),
+        ("ml1m hop 3", (2048, 6040, 3706, 10_660_601, 694_081), True),
+        # 1200 users x 30000 items, 27,235 train edges, one chunk.
+        ("wide_fit hop 2", (1200, 30000, 1200, 27_235, 27_235), False),
+        ("wide_fit hop 3", (1200, 1200, 30000, 46_336, 27_235), False),
+        # The ML-1M hop 3 product over a 200x wider catalog: its dense
+        # blocks would not fit the memory cap.
+        ("wide ml1m hop 3", (2048, 6040, 741_200, 10_660_601, 138_816_200), False),
+    ])
+    def test_route_rule_on_benchmark_block_statistics(self, shape, stats, dense):
+        assert graph._dense_route(*stats) == dense, shape
 
     def test_batch_rows_layout(self):
         m = worked_example_matrix()
