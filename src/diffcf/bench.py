@@ -28,7 +28,7 @@ import numpy as np
 from scipy import stats as sps
 
 from . import camae, ndtensor as nd
-from .dataset import InteractionMatrix
+from .dataset import InteractionMatrix, dense_rows
 from .errors import ContractError
 from .graph import build_contexts
 from .schedule import build_schedule
@@ -174,9 +174,7 @@ def time_scaling(axis: str, sizes: tuple[int, ...], fixed_dim: int = 2048,
         batches = []
         for it in range(warmup + iters):
             users = rng.integers(0, matrix.num_users, size=batch_size)
-            u0 = np.zeros((batch_size, num_items), dtype=np.float32)
-            for row, u in enumerate(users):
-                u0[row, matrix.user_items(int(u))] = 1.0
+            u0 = dense_rows(matrix, users)
             ctx = {h: contexts.batch_rows(users, h) for h in model_cfg.hop_list}
             t = rng.integers(1, sched.T + 1, size=batch_size)
             noise = rng.standard_normal(u0.shape).astype(np.float32)

@@ -107,10 +107,10 @@ def param_shapes(config: CamAeConfig) -> dict[str, tuple[tuple[int, int], int, i
     shapes: dict[str, tuple[tuple[int, int], int, int]] = {}
     if config.variant != "no-ae":
         k = config.latent_dim
-        shapes["enc_items"] = ((k, config.num_items), config.num_items, k)
+        shapes["enc_items"] = ((config.num_items, k), config.num_items, k)
         for h in config.hop_list:
-            shapes[f"enc_hop{h}"] = ((k, config.hop_dim(h)), config.width, k)
-        shapes["dec_items"] = ((config.num_items, k), k, config.num_items)
+            shapes[f"enc_hop{h}"] = ((config.hop_dim(h), k), config.width, k)
+        shapes["dec_items"] = ((k, config.num_items), k, config.num_items)
     shapes["expand_obs"] = ((1, d), 1, d)
     shapes["expand_ctx"] = ((1, d), 1, d)
     for layer in range(1, config.layers + 1):
@@ -127,15 +127,19 @@ def param_shapes(config: CamAeConfig) -> dict[str, tuple[tuple[int, int], int, i
 def init_params(config: CamAeConfig, seed: int = 0) -> dict[str, np.ndarray]:
     """Xavier-uniform float32 tensors, reproducible for a given seed.
 
-    A hop encoder is drawn (k, width), with fan-in `width`, and cut to the
-    columns of its hop, so the stream of draws, and with it every other
-    parameter, does not depend on which side (users or items) a hop reads."""
+    The encoders and the decoder are stored (inputs, outputs), as their
+    products read them, but drawn (outputs, inputs) and transposed, so the
+    stream of draws does not depend on the storage layout. A hop encoder is
+    drawn (k, width), with fan-in `width`, and cut to the columns of its
+    hop, so the stream, and with it every other parameter, does not depend
+    on which side (users or items) a hop reads either."""
     rng = np.random.default_rng(seed)
     params = {}
     for name, (shape, fi, fo) in param_shapes(config).items():
-        if name.startswith("enc_hop"):
-            full = _xavier(rng, (shape[0], config.width), fi, fo)
-            params[name] = np.ascontiguousarray(full[:, :shape[1]])
+        if name.startswith(("enc_", "dec_")):
+            n_in, n_out = shape
+            drawn = (n_out, config.width if name.startswith("enc_hop") else n_in)
+            params[name] = np.ascontiguousarray(_xavier(rng, drawn, fi, fo)[:, :n_in].T)
         else:
             params[name] = _xavier(rng, shape, fi, fo)
     return params
@@ -156,8 +160,7 @@ def encode_interactions(tape: nd.Tape, leaves: dict[str, nd.Node],
     if config.variant == "no-ae":
         pad = tape.leaf(_identity_pad(config.num_items, config.width, u.value.dtype))
         return tape.record("matmul", u, pad)
-    enc_t = tape.record("transpose_last2", leaves["enc_items"])
-    return tape.record("matmul", u, enc_t)
+    return tape.record("matmul", u, leaves["enc_items"])
 
 
 def encode_hops(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig,
@@ -173,8 +176,7 @@ def encode_hops(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig,
             pad = tape.leaf(_identity_pad(n_h, config.width, c.value.dtype))
             out[h] = tape.record("matmul", c, pad)
             continue
-        enc_t = tape.record("transpose_last2", leaves[f"enc_hop{h}"])
-        out[h] = tape.record("matmul", c, enc_t)
+        out[h] = tape.record("matmul", c, leaves[f"enc_hop{h}"])
     return out
 
 
@@ -241,8 +243,7 @@ def camae_forward(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig
     if config.variant == "no-ae":
         pad = tape.leaf(_identity_pad(config.width, config.num_items, y.value.dtype))
         return tape.record("matmul", y, pad)
-    dec_t = tape.record("transpose_last2", leaves["dec_items"])
-    return tape.record("matmul", y, dec_t)
+    return tape.record("matmul", y, leaves["dec_items"])
 
 
 def run_batch(params: dict[str, np.ndarray], config: CamAeConfig, u_t: np.ndarray,

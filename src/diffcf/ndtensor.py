@@ -50,7 +50,6 @@ OPS = (
     "mse",
     "weighted_sum",
     "cross_attention",
-    "transpose_last2",
     "reshape",
 )
 
@@ -318,11 +317,6 @@ class Tape:
                 raise ContractError(
                     f"cross_attention: dtypes {q.dtype}, {k.dtype}, {v.dtype} differ")
             out, ctx["lse"] = _attention_forward(q, k, v, keep_lse=req)
-        elif op == "transpose_last2":
-            (a,) = vals
-            if a.ndim < 2:
-                raise ShapeError(f"transpose_last2: needs >=2 dims, got {a.shape}")
-            out = _swap(a)
         elif op == "reshape":
             (a,) = vals
             shape = tuple(const["shape"])
@@ -399,8 +393,6 @@ class Tape:
         elif op == "cross_attention":
             grads = _attention_backward(*vals, node.value, node.ctx["lse"], g)
             yield from ((inp, gi) for inp, gi, wanted in zip(ins, grads, need) if wanted)
-        elif op == "transpose_last2":
-            yield ins[0], _swap(g)
         elif op == "reshape":
             yield ins[0], g.reshape(node.ctx["old_shape"])
         else:  # pragma: no cover - record() rejects unknown ops
@@ -434,33 +426,14 @@ def init_adam(params: dict[str, np.ndarray], lr: float, beta1: float = 0.9,
 
 
 # Adam is a handful of elementwise passes over every parameter, bound by
-# memory bandwidth. It walks each parameter in tiles of about ADAM_TILE
-# elements, so that a tile's slices of p, m, v and g and its two scratch
-# slices stay in a core's L2 cache between the passes, and runs the tiles
-# on the attention pool. A tile of a matrix spans all its rows when they
-# are few, and is at least sqrt(ADAM_TILE) columns wide: the gradients of
-# the encoders and the decoder arrive as transposed views, and a tile of
-# such a view is read in runs of a hundred or more elements, not one
-# element per cache line as a slab of whole rows would be. Such a tile is
-# copied once into scratch laid out as p, so the passes after it run on
-# one layout. Each element goes through the same operations in the same
-# order wherever its tile falls, so the bits depend on neither the tile
-# shape nor the worker count.
+# memory bandwidth. It walks each parameter as flat slices of ADAM_TILE
+# elements, so that a slice of p, m, v and g and its two scratch slices
+# stay in a core's L2 cache between the passes, and runs the slices on the
+# attention pool. Each element goes through the same operations in the
+# same order wherever its slice falls, so the bits depend on neither the
+# slice length nor the worker count.
 
 ADAM_TILE = 1 << 16
-
-
-def _adam_tiles(shape: tuple[int, ...]) -> list[tuple]:
-    """Index tuples of the tiles, of at most ADAM_TILE elements each, that
-    cover an array of `shape` (at least 1-D)."""
-    if len(shape) == 1:
-        return [(slice(lo, lo + ADAM_TILE),) for lo in range(0, shape[0], ADAM_TILE)]
-    rows, cols = shape[-2:]
-    width = min(cols, max(math.isqrt(ADAM_TILE), ADAM_TILE // rows))
-    height = ADAM_TILE // width
-    return [(*lead, slice(r, r + height), slice(c, c + width))
-            for lead in np.ndindex(shape[:-2])
-            for r in range(0, rows, height) for c in range(0, cols, width)]
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
@@ -468,16 +441,21 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     """Bias-corrected Adam. Updates `params` arrays in place; missing grads
     are treated as exact zeros (so untouched parameters stay put from init).
 
-    Every tile is updated through two scratch buffers of its worker, in the
+    Every slice is updated through two scratch buffers of its worker, in the
     operation order of p -= (lr / c1) * m / (sqrt(v / c2) + eps), so the
-    bits are those of that expression without its temporaries."""
+    bits are those of that expression without its temporaries. A parameter
+    and its moments must be C-contiguous: the flat view of any other array
+    is a copy, and an update written to it would be lost."""
     tiles = []
     for name, p in params.items():
         g = grads.get(name)
         if g is not None and g.shape != p.shape:
             raise ShapeError(f"adam_step: grad {g.shape} vs param {p.shape} for {name!r}")
-        arrays = (p, state.m[name], state.v[name], g)
-        tiles += [(arrays, at) for at in _adam_tiles(p.shape)]
+        arrays = (p, state.m[name], state.v[name])
+        if not all(x.flags.c_contiguous for x in arrays):
+            raise ContractError(f"adam_step: {name!r} or its moments are not C-contiguous")
+        flat = [x.reshape(-1) for x in arrays] + [None if g is None else g.reshape(-1)]
+        tiles += [(flat, slice(lo, lo + ADAM_TILE)) for lo in range(0, p.size, ADAM_TILE)]
     state.step += 1
     b1, b2, eps = state.beta1, state.beta2, state.eps
     c2 = 1.0 - b2 ** state.step
@@ -490,14 +468,11 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             p, m, v = p[at], m[at], v[at]
             if m.dtype not in scratch:
                 scratch[m.dtype] = np.empty((2, ADAM_TILE), m.dtype)
-            num, den = (b[: m.size].reshape(m.shape) for b in scratch[m.dtype])
+            num, den = (b[: m.size] for b in scratch[m.dtype])
             m *= b1
             v *= b2
             if g is not None:
                 g = g[at]
-                if g.dtype == m.dtype and g.strides[-1] != g.itemsize:
-                    np.copyto(den, g)  # den is free until the gradient is used up
-                    g = den
                 gs = num if g.dtype == m.dtype else np.empty_like(g)
                 m += np.multiply(g, 1.0 - b1, out=gs)
                 v += np.multiply(np.multiply(g, g, out=gs), 1.0 - b2, out=gs)
@@ -593,8 +568,20 @@ def gradient_check(build_fn, params: dict[str, np.ndarray], eps: float = 1e-3,
 # ------------------------------------------------------------- checkpoint i/o
 
 _CKPT_MAGIC = b"CFCK"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2
 FIT_KEYS = ("best_metric", "best_epoch", "stale")
+
+
+def _float64_words(values) -> np.ndarray:
+    """float64 values as the float32 words of their bytes, which a
+    checkpoint tensor carries exactly."""
+    return np.asarray(values, np.float64).view(np.float32)
+
+
+def _read_float64s(path, name: str, words: np.ndarray, count: int) -> np.ndarray:
+    if words is None or words.shape != (2 * count,):
+        raise FormatError(f"{path}: tensor {name!r} does not hold {count} float64 values")
+    return words.view(np.float64)
 
 
 def _write_tensor(f, name: str, arr: np.ndarray) -> None:
@@ -621,9 +608,10 @@ def save_checkpoint(path, params: dict[str, np.ndarray], config_text: str,
                     fit: dict[str, float] | None = None) -> None:
     """Binary checkpoint: header (magic, version, config digest, schedule),
     then named float32 tensors. Optimizer tensors ride along under an
-    "adam." name prefix, and the fit loop's state (`FIT_KEYS`) under "fit.";
-    each fit value is stored as the bytes of a float64, in two float32
-    words, so it comes back exactly. The human-readable config goes to
+    "adam." name prefix, and the fit loop's state (`FIT_KEYS`) under "fit.".
+    Adam's hyperparameters and each fit value are stored as the bytes of
+    float64s, two float32 words each, so a resumed run continues with
+    exactly the values it stopped with. The human-readable config goes to
     `path` + ".config" and its sha256 is pinned in the header so a stale
     sidecar is detected. Both files are written beside their targets and
     renamed into place only once both are complete."""
@@ -636,11 +624,10 @@ def save_checkpoint(path, params: dict[str, np.ndarray], config_text: str,
         tensors += sorted(("adam.m." + k, v) for k, v in adam.m.items())
         tensors += sorted(("adam.v." + k, v) for k, v in adam.v.items())
         tensors.append(("adam.step", np.asarray([adam.step], dtype=np.float32)))
-        tensors.append(("adam.hyper", np.asarray(
-            [adam.lr, adam.beta1, adam.beta2, adam.eps], dtype=np.float32)))
+        tensors.append(("adam.hyper", _float64_words(
+            [adam.lr, adam.beta1, adam.beta2, adam.eps])))
     if fit is not None:
-        tensors += [("fit." + k, np.asarray([fit[k]], np.float64).view(np.float32))
-                    for k in FIT_KEYS]
+        tensors += [("fit." + k, _float64_words([fit[k]])) for k in FIT_KEYS]
 
     with atomic_write(path) as f, atomic_write(str(path) + ".config", "w") as side:
         f.write(_CKPT_MAGIC)
@@ -691,10 +678,10 @@ def load_checkpoint(path):
     params = {k: v for k, v in tensors.items() if not k.startswith(("adam.", "fit."))}
     adam = None
     if "adam.step" in tensors:
-        hyper = tensors["adam.hyper"]
+        lr, beta1, beta2, eps = map(float, _read_float64s(
+            path, "adam.hyper", tensors.get("adam.hyper"), 4))
         adam = AdamState(
-            lr=float(hyper[0]), beta1=float(hyper[1]), beta2=float(hyper[2]),
-            eps=float(hyper[3]), step=int(tensors["adam.step"][0]),
+            lr=lr, beta1=beta1, beta2=beta2, eps=eps, step=int(tensors["adam.step"][0]),
             m={k[len("adam.m."):]: v for k, v in tensors.items() if k.startswith("adam.m.")},
             v={k[len("adam.v."):]: v for k, v in tensors.items() if k.startswith("adam.v.")},
         )
@@ -708,6 +695,5 @@ def load_fit_state(path) -> dict[str, float] | None:
     words = [tensors.get("fit." + k) for k in FIT_KEYS]
     if any(w is None for w in words):
         return None
-    if any(w.shape != (2,) for w in words):
-        raise FormatError(f"{path}: a fit.* tensor does not hold one float64")
-    return {k: float(w.view(np.float64)[0]) for k, w in zip(FIT_KEYS, words)}
+    return {k: float(_read_float64s(path, "fit." + k, w, 1)[0])
+            for k, w in zip(FIT_KEYS, words)}

@@ -69,19 +69,29 @@ class TrainConfig:
             raise ContractError("eval_every must be >= 1")
 
 
+def batch_loss(tape: nd.Tape, leaves: dict[str, nd.Node], model_cfg: camae.CamAeConfig,
+               sched: NoiseSchedule, weighting: str, u0: np.ndarray,
+               contexts: dict[int, np.ndarray], t: np.ndarray,
+               noise: np.ndarray) -> nd.Node:
+    """Record the denoising loss of one batch on `tape`, with the model's
+    parameters bound as `leaves`; returns the scalar loss node."""
+    batch = u0.shape[0]
+    u_t = diffuse_to(u0, t, sched, noise)
+    target = posterior_mean(u_t, u0, t, sched)  # equals u0 exactly at t = 1
+    scale = np.sqrt(step_weights(t, sched, weighting) / batch).astype(u0.dtype)
+    mu = camae.camae_forward(tape, leaves, model_cfg, u_t, contexts, t)
+    mu_scaled = tape.record("scale", mu, factor=scale[:, None])
+    return tape.record("mse", mu_scaled, tape.leaf(target * scale[:, None]))
+
+
 def train_step(params: dict, adam: nd.AdamState, model_cfg: camae.CamAeConfig,
                sched: NoiseSchedule, weighting: str, u0: np.ndarray,
                contexts: dict[int, np.ndarray], t: np.ndarray,
                noise: np.ndarray) -> float:
     """One optimization step on a prepared batch; returns the batch loss."""
-    batch = u0.shape[0]
-    u_t = diffuse_to(u0, t, sched, noise)
-    target = posterior_mean(u_t, u0, t, sched)  # equals u0 exactly at t = 1
-    scale = np.sqrt(step_weights(t, sched, weighting) / batch).astype(u0.dtype)
-
-    tape, leaves, mu = camae.run_batch(params, model_cfg, u_t, contexts, t, trainable=True)
-    mu_scaled = tape.record("scale", mu, factor=scale[:, None])
-    loss_node = tape.record("mse", mu_scaled, tape.leaf(target * scale[:, None]))
+    tape = nd.Tape()
+    leaves = {name: tape.leaf(value, trainable=True) for name, value in params.items()}
+    loss_node = batch_loss(tape, leaves, model_cfg, sched, weighting, u0, contexts, t, noise)
 
     loss = float(loss_node.value)
     if not np.isfinite(loss):
@@ -149,15 +159,10 @@ def gradcheck_case(model_cfg: camae.CamAeConfig, sched: NoiseSchedule,
     if batch >= 2:
         t[0], t[1] = 1, sched.T
     noise = rng.standard_normal(u0.shape)
-    u_t = diffuse_to(u0, t, sched, noise)
-    target = posterior_mean(u_t, u0, t, sched)
-    scale = np.sqrt(step_weights(t, sched, weighting) / batch)
     params = camae.init_params(model_cfg, seed=data_seed)
 
     def build(tape: nd.Tape, leaves: dict[str, nd.Node]) -> nd.Node:
-        mu = camae.camae_forward(tape, leaves, model_cfg, u_t, contexts, t)
-        mu_scaled = tape.record("scale", mu, factor=scale[:, None])
-        return tape.record("mse", mu_scaled, tape.leaf(target * scale[:, None]))
+        return batch_loss(tape, leaves, model_cfg, sched, weighting, u0, contexts, t, noise)
 
     return nd.gradient_check(build, params, eps=eps, max_entries=max_entries,
                              seed=data_seed)

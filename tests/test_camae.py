@@ -68,7 +68,7 @@ def forward_oracle(params, config, u_t, contexts, t):
     if config.variant == "no-ae":
         z_obs = u_t @ identity_pad(config.num_items)
     else:
-        z_obs = u_t @ params["enc_items"].T
+        z_obs = u_t @ params["enc_items"]
     tokens = z_obs[:, :, None] * params["expand_obs"][0]
     if config.t_embed:
         tokens = tokens + timestep_code(t, d)
@@ -82,7 +82,7 @@ def forward_oracle(params, config, u_t, contexts, t):
         if config.variant == "no-ae":
             z_h = contexts[h] @ identity_pad(n_h)
         else:
-            z_h = contexts[h] @ params[f"enc_hop{h}"].T
+            z_h = contexts[h] @ params[f"enc_hop{h}"]
         queries[h] = z_h[:, :, None] * params["expand_ctx"][0]
 
     state = tokens
@@ -104,7 +104,7 @@ def forward_oracle(params, config, u_t, contexts, t):
     y = (state @ params["collapse"]).reshape(batch, config.seq_len)
     if config.variant == "no-ae":
         return y[:, : config.num_items]
-    return y @ params["dec_items"].T
+    return y @ params["dec_items"]
 
 
 class TestConfig:
@@ -130,13 +130,14 @@ class TestConfig:
 
 
 def full_width_init(config, seed):
-    """`camae.init_params` as it was when every hop encoder was (k, width):
-    the oracle for the values of the sized encoders."""
+    """`camae.init_params` as it was when the encoders and the decoder were
+    stored (outputs, inputs) and every hop encoder was (k, width): the
+    oracle for the values of the stored and sized codec weights."""
     rng = np.random.default_rng(seed)
     out = {}
     for name, (shape, fan_in, fan_out) in camae.param_shapes(config).items():
-        if name.startswith("enc_hop"):
-            shape = (config.latent_dim, config.width)
+        if name.startswith(("enc_", "dec_")):
+            shape = (shape[1], config.width if name.startswith("enc_hop") else shape[0])
         bound = math.sqrt(6.0 / (fan_in + fan_out))
         out[name] = rng.uniform(-bound, bound, size=shape).astype(np.float32)
     return out
@@ -156,10 +157,10 @@ class TestParamShapes:
             "ff_hop2_in", "ff_hop2_out", "ff_hop3_in", "ff_hop3_out",
             "collapse",
         ]
-        assert shapes["enc_items"] == ((4, 7), 7, 4)
-        assert shapes["enc_hop2"] == ((4, 5), 7, 4)  # users side; fan-in stays width
-        assert shapes["enc_hop3"] == ((4, 7), 7, 4)
-        assert shapes["dec_items"] == ((7, 4), 4, 7)
+        assert shapes["enc_items"] == ((7, 4), 7, 4)
+        assert shapes["enc_hop2"] == ((5, 4), 7, 4)  # users side; fan-in stays width
+        assert shapes["enc_hop3"] == ((7, 4), 7, 4)
+        assert shapes["dec_items"] == ((4, 7), 4, 7)
         assert shapes["expand_obs"] == ((1, 2), 1, 2)
         assert shapes["attn1_hop2_q"] == ((2, 2), 2, 2)
         assert shapes["ff_hop2_in"] == ((2, 8), 2, 8)
@@ -175,7 +176,10 @@ class TestParamShapes:
         assert list(params) == list(want)
         for name, value in params.items():
             assert value.flags.c_contiguous, name
-            assert np.array_equal(value, want[name][:, :value.shape[1]]), name
+            if name.startswith(("enc_", "dec_")):
+                assert np.array_equal(value, want[name][:, :value.shape[0]].T), name
+            else:
+                assert np.array_equal(value, want[name]), name
 
     def test_no_ae_drops_codec(self):
         names = set(camae.param_shapes(small_config(variant="no-ae")))

@@ -111,7 +111,7 @@ class TestTrain:
         assert echoed["latent_dim"] == 4 and echoed["steps"] == 5
         params, adam, fields, _ = nd.load_checkpoint(trained["checkpoint"])
         assert fields[0] == 5 and adam is not None
-        assert params["enc_items"].shape == (4, 16)
+        assert params["enc_items"].shape == (16, 4)
 
     FROZEN = ["--lr", "1e-12", "--epochs", "4", "--patience", "1"]
 
@@ -185,16 +185,16 @@ class TestTrain:
         assert [r["epoch"] for r in log] == [1, 2]
 
     @pytest.mark.parametrize("edit, message", [
-        ("widen", "tensor 'enc_hop2' has shape (4, 16); the model needs (4, 12)"),
+        ("widen", "tensor 'enc_hop2' has shape (16, 4); the model needs (12, 4)"),
         ("drop", "tensor 'collapse' is missing; the model needs shape (2, 1)"),
         ("add", "tensor 'stray' of shape (1, 1) is not a model parameter"),
-        ("moment", "tensor 'adam.m.enc_hop2' has shape (4, 16); the model needs (4, 12)")])
+        ("moment", "tensor 'adam.m.enc_hop2' has shape (16, 4); the model needs (12, 4)")])
     def test_checkpoint_of_another_shape_exits_1(self, trained, tmp_path, capsys,
                                                   edit, message):
-        # A checkpoint whose hop-2 encoder is (k, width), as written before
-        # the hop encoders were sized to their hops, is one such file.
+        # A checkpoint whose hop-2 encoder is (width, k), not sized to its
+        # hop, is one such file.
         params, adam, fields, text = nd.load_checkpoint(trained["checkpoint"])
-        wide = np.zeros((4, 16), np.float32)
+        wide = np.zeros((16, 4), np.float32)
         if edit == "widen":
             params["enc_hop2"] = wide
         elif edit == "drop":

@@ -49,6 +49,22 @@ def test_every_cut_and_appended_bytes_raise_format_error(tmp_path, write):
             load(path)
 
 
+def test_checkpoint_of_format_version_1_is_refused(tmp_path, capsys):
+    # Version 1 stored the encoders and the decoder (outputs, inputs) and
+    # Adam's hyperparameters as float32s. Read as version 2, a square model
+    # (k == |items|) would load its codec transposed without any error.
+    path = tmp_path / "old.cfck"
+    write_checkpoint(path)
+    whole = bytearray(path.read_bytes())
+    assert struct.unpack_from("<H", whole, 4) == (2,)
+    struct.pack_into("<H", whole, 4, 1)
+    path.write_bytes(bytes(whole))
+    with pytest.raises(FormatError, match="version 1"):
+        nd.load_checkpoint(path)
+    assert cli.main(["evaluate", "--data", str(tmp_path), "--checkpoint", str(path)]) == 2
+    assert "unsupported checkpoint version 1" in capsys.readouterr().err
+
+
 class CutFile:
     """A file that fails, as a full disk would, once `limit` units are written."""
 

@@ -7,6 +7,7 @@ fused row-scaled sum-of-squares inside train_step is checked against
 first principles.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -146,6 +147,23 @@ class TestTrainStep:
             train.train_step(params, nd.init_adam(params, lr=1e-3), cfg,
                              sched, "vlb", u0, ctx, t, noise)
 
+    def test_adam_gets_gradients_in_the_layout_of_their_parameters(self, world, monkeypatch):
+        # adam_step walks flat views of p, m, v and g: a gradient in another
+        # layout than its parameter's would be read through a copy.
+        _, _, cfg, sched = world
+        u0, ctx, t, noise = sample_batch(world, batch=4, seed=58, dtype=np.float32)
+        params = camae.init_params(cfg, seed=59)
+        seen, adam_step = [], nd.adam_step
+
+        def spy(params, grads, state):
+            seen.append({k: (g.shape, g.flags.c_contiguous) for k, g in grads.items()})
+            return adam_step(params, grads, state)
+
+        monkeypatch.setattr(nd, "adam_step", spy)
+        train.train_step(params, nd.init_adam(params, lr=1e-3), cfg, sched, "vlb",
+                         u0, ctx, t, noise)
+        assert seen == [{k: (p.shape, True) for k, p in params.items()}]
+
 
 class TestTrainEpoch:
     def run_epoch(self, world, epoch, seed=0):
@@ -230,6 +248,30 @@ class TestFit:
         assert logged == result.history
         params, adam, fields, text = nd.load_checkpoint(ckpt)
         assert text == "a = 1\n" and fields[0] == 5 and adam is not None
+
+    def test_resumed_run_ends_with_the_bytes_of_an_uninterrupted_one(self, world, tmp_path):
+        # Epochs 1..4 in one run, and 1..2 then a resume from last.cfck for
+        # 3..4, must leave the same last.cfck: parameters, Adam moments and
+        # hyperparameters, and the fit state, bit for bit.
+        matrix, contexts, cfg, sched = world
+        tc = train.TrainConfig(batch_size=4, lr=1e-3, epochs=4, seed=2, eval_every=2,
+                               patience=10, infer_steps=2, monitor_k=3)
+        runs = {}
+        for tag in ("whole", "first", "resumed"):
+            (tmp_path / tag).mkdir()
+            runs[tag] = tmp_path / tag / "best.cfck"
+        common = dict(config_text="a = 1\n", quiet=True)
+        train.fit(camae.init_params(cfg, seed=70), cfg, tc, sched, matrix, contexts,
+                  checkpoint_path=runs["whole"], **common)
+        train.fit(camae.init_params(cfg, seed=70), cfg, dataclasses.replace(tc, epochs=2),
+                  sched, matrix, contexts, checkpoint_path=runs["first"], **common)
+        stopped = tmp_path / "first" / "last.cfck"
+        params, adam, _, _ = nd.load_checkpoint(stopped)
+        assert adam.lr == tc.lr and adam.beta1 == 0.9
+        train.fit(params, cfg, tc, sched, matrix, contexts, checkpoint_path=runs["resumed"],
+                  adam=adam, start_epoch=3, fit_state=nd.load_fit_state(stopped), **common)
+        whole = (tmp_path / "whole" / "last.cfck").read_bytes()
+        assert (tmp_path / "resumed" / "last.cfck").read_bytes() == whole
 
     def test_patience_stops_stale_run(self, world, tmp_path):
         # Vanishing lr freezes the ranking, so the second evaluation cannot
