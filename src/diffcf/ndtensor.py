@@ -293,7 +293,7 @@ class Tape:
             a, b = vals
             if a.shape != b.shape:
                 raise ShapeError(f"mse: shapes differ {a.shape} vs {b.shape}")
-            d = (a - b).ravel().astype(np.float64)
+            d = np.subtract(a, b, out=np.empty(a.shape, np.float64)).ravel()
             out = np.asarray(np.dot(d, d), dtype=a.dtype)
         elif op == "weighted_sum":
             w = tuple(float(x) for x in const["weights"])
@@ -354,7 +354,7 @@ class Tape:
                 continue
             for inp, gi in self._vjp(node, g):
                 adj[inp] = adj[inp] + gi if inp in adj else gi
-        return {node: adj.get(node, np.zeros_like(node.value))
+        return {node: adj[node] if node in adj else np.zeros_like(node.value)
                 for node in self.nodes if node.op == "leaf"}
 
     def _vjp(self, node: Node, g: np.ndarray):
@@ -381,7 +381,8 @@ class Tape:
             yield ins[0], g * (vals[0] > 0)
         elif op == "mse":
             a, b = vals
-            d = 2.0 * float(g) * (a - b)
+            d = a - b
+            d *= 2.0 * float(g)
             if need[0]:
                 yield ins[0], d
             if need[1]:

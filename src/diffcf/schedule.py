@@ -68,14 +68,59 @@ def _cols(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
     return coef.reshape(-1, 1)
 
 
+# A batch is blended one row at a time through two float64 scratch rows,
+# in place of whole-batch float64 temporaries, whose cost per element grows
+# with the batch once they leave the cache. A whole row per call keeps the
+# cost of a batch a fixed part per row plus a part per element, at any
+# width. Each element goes through the same operations, so the bits are
+# those of the whole-batch expressions.
+
+
+def _by_rows(like: np.ndarray, *coefs) -> np.ndarray | None:
+    """Float64 scratch for two rows of `like`, or None when the batch is
+    not a 2-D float array whose rows the coefficients scale."""
+    if like.ndim != 2 or not np.issubdtype(like.dtype, np.floating) or any(
+            np.ndim(c) and len(c) != len(like) for c in coefs):
+        return None
+    return np.empty((2, like.shape[1]))
+
+
+def _blend_row(r: int, scratch: np.ndarray, c0, x0, c1, x1, out: np.ndarray) -> None:
+    """out[r] = c0 * x0 + c1 * x1 on row r, in float64, rounded once to the
+    dtype of `out`."""
+    pick = lambda c: c if np.ndim(c) == 0 else c[r]
+    np.add(np.multiply(pick(c0), x0[r], out=scratch[0]),
+           np.multiply(pick(c1), x1[r], out=scratch[1]), out=out[r])
+
+
+def _diffuse_coefs(u0: np.ndarray, t, sched: NoiseSchedule):
+    ab = sched.alpha_bars[t]
+    return _cols(np.sqrt(ab), u0), _cols(np.sqrt(1.0 - ab), u0)
+
+
+def _posterior_coefs(u_t: np.ndarray, t, sched: NoiseSchedule):
+    denom = 1.0 - sched.alpha_bars[t]
+    if np.any(denom < 1e-12):
+        raise NumericError(f"posterior_mean: 1 - abar_t vanishes at t={t}")
+    b = sched.betas[t - 1]
+    c0 = np.sqrt(sched.alpha_bars[t - 1]) * b / denom
+    c1 = np.sqrt(sched.alphas[t - 1]) * (1.0 - sched.alpha_bars[t - 1]) / denom
+    return _cols(c0, u_t), _cols(c1, u_t)
+
+
 def diffuse_to(u0: np.ndarray, t, sched: NoiseSchedule,
                noise: np.ndarray) -> np.ndarray:
     """Jump straight to step t: sqrt(abar_t) * u0 + sqrt(1-abar_t) * eps."""
-    u0 = np.asarray(u0)
+    u0, noise = np.asarray(u0), np.asarray(noise)
     t = _check_t(t, sched.T)
-    ab = sched.alpha_bars[t]
-    out = _cols(np.sqrt(ab), u0) * u0 + _cols(np.sqrt(1.0 - ab), u0) * noise
-    return out.astype(u0.dtype)
+    c0, c1 = _diffuse_coefs(u0, t, sched)
+    scratch = _by_rows(u0, c0) if noise.shape == u0.shape else None
+    if scratch is None:
+        return (c0 * u0 + c1 * noise).astype(u0.dtype)
+    out = np.empty_like(u0)
+    for r in range(len(u0)):
+        _blend_row(r, scratch, c0, u0, c1, noise, out)
+    return out
 
 
 def posterior_mean(u_t: np.ndarray, u0: np.ndarray, t,
@@ -85,13 +130,35 @@ def posterior_mean(u_t: np.ndarray, u0: np.ndarray, t,
     (sqrt(abar_{t-1}) * beta_t * u0 + sqrt(alpha_t) * (1 - abar_{t-1}) * u_t)
     divided by (1 - abar_t). At t = 1 this collapses to u0 exactly.
     """
-    u_t = np.asarray(u_t)
+    u_t, u0 = np.asarray(u_t), np.asarray(u0)
     t = _check_t(t, sched.T)
-    denom = 1.0 - sched.alpha_bars[t]
-    if np.any(denom < 1e-12):
-        raise NumericError(f"posterior_mean: 1 - abar_t vanishes at t={t}")
-    b = sched.betas[t - 1]
-    c0 = np.sqrt(sched.alpha_bars[t - 1]) * b / denom
-    c1 = np.sqrt(sched.alphas[t - 1]) * (1.0 - sched.alpha_bars[t - 1]) / denom
-    out = _cols(c0, u_t) * np.asarray(u0) + _cols(c1, u_t) * u_t
-    return out.astype(u_t.dtype)
+    c0, c1 = _posterior_coefs(u_t, t, sched)
+    scratch = _by_rows(u_t, c0) if u0.shape == u_t.shape else None
+    if scratch is None:
+        return (c0 * u0 + c1 * u_t).astype(u_t.dtype)
+    out = np.empty_like(u_t)
+    for r in range(len(u_t)):
+        _blend_row(r, scratch, c0, u0, c1, u_t, out)
+    return out
+
+
+def diffuse_with_target(u0: np.ndarray, t, sched: NoiseSchedule, noise: np.ndarray,
+                        row_scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`diffuse_to` and its `posterior_mean` with each row multiplied by
+    `row_scale` (of u0's dtype), computed together one row at a time, so
+    the posterior reads u_t and u0 while they are still in cache. Bit for
+    bit (u_t, posterior_mean(u_t, u0, t) * row_scale[:, None])."""
+    u0, noise = np.asarray(u0), np.asarray(noise)
+    t = _check_t(t, sched.T)
+    d0, d1 = _diffuse_coefs(u0, t, sched)
+    p0, p1 = _posterior_coefs(u0, t, sched)
+    scratch = _by_rows(u0, d0) if noise.shape == u0.shape else None
+    if scratch is None:
+        u_t = diffuse_to(u0, t, sched, noise)
+        return u_t, posterior_mean(u_t, u0, t, sched) * row_scale[:, None]
+    u_t, target = np.empty_like(u0), np.empty_like(u0)
+    for r in range(len(u0)):
+        _blend_row(r, scratch, d0, u0, d1, noise, u_t)
+        _blend_row(r, scratch, p0, u0, p1, u_t, target)
+        target[r] *= row_scale[r]
+    return u_t, target

@@ -26,7 +26,7 @@ from . import camae, eval as evaluation, ndtensor as nd
 from .dataset import InteractionMatrix, dense_rows
 from .errors import ContractError, NumericError
 from .graph import HopContexts
-from .schedule import NoiseSchedule, diffuse_to, posterior_mean
+from .schedule import NoiseSchedule, _check_t, diffuse_with_target
 
 WEIGHTINGS = ("vlb", "simple")
 
@@ -76,12 +76,13 @@ def batch_loss(tape: nd.Tape, leaves: dict[str, nd.Node], model_cfg: camae.CamAe
     """Record the denoising loss of one batch on `tape`, with the model's
     parameters bound as `leaves`; returns the scalar loss node."""
     batch = u0.shape[0]
-    u_t = diffuse_to(u0, t, sched, noise)
-    target = posterior_mean(u_t, u0, t, sched)  # equals u0 exactly at t = 1
+    t = _check_t(t, sched.T)
     scale = np.sqrt(step_weights(t, sched, weighting) / batch).astype(u0.dtype)
+    # target is the posterior mean (u0 exactly at t = 1), scaled like mu
+    u_t, target = diffuse_with_target(u0, t, sched, noise, scale)
     mu = camae.camae_forward(tape, leaves, model_cfg, u_t, contexts, t)
     mu_scaled = tape.record("scale", mu, factor=scale[:, None])
-    return tape.record("mse", mu_scaled, tape.leaf(target * scale[:, None]))
+    return tape.record("mse", mu_scaled, tape.leaf(target))
 
 
 def train_step(params: dict, adam: nd.AdamState, model_cfg: camae.CamAeConfig,

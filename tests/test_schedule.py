@@ -186,6 +186,20 @@ class TestPosteriorMean:
             single = schedule.posterior_mean(u_t[row], u0[row], int(t[row]), s)
             np.testing.assert_array_equal(batched[row], single)
 
+    def test_fused_with_diffusion_matches_separate_calls(self):
+        s = schedule.build_schedule(100)
+        rng = np.random.default_rng(7)
+        u0 = (rng.random((6, 50)) < 0.2).astype(np.float32)
+        eps = rng.standard_normal((6, 50)).astype(np.float32)
+        t = np.array([1, 2, 40, 99, 100, 7])
+        scale = rng.random(6).astype(np.float32)
+        u_t, target = schedule.diffuse_with_target(u0, t, s, eps, scale)
+        want = schedule.diffuse_to(u0, t, s, eps)
+        assert u_t.dtype == target.dtype == np.float32
+        assert u_t.tobytes() == want.tobytes()
+        want_target = schedule.posterior_mean(want, u0, t, s) * scale[:, None]
+        assert target.tobytes() == want_target.tobytes()
+
     def test_degenerate_variance_guarded(self):
         s = schedule.build_schedule(1, 1e-15, 1e-15)
         with pytest.raises(NumericError):
