@@ -247,12 +247,11 @@ def camae_forward(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig
 
 
 def run_batch(params: dict[str, np.ndarray], config: CamAeConfig, u_t: np.ndarray,
-              contexts: dict[int, np.ndarray], t, trainable: bool = False):
-    """Bind `params` as leaves of a fresh tape and record the denoiser on it;
-    a scalar `t` applies to every row. Trainable leaves make the tape keep
-    what `backward` needs; with plain ones it keeps no node at all.
-    Returns (tape, {param name: leaf node}, output node)."""
+              contexts: dict[int, np.ndarray], t):
+    """Bind `params` as plain leaves of a fresh tape and record the denoiser
+    on it, for inference: the tape keeps no node at all. A scalar `t`
+    applies to every row. Returns (tape, {param name: leaf node}, output node)."""
     tape = nd.Tape()
-    leaves = {name: tape.leaf(value, trainable=trainable) for name, value in params.items()}
+    leaves = {name: tape.leaf(value) for name, value in params.items()}
     t = np.full(u_t.shape[0], t, dtype=np.int64) if np.isscalar(t) else np.asarray(t)
     return tape, leaves, camae_forward(tape, leaves, config, u_t, contexts, t)

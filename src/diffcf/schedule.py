@@ -68,59 +68,24 @@ def _cols(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
     return coef.reshape(-1, 1)
 
 
-# A batch is blended one row at a time through two float64 scratch rows,
-# in place of whole-batch float64 temporaries, whose cost per element grows
-# with the batch once they leave the cache. A whole row per call keeps the
-# cost of a batch a fixed part per row plus a part per element, at any
-# width. Each element goes through the same operations, so the bits are
-# those of the whole-batch expressions.
-
-
-def _by_rows(like: np.ndarray, *coefs) -> np.ndarray | None:
-    """Float64 scratch for two rows of `like`, or None when the batch is
-    not a 2-D float array whose rows the coefficients scale."""
-    if like.ndim != 2 or not np.issubdtype(like.dtype, np.floating) or any(
-            np.ndim(c) and len(c) != len(like) for c in coefs):
-        return None
-    return np.empty((2, like.shape[1]))
-
-
-def _blend_row(r: int, scratch: np.ndarray, c0, x0, c1, x1, out: np.ndarray) -> None:
-    """out[r] = c0 * x0 + c1 * x1 on row r, in float64, rounded once to the
-    dtype of `out`."""
-    pick = lambda c: c if np.ndim(c) == 0 else c[r]
-    np.add(np.multiply(pick(c0), x0[r], out=scratch[0]),
-           np.multiply(pick(c1), x1[r], out=scratch[1]), out=out[r])
-
-
-def _diffuse_coefs(u0: np.ndarray, t, sched: NoiseSchedule):
+def diffuse_to(u0: np.ndarray, t, sched: NoiseSchedule,
+               noise: np.ndarray) -> np.ndarray:
+    """Jump straight to step t: sqrt(abar_t) * u0 + sqrt(1-abar_t) * eps."""
+    u0 = np.asarray(u0)
+    t = _check_t(t, sched.T)
     ab = sched.alpha_bars[t]
-    return _cols(np.sqrt(ab), u0), _cols(np.sqrt(1.0 - ab), u0)
+    out = _cols(np.sqrt(ab), u0) * u0 + _cols(np.sqrt(1.0 - ab), u0) * noise
+    return out.astype(u0.dtype)
 
 
-def _posterior_coefs(u_t: np.ndarray, t, sched: NoiseSchedule):
+def _posterior_coefs(t: np.ndarray, sched: NoiseSchedule):
     denom = 1.0 - sched.alpha_bars[t]
     if np.any(denom < 1e-12):
         raise NumericError(f"posterior_mean: 1 - abar_t vanishes at t={t}")
     b = sched.betas[t - 1]
     c0 = np.sqrt(sched.alpha_bars[t - 1]) * b / denom
     c1 = np.sqrt(sched.alphas[t - 1]) * (1.0 - sched.alpha_bars[t - 1]) / denom
-    return _cols(c0, u_t), _cols(c1, u_t)
-
-
-def diffuse_to(u0: np.ndarray, t, sched: NoiseSchedule,
-               noise: np.ndarray) -> np.ndarray:
-    """Jump straight to step t: sqrt(abar_t) * u0 + sqrt(1-abar_t) * eps."""
-    u0, noise = np.asarray(u0), np.asarray(noise)
-    t = _check_t(t, sched.T)
-    c0, c1 = _diffuse_coefs(u0, t, sched)
-    scratch = _by_rows(u0, c0) if noise.shape == u0.shape else None
-    if scratch is None:
-        return (c0 * u0 + c1 * noise).astype(u0.dtype)
-    out = np.empty_like(u0)
-    for r in range(len(u0)):
-        _blend_row(r, scratch, c0, u0, c1, noise, out)
-    return out
+    return c0, c1
 
 
 def posterior_mean(u_t: np.ndarray, u0: np.ndarray, t,
@@ -130,35 +95,36 @@ def posterior_mean(u_t: np.ndarray, u0: np.ndarray, t,
     (sqrt(abar_{t-1}) * beta_t * u0 + sqrt(alpha_t) * (1 - abar_{t-1}) * u_t)
     divided by (1 - abar_t). At t = 1 this collapses to u0 exactly.
     """
-    u_t, u0 = np.asarray(u_t), np.asarray(u0)
-    t = _check_t(t, sched.T)
-    c0, c1 = _posterior_coefs(u_t, t, sched)
-    scratch = _by_rows(u_t, c0) if u0.shape == u_t.shape else None
-    if scratch is None:
-        return (c0 * u0 + c1 * u_t).astype(u_t.dtype)
-    out = np.empty_like(u_t)
-    for r in range(len(u_t)):
-        _blend_row(r, scratch, c0, u0, c1, u_t, out)
-    return out
+    u_t = np.asarray(u_t)
+    c0, c1 = _posterior_coefs(_check_t(t, sched.T), sched)
+    out = _cols(c0, u_t) * np.asarray(u0) + _cols(c1, u_t) * u_t
+    return out.astype(u_t.dtype)
 
 
 def diffuse_with_target(u0: np.ndarray, t, sched: NoiseSchedule, noise: np.ndarray,
                         row_scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`diffuse_to` and its `posterior_mean` with each row multiplied by
-    `row_scale` (of u0's dtype), computed together one row at a time, so
-    the posterior reads u_t and u0 while they are still in cache. Bit for
-    bit (u_t, posterior_mean(u_t, u0, t) * row_scale[:, None])."""
-    u0, noise = np.asarray(u0), np.asarray(noise)
-    t = _check_t(t, sched.T)
-    d0, d1 = _diffuse_coefs(u0, t, sched)
-    p0, p1 = _posterior_coefs(u0, t, sched)
-    scratch = _by_rows(u0, d0) if noise.shape == u0.shape else None
-    if scratch is None:
-        u_t = diffuse_to(u0, t, sched, noise)
-        return u_t, posterior_mean(u_t, u0, t, sched) * row_scale[:, None]
+    """`diffuse_to` of a 2-D batch with one timestep per row, and its
+    `posterior_mean` with each row multiplied by `row_scale` (of u0's
+    dtype): bit for bit (u_t, posterior_mean(u_t, u0, t) * row_scale[:, None]).
+
+    Both are blended one row at a time in float64 through two scratch rows,
+    and rounded once, in place of whole-batch float64 temporaries, whose
+    cost per element grows with the batch once they leave the cache; so the
+    cost of a batch is a part per row plus a part per element at any width,
+    and the posterior reads u_t and u0 while they are still in cache."""
+    u0, noise, t = np.asarray(u0), np.asarray(noise), _check_t(t, sched.T)
+    if u0.ndim != 2 or noise.shape != u0.shape or t.shape != (len(u0),):
+        raise ContractError(f"diffuse_with_target: needs a 2-D batch, noise of its shape "
+                            f"and one t per row, got {u0.shape}, {noise.shape}, {t.shape}")
+    ab = sched.alpha_bars[t]
+    d0, d1 = np.sqrt(ab), np.sqrt(1.0 - ab)
+    p0, p1 = _posterior_coefs(t, sched)
+    a, b = np.empty((2, u0.shape[1]))
     u_t, target = np.empty_like(u0), np.empty_like(u0)
     for r in range(len(u0)):
-        _blend_row(r, scratch, d0, u0, d1, noise, u_t)
-        _blend_row(r, scratch, p0, u0, p1, u_t, target)
+        np.add(np.multiply(d0[r], u0[r], out=a), np.multiply(d1[r], noise[r], out=b),
+               out=u_t[r])
+        np.add(np.multiply(p0[r], u0[r], out=a), np.multiply(p1[r], u_t[r], out=b),
+               out=target[r])
         target[r] *= row_scale[r]
     return u_t, target

@@ -8,7 +8,7 @@ the end of the run so they are visible even when pytest captures stdout.
 import numpy as np
 import pytest
 
-from diffcf import dataset
+from diffcf import camae, dataset, ndtensor as nd
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -23,6 +23,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def trainable_forward(params, config, u_t, contexts, t):
+    """Record the denoiser on a fresh tape with every parameter bound as a
+    trainable leaf, as `train.train_step` binds them; a scalar `t` applies
+    to every row. Returns (tape, {param name: leaf node}, output node)."""
+    tape = nd.Tape()
+    leaves = {name: tape.leaf(value, trainable=True) for name, value in params.items()}
+    t = np.full(len(u_t), t, dtype=np.int64) if np.isscalar(t) else np.asarray(t)
+    return tape, leaves, camae.camae_forward(tape, leaves, config, u_t, contexts, t)
 
 
 def make_matrix(user_items: list[list[int]], num_items: int | None = None,

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import trainable_forward
 from diffcf import camae, eval as evaluation, ndtensor as nd, train
 from diffcf.camae import CamAeConfig
 from diffcf.errors import ContractError, ShapeError
@@ -374,7 +375,7 @@ class TestConvenienceWrappers:
         cfg = small_config()
         params = random_params(cfg, seed=32)
         u_t, contexts, t = random_inputs(cfg, batch=3, seed=33)
-        tape, leaves, out = camae.run_batch(params, cfg, u_t, contexts, t, trainable=True)
+        tape, leaves, out = trainable_forward(params, cfg, u_t, contexts, t)
         target = tape.leaf(np.zeros_like(u_t))
         loss = tape.record("mse", out, target)
         grads = tape.backward(loss)
@@ -406,8 +407,7 @@ class TestBackwardProducts:
                 if all_trainable:
                     m.setattr(nd.Tape, "leaf",
                               lambda tape, value, trainable=False: leaf(tape, value, True))
-                tape, leaves, out = camae.run_batch(params, cfg, u_t, contexts, t,
-                                                    trainable=True)
+                tape, leaves, out = trainable_forward(params, cfg, u_t, contexts, t)
                 loss = tape.record("mse", out, tape.leaf(np.zeros_like(out.value)))
                 shapes.clear()
                 m.setattr(np, "matmul", counted_matmul)

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_matrix
+from conftest import make_matrix, trainable_forward
 from diffcf import camae, dataset, eval as evaluation, graph
 from diffcf.camae import CamAeConfig
 from diffcf.dataset import TAG_TEST, TAG_TRAIN, TAG_VAL
@@ -303,13 +303,13 @@ class TestDenoiseInfer:
 
         # The same walk through trainable leaves gives the same bits.
         if steps == 0:
-            tape, _, out = camae.run_batch(params, cfg, u_obs, contexts, 1, trainable=True)
+            tape, _, out = trainable_forward(params, cfg, u_obs, contexts, 1)
             want = out.value
         else:
             noise = np.random.default_rng(94).standard_normal(u_obs.shape)
             want = diffuse_to(u_obs, steps, sched, noise.astype(u_obs.dtype))
             for t in range(steps, 0, -1):
-                tape, _, out = camae.run_batch(params, cfg, want, contexts, t, trainable=True)
+                tape, _, out = trainable_forward(params, cfg, want, contexts, t)
                 # Attention keeps one log-sum-exp per query row for its
                 # backward, and no (k, k) score block.
                 kept = [n.ctx for n in tape.nodes if n.op == "cross_attention"]

@@ -200,6 +200,15 @@ class TestPosteriorMean:
         want_target = schedule.posterior_mean(want, u0, t, s) * scale[:, None]
         assert target.tobytes() == want_target.tobytes()
 
+    def test_fused_needs_a_2d_batch_with_one_t_per_row(self):
+        s = schedule.build_schedule(10)
+        u0 = np.ones((3, 4), np.float32)
+        scale = np.ones(3, np.float32)
+        for args in ((u0[0], 2, u0[0]), (u0, 2, u0), (u0, np.array([2, 3]), u0),
+                     (u0, np.array([2, 3, 4]), u0[:, :2])):
+            with pytest.raises(ContractError, match="2-D batch"):
+                schedule.diffuse_with_target(args[0], args[1], s, args[2], scale)
+
     def test_degenerate_variance_guarded(self):
         s = schedule.build_schedule(1, 1e-15, 1e-15)
         with pytest.raises(NumericError):
