@@ -13,6 +13,12 @@ the residual flag adds each layer's input back to its blended output.
 A learned d -> 1 collapse and a decoder map the final state back to
 item space.
 
+The forward is recorded in two parts. `condition` reads only the hop
+vectors (hop encoders, token expansion, per-layer query projections);
+`denoise` reads u_t and t and runs the rest. Training records both for
+each batch through `camae_forward`; inference conditions once per batch
+and denoises once per step.
+
 There are no bias terms anywhere; with the timestep embedding disabled,
 zero inputs provably map to zero output. The sinusoidal timestep
 embedding (on by default) is added to the expanded interaction tokens.
@@ -163,32 +169,48 @@ def encode_interactions(tape: nd.Tape, leaves: dict[str, nd.Node],
     return tape.record("matmul", u, leaves["enc_items"])
 
 
-def encode_hops(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig,
-                ctx_nodes: dict[int, nd.Node]) -> dict[int, nd.Node]:
-    """Compress each hop vector batch (B, dim_h) to latents (B, k)."""
-    out: dict[int, nd.Node] = {}
+def condition(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig,
+              contexts: dict[int, np.ndarray]) -> dict[tuple[int, int], nd.Node]:
+    """Record the part of the denoiser that reads only the hop contexts
+    `contexts[h]` (B, hop_dim(h)): each hop's encoder, token expansion and
+    per-layer query projection. Nothing here depends on u_t or t, so
+    inference records it once per batch. Returns {(layer, hop): queries
+    (B, seq, d)}, empty for the variants whose attention takes no hop
+    queries ("self-attn" draws them from the tokens)."""
+    missing = [h for h in config.hop_list if h not in contexts]
+    if missing:
+        raise ContractError(f"missing contexts for hops {missing}")
     for h in config.hop_list:
-        c = ctx_nodes[h]
-        n_h = c.value.shape[-1]
+        n_h = np.shape(contexts[h])[-1]
         if n_h != config.hop_dim(h):
             raise ShapeError(f"hop {h} context has width {n_h}, expected {config.hop_dim(h)}")
+    if config.variant in ("self-attn", "no-cross-attn"):
+        return {}
+
+    dtype = leaves["collapse"].value.dtype
+    queries: dict[tuple[int, int], nd.Node] = {}
+    for h in config.hop_list:
+        c = tape.leaf(np.asarray(contexts[h], dtype=dtype))
         if config.variant == "no-ae":
-            pad = tape.leaf(_identity_pad(n_h, config.width, c.value.dtype))
-            out[h] = tape.record("matmul", c, pad)
-            continue
-        out[h] = tape.record("matmul", c, leaves[f"enc_hop{h}"])
-    return out
+            pad = tape.leaf(_identity_pad(config.hop_dim(h), config.width, dtype))
+            z = tape.record("matmul", c, pad)
+        else:
+            z = tape.record("matmul", c, leaves[f"enc_hop{h}"])
+        z3 = tape.record("reshape", z, shape=(len(c.value), config.seq_len, 1))
+        expanded = tape.record("matmul", z3, leaves["expand_ctx"])
+        for layer in range(1, config.layers + 1):
+            queries[layer, h] = tape.record("matmul", expanded,
+                                            leaves[f"attn{layer}_hop{h}_q"])
+    return queries
 
 
-def camae_forward(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig,
-                  u_t: np.ndarray, contexts: dict[int, np.ndarray],
-                  t: np.ndarray) -> nd.Node:
-    """Record the full denoiser on `tape`; returns the node of the
-    reconstructed interaction rows (B, |items|).
-
-    `u_t` is (B, |items|), `contexts[h]` is (B, hop_dim(h)) for h in 2..H,
-    and `t` holds B integer timesteps.
-    """
+def denoise(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig,
+            u_t: np.ndarray, queries: dict[tuple[int, int], nd.Node],
+            t: np.ndarray) -> nd.Node:
+    """Record the part of the denoiser that reads the noised rows `u_t`
+    (B, |items|) and their B integer timesteps `t`, attending with the
+    `queries` that `condition` recorded; returns the node of the
+    reconstructed interaction rows (B, |items|)."""
     u_t = np.asarray(u_t)
     if u_t.ndim != 2 or u_t.shape[1] != config.num_items:
         raise ShapeError(f"u_t must be (B, {config.num_items}), got {u_t.shape}")
@@ -196,14 +218,9 @@ def camae_forward(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig
     t = np.asarray(t).reshape(-1)
     if t.size != batch:
         raise ShapeError(f"t has {t.size} entries for batch {batch}")
-    missing = [h for h in config.hop_list if h not in contexts]
-    if missing:
-        raise ContractError(f"missing contexts for hops {missing}")
 
     dtype = leaves["collapse"].value.dtype
     u = tape.leaf(u_t.astype(dtype, copy=False))
-    ctx_nodes = {h: tape.leaf(np.asarray(contexts[h], dtype=dtype)) for h in config.hop_list}
-
     seq = config.seq_len
     z_obs = encode_interactions(tape, leaves, config, u)
     tokens = tape.record("matmul", tape.record("reshape", z_obs, shape=(batch, seq, 1)),
@@ -212,15 +229,6 @@ def camae_forward(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig
         emb = tape.leaf(nd.sinusoidal_embedding(t, config.attn_dim, dtype))
         tokens = tape.record("add", tokens, emb)
 
-    z_hops = encode_hops(tape, leaves, config, ctx_nodes)
-    queries: dict[int, nd.Node] = {}
-    for h in config.hop_list:
-        if config.variant == "self-attn":
-            queries[h] = tokens
-        else:
-            zh3 = tape.record("reshape", z_hops[h], shape=(batch, seq, 1))
-            queries[h] = tape.record("matmul", zh3, leaves["expand_ctx"])
-
     state = tokens
     for layer in range(1, config.layers + 1):
         hop_outs = []
@@ -228,7 +236,10 @@ def camae_forward(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig
             if config.variant == "no-cross-attn":
                 attended = state
             else:
-                q = tape.record("matmul", queries[h], leaves[f"attn{layer}_hop{h}_q"])
+                if config.variant == "self-attn":
+                    q = tape.record("matmul", tokens, leaves[f"attn{layer}_hop{h}_q"])
+                else:
+                    q = queries[layer, h]
                 key = tape.record("matmul", state, leaves[f"attn{layer}_hop{h}_k"])
                 val = tape.record("matmul", state, leaves[f"attn{layer}_hop{h}_v"])
                 attended = tape.record("cross_attention", q, key, val)
@@ -246,12 +257,14 @@ def camae_forward(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig
     return tape.record("matmul", y, leaves["dec_items"])
 
 
-def run_batch(params: dict[str, np.ndarray], config: CamAeConfig, u_t: np.ndarray,
-              contexts: dict[int, np.ndarray], t):
-    """Bind `params` as plain leaves of a fresh tape and record the denoiser
-    on it, for inference: the tape keeps no node at all. A scalar `t`
-    applies to every row. Returns (tape, {param name: leaf node}, output node)."""
-    tape = nd.Tape()
-    leaves = {name: tape.leaf(value) for name, value in params.items()}
-    t = np.full(u_t.shape[0], t, dtype=np.int64) if np.isscalar(t) else np.asarray(t)
-    return tape, leaves, camae_forward(tape, leaves, config, u_t, contexts, t)
+def camae_forward(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig,
+                  u_t: np.ndarray, contexts: dict[int, np.ndarray],
+                  t: np.ndarray) -> nd.Node:
+    """Record the full denoiser on `tape`, conditioning and denoising back
+    to back; returns the node of the reconstructed interaction rows
+    (B, |items|).
+
+    `u_t` is (B, |items|), `contexts[h]` is (B, hop_dim(h)) for h in 2..H,
+    and `t` holds B integer timesteps.
+    """
+    return denoise(tape, leaves, config, u_t, condition(tape, leaves, config, contexts), t)

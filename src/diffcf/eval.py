@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import camae
+from . import camae, ndtensor as nd
 from .dataset import (InteractionMatrix, TAG_TRAIN, TAG_VAL, TAG_TEST, dense_rows,
                       item_popularity, users_with_tag)
 from .errors import ContractError, NumericError
@@ -34,14 +34,19 @@ def denoise_infer(params: dict, config: camae.CamAeConfig, sched: NoiseSchedule,
     """Corrupt-then-denoise scores for a batch of observed rows.
 
     infer_steps = 0 skips corruption entirely and runs one denoiser pass
-    at t = 1 on the clean input.
+    at t = 1 on the clean input. The parameters are bound as plain leaves
+    of one tape, which keeps no node, and the batch is conditioned on its
+    hop contexts once, for every step.
     """
     if not 0 <= infer_steps <= sched.T:
         raise ContractError(f"infer_steps must lie in 0..{sched.T}, got {infer_steps}")
+    tape = nd.Tape()
+    leaves = {name: tape.leaf(value) for name, value in params.items()}
+    queries = camae.condition(tape, leaves, config, contexts)
 
     def denoise(u: np.ndarray, t: int) -> np.ndarray:
-        _, _, out = camae.run_batch(params, config, u, contexts, t)
-        return out.value
+        steps = np.full(len(u), t, dtype=np.int64)
+        return camae.denoise(tape, leaves, config, u, queries, steps).value
 
     if infer_steps == 0:
         scores = denoise(u_obs, 1)

@@ -103,13 +103,26 @@ def sinusoidal_embedding(t: np.ndarray, dim: int, dtype=DTYPE) -> np.ndarray:
 # within ATTN_CHUNK_BYTES each instead of materialising every (B, m, n)
 # temporary at once.
 #
-# The forward normalises after the product, as FlashAttention does: each
-# chunk's scores are shifted by their row max and exponentiated in place,
-# and one product with [v | 1] gives the unnormalised output and the row
-# sums together. The backward keeps only the row log-sum-exp (B, m) of
-# the forward, rebuilds the softmax from it chunk by chunk, and uses
-# rowsum(dO * O) in place of rowsum(dP * P), so no (B, m, n) array lives
-# between the two passes.
+# The forward normalises after the product, as FlashAttention does, and
+# folds every elementwise step it can into the products it makes anyway.
+# The queries are scaled by 1/sqrt(d) before their product with the keys
+# (exact for d a power of 4), so a chunk's scores come out of that product
+# ready to exponentiate. The row max is taken only when a chunk's logits
+# could overflow or underflow: their Cauchy-Schwarz bound, the largest row
+# norm of the scaled queries times that of the keys, stays within
+# `_logit_limit` on ordinary inputs, and then exp runs on the scores as
+# they are. So a score block sees three passes: the product, exp in place,
+# and one product with [v | 1] that gives the unnormalised output and the
+# row sums together. Past the limit, each row is shifted by its max first.
+# The backward keeps only the row log-sum-exp (B, m) of the forward and
+# rebuilds the softmax from it chunk by chunk, as exp([q/sqrt(d), -lse]
+# [k, 1]^T), so the scale and the shift happen inside the product. It
+# forms dP - rowsum(dO * O) as [dO, -rowsum(dO * O)] [v, 1]^T, uses
+# rowsum(dO * O) in place of rowsum(dP * P), and multiplies by P in place;
+# 1/sqrt(d) is applied to the (B, m, d) query gradient, and the key
+# gradient is taken against the scaled queries. That is two elementwise
+# passes over a score block, and no (B, m, n) array lives between the two
+# passes.
 #
 # Both passes run their chunks on one worker thread per CPU the process
 # may use (numpy releases the GIL in its loops and in BLAS), each worker
@@ -117,9 +130,9 @@ def sinusoidal_embedding(t: np.ndarray, dim: int, dtype=DTYPE) -> np.ndarray:
 # small enough that OpenBLAS runs it on the calling thread: it hands a
 # gemm with m*n*k above 2**18 to its own threads, which would then fight
 # the workers for the same CPUs. Chunk and block boundaries depend only on
-# the operand shapes, so the values depend neither on the worker count nor
-# on the BLAS thread count, and match a whole-batch computation up to
-# rounding.
+# the operand shapes, and a chunk's route only on its values, so the
+# results depend neither on the worker count nor on the BLAS thread count,
+# and match a whole-batch computation up to rounding.
 
 ATTN_CHUNK_BYTES = 1 << 22
 
@@ -143,16 +156,17 @@ def _gemm(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _exp_scores(q: np.ndarray, k: np.ndarray, s: np.ndarray, shift=None) -> np.ndarray:
-    """Writes exp(q k^T / sqrt(d) - shift) into `s`, shifting each row by
-    its max when no shift is given; returns the shift."""
-    _gemm(q, _swap(k), s)
-    s *= np.asarray(1.0 / math.sqrt(q.shape[-1]), dtype=s.dtype)
-    if shift is None:
-        shift = s.max(axis=-1, keepdims=True)
-    s -= shift
-    np.exp(s, out=s)
-    return shift
+def _logit_limit(dtype, n: int) -> float:
+    """Largest logit magnitude that exp may take without a row-max shift:
+    half the range in which e^-logit stays a normal number and n terms
+    e^logit sum below the dtype's largest, so that a row sum, and its
+    product with the values, stays far from either end."""
+    fi = np.finfo(dtype)
+    return 0.5 * min(math.log(float(fi.max) / n), -math.log(float(fi.tiny)))
+
+
+def _max_row_norm(x: np.ndarray) -> float:
+    return math.sqrt(float(np.einsum("...i,...i->...", x, x).max()))
 
 
 def _map_chunks(batch: int, chunk: int, run) -> None:
@@ -180,24 +194,35 @@ def _map_chunks(batch: int, chunk: int, run) -> None:
 def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, keep_lse: bool):
     """Returns (output, float64 row log-sum-exp (B, m) or None)."""
     batch, chunk = len(q), _chunk_len(q, k)
-    m, n, e = q.shape[1], k.shape[1], v.shape[-1]
+    m, n, d, e = q.shape[1], k.shape[1], q.shape[2], v.shape[-1]
+    inv = q.dtype.type(1.0 / math.sqrt(d))
+    limit = _logit_limit(q.dtype, n)
     out = np.empty((batch, m, e), q.dtype)
     lse = np.empty((batch, m), np.float64) if keep_lse else None
 
     def run(starts):
         width = min(chunk, batch)
+        qs = np.empty((width, m, d), q.dtype)
         s = np.empty((width, m, n), q.dtype)
         v1 = np.ones((width, n, e + 1), q.dtype)
         acc = np.empty((width, m, e + 1), q.dtype)
         for lo in starts:
             part = slice(lo, lo + chunk)
             c = len(q[part])
-            shift = _exp_scores(q[part], k[part], s[:c])
+            qc, sc = np.multiply(q[part], inv, out=qs[:c]), s[:c]
+            _gemm(qc, _swap(k[part]), sc)
+            shift = None
+            if _max_row_norm(qc) * _max_row_norm(k[part]) > limit:
+                shift = sc.max(axis=-1, keepdims=True)
+                sc -= shift
+            np.exp(sc, out=sc)
             v1[:c, :, :e] = v[part]
-            _gemm(s[:c], v1[:c], acc[:c])
+            _gemm(sc, v1[:c], acc[:c])
             np.divide(acc[:c, :, :e], acc[:c, :, e:], out=out[part])
             if keep_lse:
-                np.add(np.log(acc[:c, :, e], dtype=np.float64), shift[..., 0], out=lse[part])
+                np.log(acc[:c, :, e], out=lse[part], dtype=np.float64)
+                if shift is not None:
+                    lse[part] += shift[..., 0]
 
     _map_chunks(batch, chunk, run)
     return out, lse
@@ -208,28 +233,38 @@ def _attention_backward(q: np.ndarray, k: np.ndarray, v: np.ndarray, out: np.nda
     """Gradients for (q, k, v) from the forward's output and row log-sum-exp
     and the output grad."""
     batch, chunk = len(q), _chunk_len(q, k)
+    m, n, d, e = q.shape[1], k.shape[1], q.shape[2], v.shape[-1]
     dtype = np.result_type(q, g)
-    inv = np.asarray(1.0 / math.sqrt(q.shape[-1]), dtype=dtype)
+    inv = dtype.type(1.0 / math.sqrt(d))
     grads = [np.empty(x.shape, dtype) for x in (q, k, v)]
     gq, gk, gv = grads
 
     def run(starts):
         width = min(chunk, batch)
-        p = np.empty((width, q.shape[1], k.shape[1]), dtype)
+        qa = np.empty((width, m, d + 1), dtype)  # [q / sqrt(d), -lse]
+        ka = np.ones((width, n, d + 1), dtype)   # [k, 1]
+        ga = np.empty((width, m, e + 1), dtype)  # [dO, -rowsum(dO * O)]
+        va = np.ones((width, n, e + 1), dtype)   # [v, 1]
+        p = np.empty((width, m, n), dtype)
         ds = np.empty_like(p)
         for lo in starts:
             part = slice(lo, lo + chunk)
             c, gc = len(q[part]), g[part]
-            pc, dc = p[:c], ds[:c]
-            _exp_scores(q[part], k[part], pc, lse[part, :, None].astype(dtype))
+            pc, dc, qc = p[:c], ds[:c], qa[:c]
+            np.multiply(q[part], inv, out=qc[..., :d])
+            np.negative(lse[part], out=qc[..., d])
+            ka[:c, :, :d] = k[part]
+            np.exp(_gemm(qc, _swap(ka[:c]), pc), out=pc)
             _gemm(_swap(pc), gc, gv[part])
-            _gemm(gc, _swap(v[part]), dc)
-            dc -= np.multiply(gc, out[part]).sum(axis=-1, keepdims=True,
-                                                 dtype=np.float64).astype(dtype)
+            ga[:c, :, :e] = gc
+            np.negative(np.multiply(gc, out[part]).sum(axis=-1, dtype=np.float64),
+                        out=ga[:c, :, e])
+            va[:c, :, :e] = v[part]
+            _gemm(ga[:c], _swap(va[:c]), dc)
             dc *= pc
-            dc *= inv
             _gemm(dc, k[part], gq[part])
-            _gemm(_swap(dc), q[part], gk[part])
+            gq[part] *= inv
+            _gemm(_swap(dc), qc[..., :d], gk[part])
 
     _map_chunks(batch, chunk, run)
     return grads

@@ -185,9 +185,10 @@ def fit(params: dict, model_cfg: camae.CamAeConfig, train_cfg: TrainConfig,
         adam: nd.AdamState | None = None, start_epoch: int = 1,
         quiet: bool = True, fit_state: dict[str, float] | None = None) -> FitResult:
     """Epoch loop with periodic validation, early stopping on NDCG@k, an
-    optional wall-clock budget, and best-checkpoint saving. When the loop
-    ends, whatever the reason, the final parameters, Adam state and fit
-    state go to `last.cfck` beside the checkpoint. A resumed run passes
+    optional wall-clock budget, and best-checkpoint saving. After every
+    epoch the parameters, Adam state and fit state go to `last.cfck`
+    beside the checkpoint, so a run that is killed loses at most the epoch
+    it was in, and one that ends keeps its final state. A resumed run passes
     the `fit_state` saved with its checkpoint (`nd.FIT_KEYS`), so it beats
     the stored best before it overwrites the checkpoint, and patience
     counts on from where it stopped. The log at `log_path` gets one line
@@ -243,6 +244,8 @@ def fit(params: dict, model_cfg: camae.CamAeConfig, train_cfg: TrainConfig,
                 log_f.flush()
             if not quiet:
                 print(json.dumps(record, sort_keys=True))
+            if checkpoint_path is not None:
+                result.last_path = save(Path(checkpoint_path).with_name("last.cfck"))
             if stale >= train_cfg.patience:
                 result.stopped_reason = f"no val improvement in {stale} evals"
                 break
@@ -254,6 +257,4 @@ def fit(params: dict, model_cfg: camae.CamAeConfig, train_cfg: TrainConfig,
     finally:
         if log_f:
             log_f.close()
-    if checkpoint_path is not None:
-        result.last_path = save(Path(checkpoint_path).with_name("last.cfck"))
     return result

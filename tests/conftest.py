@@ -25,14 +25,24 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+def _bound_forward(params, config, u_t, contexts, t, trainable):
+    tape = nd.Tape()
+    leaves = {name: tape.leaf(value, trainable=trainable) for name, value in params.items()}
+    t = np.full(len(u_t), t, dtype=np.int64) if np.isscalar(t) else np.asarray(t)
+    return tape, leaves, camae.camae_forward(tape, leaves, config, u_t, contexts, t)
+
+
 def trainable_forward(params, config, u_t, contexts, t):
     """Record the denoiser on a fresh tape with every parameter bound as a
     trainable leaf, as `train.train_step` binds them; a scalar `t` applies
     to every row. Returns (tape, {param name: leaf node}, output node)."""
-    tape = nd.Tape()
-    leaves = {name: tape.leaf(value, trainable=True) for name, value in params.items()}
-    t = np.full(len(u_t), t, dtype=np.int64) if np.isscalar(t) else np.asarray(t)
-    return tape, leaves, camae.camae_forward(tape, leaves, config, u_t, contexts, t)
+    return _bound_forward(params, config, u_t, contexts, t, trainable=True)
+
+
+def inference_forward(params, config, u_t, contexts, t):
+    """As `trainable_forward`, with the parameters bound as plain leaves,
+    as `eval.denoise_infer` binds them: the tape keeps no node at all."""
+    return _bound_forward(params, config, u_t, contexts, t, trainable=False)
 
 
 def make_matrix(user_items: list[list[int]], num_items: int | None = None,

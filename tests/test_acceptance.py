@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_matrix, record_acceptance
+from conftest import inference_forward, make_matrix, record_acceptance
 from diffcf import bench, camae, cli, dataset, eval as evaluation, graph
 from diffcf import ndtensor as nd, train
 from diffcf.camae import CamAeConfig
@@ -399,7 +399,7 @@ def _frozen_batch_loss(params, cfg, sched, matrix, contexts) -> float:
     target = posterior_mean(u_t, u0, t, sched)
     scale = np.sqrt(train.step_weights(t, sched, "vlb") / users.size) \
         .astype(np.float32)
-    tape, _, out = camae.run_batch(params, cfg, u_t, ctx, t)
+    tape, _, out = inference_forward(params, cfg, u_t, ctx, t)
     scaled = tape.record("scale", out, factor=scale[:, None])
     loss = tape.record("mse", scaled, tape.leaf(target * scale[:, None]))
     return float(loss.value)

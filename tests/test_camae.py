@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import trainable_forward
+from conftest import inference_forward, trainable_forward
 from diffcf import camae, eval as evaluation, ndtensor as nd, train
 from diffcf.camae import CamAeConfig
 from diffcf.errors import ContractError, ShapeError
@@ -220,7 +220,7 @@ class TestForwardOracle:
         cfg = small_config(variant=variant, t_embed=t_embed)
         params = random_params(cfg, seed=7)
         u_t, contexts, t = random_inputs(cfg, batch=3, seed=8)
-        tape, _, out = camae.run_batch(params, cfg, u_t, contexts, t)
+        tape, _, out = inference_forward(params, cfg, u_t, contexts, t)
         got = out.value
         want = forward_oracle(params, cfg, u_t, contexts, t)
         assert got.shape == (3, cfg.num_items)
@@ -231,7 +231,7 @@ class TestForwardOracle:
         cfg = small_config(num_users=9, num_items=4)
         params = random_params(cfg, seed=9)
         u_t, contexts, t = random_inputs(cfg, batch=2, seed=10)
-        tape, _, out = camae.run_batch(params, cfg, u_t, contexts, t)
+        tape, _, out = inference_forward(params, cfg, u_t, contexts, t)
         np.testing.assert_allclose(out.value,
                                    forward_oracle(params, cfg, u_t, contexts, t),
                                    rtol=1e-10, atol=1e-10)
@@ -240,7 +240,7 @@ class TestForwardOracle:
         cfg = small_config(hops=4, hop_weights=(0.5, 0.3, 0.2), layers=1)
         params = random_params(cfg, seed=11)
         u_t, contexts, t = random_inputs(cfg, batch=2, seed=12)
-        tape, _, out = camae.run_batch(params, cfg, u_t, contexts, t)
+        tape, _, out = inference_forward(params, cfg, u_t, contexts, t)
         np.testing.assert_allclose(out.value,
                                    forward_oracle(params, cfg, u_t, contexts, t),
                                    rtol=1e-10, atol=1e-10)
@@ -249,12 +249,12 @@ class TestForwardOracle:
         cfg = small_config(residual=True, layers=3)
         params = random_params(cfg, seed=13)
         u_t, contexts, t = random_inputs(cfg, batch=2, seed=14)
-        tape, _, out = camae.run_batch(params, cfg, u_t, contexts, t)
+        tape, _, out = inference_forward(params, cfg, u_t, contexts, t)
         np.testing.assert_allclose(out.value,
                                    forward_oracle(params, cfg, u_t, contexts, t),
                                    rtol=1e-10, atol=1e-10)
-        plain = camae.run_batch(params, small_config(layers=3), u_t,
-                                contexts, t)
+        plain = inference_forward(params, small_config(layers=3), u_t,
+                                  contexts, t)
         assert not np.allclose(out.value, plain[2].value)
 
     @pytest.mark.parametrize("num_users", [5, 9])
@@ -272,7 +272,7 @@ class TestForwardOracle:
             return recorded[-1]
 
         monkeypatch.setattr(nd.Tape, "record", spy)
-        _, _, out = camae.run_batch(params, cfg, u_t, contexts, t)
+        _, _, out = inference_forward(params, cfg, u_t, contexts, t)
         collapsed, last = recorded[-2:]
         assert last is out and collapsed.value.shape == (3, cfg.width)
         assert np.array_equal(out.value, collapsed.value[:, :cfg.num_items])
@@ -281,7 +281,7 @@ class TestForwardOracle:
         cfg = small_config()
         params = random_params(cfg, seed=13, dtype=np.float32)
         u_t, contexts, t = random_inputs(cfg, batch=2, seed=14)
-        tape, _, out = camae.run_batch(params, cfg, u_t, contexts, t)
+        tape, _, out = inference_forward(params, cfg, u_t, contexts, t)
         assert out.value.dtype == np.float32
 
 
@@ -292,7 +292,7 @@ class TestStructuralProperties:
         params = random_params(cfg, seed=15)
         u_t = np.zeros((2, cfg.num_items))
         contexts = {h: np.zeros((2, cfg.hop_dim(h))) for h in cfg.hop_list}
-        tape, _, out = camae.run_batch(params, cfg, u_t, contexts, t=1)
+        tape, _, out = inference_forward(params, cfg, u_t, contexts, t=1)
         np.testing.assert_array_equal(out.value, 0.0)
 
     def test_timestep_sensitivity_tracks_flag(self):
@@ -300,8 +300,8 @@ class TestStructuralProperties:
         for t_embed, should_differ in ((True, True), (False, False)):
             cfg = small_config(t_embed=t_embed)
             params = random_params(cfg, seed=17)
-            tape1, _, o1 = camae.run_batch(params, cfg, u_t, contexts, t=1)
-            tape2, _, o2 = camae.run_batch(params, cfg, u_t, contexts, t=9)
+            tape1, _, o1 = inference_forward(params, cfg, u_t, contexts, t=1)
+            tape2, _, o2 = inference_forward(params, cfg, u_t, contexts, t=9)
             same = np.array_equal(o1.value, o2.value)
             assert same != should_differ
 
@@ -309,32 +309,32 @@ class TestStructuralProperties:
         cfg = small_config(variant="self-attn")
         params = random_params(cfg, seed=18)
         u_t, contexts, t = random_inputs(cfg, batch=2, seed=19)
-        tape, _, out = camae.run_batch(params, cfg, u_t, contexts, t)
+        tape, _, out = inference_forward(params, cfg, u_t, contexts, t)
         mutated = {k: v.copy() for k, v in params.items()}
         for name in ("enc_hop2", "enc_hop3", "expand_ctx"):
             mutated[name] += 100.0
         other = {h: v + 5.0 for h, v in contexts.items()}
-        tape2, _, out2 = camae.run_batch(mutated, cfg, u_t, other, t)
+        tape2, _, out2 = inference_forward(mutated, cfg, u_t, other, t)
         np.testing.assert_array_equal(out.value, out2.value)
 
     def test_no_cross_attn_ignores_attention_weights(self):
         cfg = small_config(variant="no-cross-attn")
         params = random_params(cfg, seed=20)
         u_t, contexts, t = random_inputs(cfg, batch=2, seed=21)
-        tape, _, out = camae.run_batch(params, cfg, u_t, contexts, t)
+        tape, _, out = inference_forward(params, cfg, u_t, contexts, t)
         mutated = {k: (v + 100.0 if "attn" in k else v.copy())
                    for k, v in params.items()}
-        tape2, _, out2 = camae.run_batch(mutated, cfg, u_t, contexts, t)
+        tape2, _, out2 = inference_forward(mutated, cfg, u_t, contexts, t)
         np.testing.assert_array_equal(out.value, out2.value)
 
     def test_full_variant_uses_attention_weights(self):
         cfg = small_config()
         params = random_params(cfg, seed=22)
         u_t, contexts, t = random_inputs(cfg, batch=2, seed=23)
-        tape, _, out = camae.run_batch(params, cfg, u_t, contexts, t)
+        tape, _, out = inference_forward(params, cfg, u_t, contexts, t)
         mutated = {k: (v + 1.0 if k == "attn1_hop2_q" else v.copy())
                    for k, v in params.items()}
-        tape2, _, out2 = camae.run_batch(mutated, cfg, u_t, contexts, t)
+        tape2, _, out2 = inference_forward(mutated, cfg, u_t, contexts, t)
         assert not np.array_equal(out.value, out2.value)
 
 
@@ -344,13 +344,13 @@ class TestContracts:
         params = random_params(cfg, seed=24)
         u_t, contexts, t = random_inputs(cfg, batch=2, seed=25)
         with pytest.raises(ShapeError):
-            camae.run_batch(params, cfg, u_t[:, :-1], contexts, t)
+            inference_forward(params, cfg, u_t[:, :-1], contexts, t)
         with pytest.raises(ShapeError):
-            camae.run_batch(params, cfg, u_t, contexts, t[:-1])
+            inference_forward(params, cfg, u_t, contexts, t[:-1])
         bad = dict(contexts)
         bad[2] = bad[2][:, :-1]
         with pytest.raises(ShapeError):
-            camae.run_batch(params, cfg, u_t, bad, t)
+            inference_forward(params, cfg, u_t, bad, t)
 
     def test_missing_context_hop(self):
         cfg = small_config()
@@ -358,7 +358,7 @@ class TestContracts:
         u_t, contexts, t = random_inputs(cfg, batch=2, seed=27)
         del contexts[3]
         with pytest.raises(ContractError):
-            camae.run_batch(params, cfg, u_t, contexts, t)
+            inference_forward(params, cfg, u_t, contexts, t)
 
 
 class TestConvenienceWrappers:
@@ -366,9 +366,9 @@ class TestConvenienceWrappers:
         cfg = small_config()
         params = random_params(cfg, seed=28)
         u_t, contexts, _ = random_inputs(cfg, batch=3, seed=29)
-        tape1, _, o1 = camae.run_batch(params, cfg, u_t, contexts, 4)
-        tape2, _, o2 = camae.run_batch(params, cfg, u_t, contexts,
-                                       np.array([4, 4, 4]))
+        tape1, _, o1 = inference_forward(params, cfg, u_t, contexts, 4)
+        tape2, _, o2 = inference_forward(params, cfg, u_t, contexts,
+                                         np.array([4, 4, 4]))
         np.testing.assert_array_equal(o1.value, o2.value)
 
     def test_gradients_reach_every_parameter(self):

@@ -321,10 +321,18 @@ def chunk_len(m, n, dtype):
     return max(1, nd.ATTN_CHUNK_BYTES // (m * n * np.dtype(dtype).itemsize))
 
 
+def logit_bound(q, k):
+    """Cauchy-Schwarz bound on every logit of q k^T / sqrt(d): the longest
+    query row times the longest key row."""
+    longest = [np.linalg.norm(x.astype(np.float64), axis=-1).max() for x in (q, k)]
+    return longest[0] * longest[1] / math.sqrt(q.shape[-1])
+
+
 class TestChunkedAttention:
     """The chunked kernel against the whole-batch oracle, to rounding: it
-    normalises after the product and rebuilds the softmax in its backward,
-    so its sums run in another order than the oracle's."""
+    normalises after the product, skips the row-max shift when the logits
+    are bounded, and rebuilds the softmax in its backward, so its sums run
+    in another order than the oracle's."""
 
     # Large enough that a handful of users fill a chunk of the budget.
     M, N, D, DV = 384, 512, 8, 5
@@ -354,7 +362,55 @@ class TestChunkedAttention:
             q = rng.standard_normal((batch, self.M, self.D)).astype(dtype)
             k = rng.standard_normal((batch, self.N, self.D)).astype(dtype)
             v = rng.standard_normal((batch, self.N, self.DV)).astype(dtype)
+            # Bounded logits: every chunk exponentiates without the row max.
+            assert logit_bound(q, k) < nd._logit_limit(dtype, self.N)
             self.assert_matches_oracle(q, k, v, seed=batch)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_row_max_route_matches_oracle(self, dtype):
+        # Each user's first query row is far longer than the rest and
+        # orthogonal to every key: the bound passes the limit in every
+        # chunk, which then shifts by its row max, while the logits stay
+        # ordinary.
+        chunk = chunk_len(self.M, self.N, dtype)
+        rng = np.random.default_rng(48)
+        for batch in sorted({1, chunk + 1}):
+            q = rng.standard_normal((batch, self.M, self.D)).astype(dtype)
+            k = rng.standard_normal((batch, self.N, self.D)).astype(dtype)
+            v = rng.standard_normal((batch, self.N, self.DV)).astype(dtype)
+            k[..., 0] = 0
+            q[:, 0] = 0
+            q[:, 0, 0] = 1e4
+            assert min(logit_bound(q[b], k[b]) for b in range(batch)) \
+                > nd._logit_limit(dtype, self.N)
+            self.assert_matches_oracle(q, k, v, seed=batch)
+
+    @pytest.mark.parametrize("dtype, scale", [(np.float32, 6.0), (np.float64, 16.0)])
+    def test_logits_beyond_the_range_of_exp(self, dtype, scale):
+        # Logits past log(finfo.max) overflow exp unless each row is
+        # shifted by its max first: the kernel must take that route and
+        # give finite values. A logit of order 250 (float32) or 1800
+        # (float64) carries a rounding of eps times that, so each result is
+        # held to the dtype's tolerance relative to its largest entry.
+        rng = np.random.default_rng(46)
+        q = (rng.standard_normal((3, self.M, self.D)) * scale).astype(dtype)
+        k = (rng.standard_normal((3, self.N, self.D)) * scale).astype(dtype)
+        v = rng.standard_normal((3, self.N, self.DV)).astype(dtype)
+        logits = np.matmul(q, np.swapaxes(k, -1, -2), dtype=np.float64) / math.sqrt(self.D)
+        assert logits.max() > 2 * math.log(float(np.finfo(dtype).max))
+        tape = nd.Tape()
+        ids = [tape.leaf(x, trainable=True) for x in (q, k, v)]
+        node = tape.record("cross_attention", *ids)
+        want, want_s = whole_batch_attention(q, k, v)
+        g = rng.standard_normal(want.shape).astype(dtype)
+        got = dict(tape._vjp(node, g))
+        rtol = TOLERANCE[dtype]["rtol"]
+        pairs = [(node.value, want), (node.ctx["lse"], whole_batch_lse(q, k))]
+        pairs += [(got[leaf], gx) for leaf, gx in
+                  zip(ids, whole_batch_attention_vjp(q, k, v, want_s, g))]
+        for value, oracle in pairs:
+            assert np.isfinite(value).all()
+            np.testing.assert_allclose(value, oracle, rtol=0, atol=rtol * np.abs(oracle).max())
 
     @staticmethod
     def assert_rejected(shapes, dtype):

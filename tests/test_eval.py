@@ -5,14 +5,15 @@ The ranking oracle below sorts candidate lists with python tuples
 textbook definitions, sharing nothing with the vectorized path.
 """
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from conftest import make_matrix, trainable_forward
-from diffcf import camae, dataset, eval as evaluation, graph
+from conftest import inference_forward, make_matrix, trainable_forward
+from diffcf import camae, dataset, eval as evaluation, graph, ndtensor as nd
 from diffcf.camae import CamAeConfig
 from diffcf.dataset import TAG_TEST, TAG_TRAIN, TAG_VAL
 from diffcf.errors import ContractError, NumericError
@@ -233,20 +234,47 @@ class TestDenoiseInfer:
     def test_zero_steps_is_single_clean_pass(self, model_world):
         params, cfg, sched, u_obs, contexts = model_world
         got = evaluation.denoise_infer(params, cfg, sched, u_obs, contexts, 0)
-        tape, _, out = camae.run_batch(params, cfg, u_obs, contexts, 1)
+        tape, _, out = inference_forward(params, cfg, u_obs, contexts, 1)
         np.testing.assert_array_equal(got, out.value)
 
     def test_matches_manual_reverse_walk(self, model_world):
-        params, cfg, sched, u_obs, contexts = model_world
-        got = evaluation.denoise_infer(params, cfg, sched, u_obs, contexts, 3,
-                                       rng=np.random.default_rng(7))
-        rng = np.random.default_rng(7)
-        noise = rng.standard_normal(u_obs.shape).astype(u_obs.dtype)
-        u = diffuse_to(u_obs, 3, sched, noise)
-        for t in (3, 2, 1):
-            tape, _, out = camae.run_batch(params, cfg, u, contexts, t)
-            u = out.value
-        np.testing.assert_array_equal(got, u)
+        # Inference conditions once per batch; the oracle records the whole
+        # forward at every step. Same bits, in every variant.
+        _, cfg, sched, u_obs, contexts = model_world
+        for variant in camae.VARIANTS:
+            vcfg = dataclasses.replace(cfg, variant=variant)
+            params = camae.init_params(vcfg, seed=90)
+            got = evaluation.denoise_infer(params, vcfg, sched, u_obs, contexts, 3,
+                                           rng=np.random.default_rng(7))
+            rng = np.random.default_rng(7)
+            noise = rng.standard_normal(u_obs.shape).astype(u_obs.dtype)
+            u = diffuse_to(u_obs, 3, sched, noise)
+            for t in (3, 2, 1):
+                tape, _, out = inference_forward(params, vcfg, u, contexts, t)
+                u = out.value
+            np.testing.assert_array_equal(got, u, err_msg=variant)
+
+    @pytest.mark.parametrize("steps", [0, 1, 5])
+    def test_hop_encoders_run_once_per_call(self, model_world, monkeypatch, steps):
+        # Products that read a hop context: one per hop and call, whatever
+        # the step count, and none where attention takes no hop queries.
+        _, cfg, sched, u_obs, contexts = model_world
+        record = nd.Tape.record
+        reads = []
+
+        def spy(tape, op, *inputs, **const):
+            reads.extend(h for h, c in contexts.items()
+                         if any(node.value is c for node in inputs))
+            return record(tape, op, *inputs, **const)
+
+        monkeypatch.setattr(nd.Tape, "record", spy)
+        for variant in camae.VARIANTS:
+            vcfg = dataclasses.replace(cfg, variant=variant)
+            reads.clear()
+            evaluation.denoise_infer(camae.init_params(vcfg, seed=90), vcfg, sched, u_obs,
+                                     contexts, steps)
+            hop_queries = variant in ("full", "no-ae")
+            assert sorted(reads) == (list(cfg.hop_list) if hop_queries else []), variant
 
     def test_deterministic_given_rng_seed(self, model_world):
         params, cfg, sched, u_obs, contexts = model_world
@@ -285,14 +313,14 @@ class TestDenoiseInfer:
         contexts = {h: rng.random((5, cfg.hop_dim(h))).astype(np.float32)
                     for h in cfg.hop_list}
         tapes, outs = [], []
-        forward = camae.camae_forward
+        denoise = camae.denoise
 
         def spy(tape, *args, **kwargs):
             tapes.append(tape)
-            outs.append(forward(tape, *args, **kwargs))
+            outs.append(denoise(tape, *args, **kwargs))
             return outs[-1]
 
-        monkeypatch.setattr(camae, "camae_forward", spy)
+        monkeypatch.setattr(camae, "denoise", spy)
         got = evaluation.denoise_infer(params, cfg, sched, u_obs, contexts, steps,
                                        rng=np.random.default_rng(94))
         monkeypatch.undo()

@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import make_matrix
+from conftest import inference_forward, make_matrix
 from diffcf import camae, dataset, graph, ndtensor as nd, train
 from diffcf.camae import CamAeConfig
 from diffcf.errors import ContractError, NumericError
@@ -113,7 +113,7 @@ class TestTrainStep:
 
         u_t = diffuse_to(u0, t, sched, noise)
         target = posterior_mean(u_t, u0, t, sched)
-        tape, _, out = camae.run_batch(frozen, cfg, u_t, ctx, t)
+        tape, _, out = inference_forward(frozen, cfg, u_t, ctx, t)
         mu = out.value
         want = sum(vlb_term(int(t[i]), mu[i], target[i],
                                   sched.betas[t[i] - 1], weighting)
@@ -270,6 +270,41 @@ class TestFit:
         assert adam.lr == tc.lr and adam.beta1 == 0.9
         train.fit(params, cfg, tc, sched, matrix, contexts, checkpoint_path=runs["resumed"],
                   adam=adam, start_epoch=3, fit_state=nd.load_fit_state(stopped), **common)
+        whole = (tmp_path / "whole" / "last.cfck").read_bytes()
+        assert (tmp_path / "resumed" / "last.cfck").read_bytes() == whole
+
+    def test_killed_run_resumes_from_its_last_epoch_to_the_same_bytes(self, world, tmp_path,
+                                                                       monkeypatch):
+        # A run killed in epoch 2 leaves the last.cfck of epoch 1; resuming
+        # from it for 2..4 must end with the last.cfck of an uninterrupted
+        # 1..4 run, bit for bit.
+        matrix, contexts, cfg, sched = world
+        tc = train.TrainConfig(batch_size=4, lr=1e-3, epochs=4, seed=2, eval_every=2,
+                               patience=10, infer_steps=2, monitor_k=3)
+        runs = {}
+        for tag in ("whole", "killed", "resumed"):
+            (tmp_path / tag).mkdir()
+            runs[tag] = tmp_path / tag / "best.cfck"
+        common = dict(config_text="a = 1\n", quiet=True)
+        train.fit(camae.init_params(cfg, seed=70), cfg, tc, sched, matrix, contexts,
+                  checkpoint_path=runs["whole"], **common)
+        epoch_fn = train.train_epoch
+
+        def killed_in_epoch_2(*args):
+            if args[-1] == 2:
+                raise KeyboardInterrupt
+            return epoch_fn(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(train, "train_epoch", killed_in_epoch_2)
+            with pytest.raises(KeyboardInterrupt):
+                train.fit(camae.init_params(cfg, seed=70), cfg, tc, sched, matrix, contexts,
+                          checkpoint_path=runs["killed"], **common)
+        stopped = tmp_path / "killed" / "last.cfck"
+        params, adam, _, _ = nd.load_checkpoint(stopped)
+        assert adam.step == -(-matrix.num_users // tc.batch_size)  # one epoch
+        train.fit(params, cfg, tc, sched, matrix, contexts, checkpoint_path=runs["resumed"],
+                  adam=adam, start_epoch=2, fit_state=nd.load_fit_state(stopped), **common)
         whole = (tmp_path / "whole" / "last.cfck").read_bytes()
         assert (tmp_path / "resumed" / "last.cfck").read_bytes() == whole
 
