@@ -236,10 +236,8 @@ def denoise(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig,
             if config.variant == "no-cross-attn":
                 attended = state
             else:
-                if config.variant == "self-attn":
-                    q = tape.record("matmul", tokens, leaves[f"attn{layer}_hop{h}_q"])
-                else:
-                    q = queries[layer, h]
+                q = (tape.record("matmul", tokens, leaves[f"attn{layer}_hop{h}_q"])
+                     if config.variant == "self-attn" else queries[layer, h])
                 key = tape.record("matmul", state, leaves[f"attn{layer}_hop{h}_k"])
                 val = tape.record("matmul", state, leaves[f"attn{layer}_hop{h}_v"])
                 attended = tape.record("cross_attention", q, key, val)
