@@ -9,27 +9,26 @@ is requested, in which case every kept line must carry one.
 
 The in-memory form is CSR-like: `indptr` (per-user offsets), `indices`
 (item ids, ascending within a user), and `tags` (one byte per
-interaction: 0 train, 1 validation, 2 test). The binary file format
-serializes exactly those arrays little-endian behind a magic header, so
-writing is deterministic byte for byte.
+interaction: 0 train, 1 validation, 2 test). `matrix.cfdm` holds exactly
+those arrays and the item count, as named arrays in the container of
+`errors.write_arrays`, so writing is deterministic byte for byte.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-import struct
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import (ContractError, EmptyInputError, ExactReader, FormatError, ParseError,
-                     atomic_write)
+from .errors import (ContractError, EmptyInputError, FormatError, ParseError, get_array,
+                     read_arrays, write_arrays)
 
 TAG_TRAIN, TAG_VAL, TAG_TEST = 0, 1, 2
 _TAG_NAMES = {"train": TAG_TRAIN, "val": TAG_VAL, "test": TAG_TEST}
 
 _MAGIC = b"CFDM"
-_VERSION = 1
+_VERSION = 2  # 1 had a fixed header and no array names
 
 
 @dataclass(frozen=True)
@@ -208,36 +207,24 @@ def item_popularity(matrix: InteractionMatrix, tag: int = TAG_TRAIN) -> np.ndarr
 
 
 def save_matrix(path, matrix: InteractionMatrix) -> None:
-    with atomic_write(path) as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<H", _VERSION))
-        f.write(struct.pack("<Q", matrix.num_users))
-        f.write(struct.pack("<Q", matrix.num_items))
-        f.write(struct.pack("<Q", matrix.num_interactions))
-        f.write(matrix.indptr.astype("<u8").tobytes())
-        f.write(matrix.indices.astype("<u4").tobytes())
-        f.write(matrix.tags.astype("u1").tobytes())
+    write_arrays(path, _MAGIC, _VERSION, {
+        "num_items": np.uint64(matrix.num_items),
+        "indptr": matrix.indptr.astype("<u8", copy=False),
+        "indices": matrix.indices.astype("<u4", copy=False),
+        "tags": matrix.tags.astype("u1", copy=False)})
 
 
 def load_matrix(path) -> InteractionMatrix:
-    with open(path, "rb") as f:
-        r = ExactReader(f, path)
-        if r.read(4) != _MAGIC:
-            raise FormatError(f"{path}: not an interaction matrix file (bad magic)")
-        (version,) = r.unpack("<H")
-        if version != _VERSION:
-            raise FormatError(f"{path}: unsupported matrix version {version}")
-        num_users, num_items, nnz = r.unpack("<QQQ")
-        indptr = r.array("<u8", num_users + 1)
-        indices = r.array("<u4", nnz)
-        tags = r.array("u1", nnz)
-        r.end()
-    if indptr[0] != 0 or indptr[-1] != nnz or (indptr[1:] < indptr[:-1]).any():
-        raise FormatError(f"{path}: offsets are not 0..{nnz} non-decreasing")
+    arrays = read_arrays(path, _MAGIC, _VERSION, "interaction matrix")
+    num_items = int(get_array(arrays, path, "num_items", "<u8", ()))
+    indptr = get_array(arrays, path, "indptr", "<u8")
+    if indptr.size == 0 or indptr[0] != 0 or (indptr[1:] < indptr[:-1]).any():
+        raise FormatError(f"{path}: offsets must start at 0 and never decrease")
+    nnz = int(indptr[-1])
+    indices = get_array(arrays, path, "indices", "<u4", (nnz,))
+    tags = get_array(arrays, path, "tags", "|u1", (nnz,))
     if nnz and int(indices.max()) >= num_items:
         raise FormatError(f"{path}: an item id is >= the item count {num_items}")
     if nnz and int(tags.max()) > TAG_TEST:
         raise FormatError(f"{path}: a split tag is outside 0..{TAG_TEST}")
-    return InteractionMatrix(int(num_users), int(num_items),
-                             indptr.astype(np.uint64), indices.astype(np.uint32),
-                             tags.astype(np.uint8))
+    return InteractionMatrix(indptr.size - 1, num_items, indptr, indices, tags)

@@ -1,10 +1,19 @@
-"""Shared error taxonomy, and the exact reader and atomic writer of
-binary artifacts.
+"""Shared error taxonomy, and the one on-disk container of the binary
+artifacts.
 
 Every failure the package raises deliberately goes through one of these
 classes so the CLI can map it to an exit code and a stable stderr prefix.
+
+The interaction matrix, the context cache and the checkpoint are each a
+file of named arrays (`write_arrays`/`read_arrays`): a 4-byte magic, a
+little-endian u16 format version and u32 array count, then per array its
+name (u16 length, UTF-8), its dtype (3 ASCII bytes from `DTYPES`), its
+rank (u8) and shape (u64 each), and its little-endian bytes. A file can
+name only the dtypes of `DTYPES`, never an object dtype, and every length
+is checked against the file size before a buffer is allocated.
 """
 
+import math
 import os
 import struct
 from contextlib import contextmanager, suppress
@@ -119,3 +128,62 @@ def atomic_write(path, mode: str = "wb"):
         with suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+
+
+DTYPES = ("<f4", "<f8", "<i4", "<i8", "<u4", "<u8", "|u1")
+
+
+def write_arrays(path, magic: bytes, version: int, arrays: dict[str, np.ndarray]) -> None:
+    """Writes `arrays` in the container layout, atomically; the same
+    arrays give the same bytes."""
+    with atomic_write(path) as f:
+        f.write(magic + struct.pack("<HI", version, len(arrays)))
+        for name, arr in arrays.items():
+            arr, nb = np.asarray(arr), name.encode("utf-8")
+            code = arr.dtype.newbyteorder("<").str
+            if code not in DTYPES:
+                raise ContractError(f"array {name!r}: dtype {arr.dtype} is not one of {DTYPES}")
+            f.write(struct.pack(f"<H{len(nb)}s3sB{arr.ndim}Q", len(nb), nb, code.encode(),
+                                arr.ndim, *arr.shape))
+            f.write(np.ascontiguousarray(arr, dtype=code).reshape(-1))
+
+
+def read_arrays(path, magic: bytes, version: int, what: str) -> dict[str, np.ndarray]:
+    """The arrays of a container file whose magic marks `what`, in file
+    order. A bad magic or version, a dtype outside `DTYPES`, a repeated
+    name, and a cut or padded file are FormatErrors naming `path`."""
+    with open(path, "rb") as f:
+        r = ExactReader(f, path)
+        if r.read(len(magic)) != magic:
+            raise FormatError(f"{path}: not a {what} file (bad magic)")
+        (found,) = r.unpack("<H")
+        if found != version:
+            raise FormatError(f"{path}: unsupported {what} version {found}; "
+                              f"this build reads version {version}")
+        arrays: dict[str, np.ndarray] = {}
+        for _ in range(r.unpack("<I")[0]):
+            name = r.text(r.unpack("<H")[0])
+            code = r.read(3).decode("ascii", "replace")
+            if code not in DTYPES:
+                raise FormatError(f"{path}: array {name!r} has dtype {code!r}, "
+                                  f"not one of {' '.join(DTYPES)}")
+            if name in arrays:
+                raise FormatError(f"{path}: array {name!r} appears twice")
+            shape = r.unpack(f"<{r.unpack('<B')[0]}Q")
+            arrays[name] = r.array(code, math.prod(shape)).reshape(shape)
+        r.end()
+    return arrays
+
+
+def get_array(arrays: dict[str, np.ndarray], path, name: str, dtype: str,
+              shape: tuple = (None,)) -> np.ndarray:
+    """`arrays[name]`, which must be of `dtype` and `shape` (None matches
+    any length), or a FormatError naming `path` and the array."""
+    arr = arrays.get(name)
+    if arr is None:
+        raise FormatError(f"{path}: array {name!r} is missing")
+    if arr.dtype.str != dtype or arr.ndim != len(shape) or any(
+            want not in (None, got) for want, got in zip(shape, arr.shape)):
+        raise FormatError(f"{path}: array {name!r} is {arr.dtype.str} of shape {arr.shape}, "
+                          f"not {dtype} of shape {shape}")
+    return arr

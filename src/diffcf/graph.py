@@ -30,23 +30,23 @@ totals stay far below 2**24); they are divided in float64 and rounded
 once to float32, so both routes give identical bits. The tests keep a
 per-user BFS as the reference.
 
-The cache file stores each hop's CSR arrays contiguously behind a short
-header, so reading it is one read per array.
+The cache file holds each hop's CSR arrays as named arrays in the
+container of `errors.write_arrays`, so reading it is one read per array,
+and the arrays it reads back the CSR matrices without a copy.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .dataset import InteractionMatrix, as_csr
-from .errors import ContractError, ExactReader, FormatError, atomic_write
+from .errors import ContractError, FormatError, get_array, read_arrays, write_arrays
 
 _MAGIC = b"CFHC"
-_VERSION = 2
+_VERSION = 3  # 2 had a fixed header and no array names
 
 # Route costs, in units of one sparse multiply-add on this class of
 # hardware (about 15 ns on a 2-CPU x86 VM with OpenBLAS). In that time a
@@ -228,49 +228,41 @@ def build_contexts(matrix: InteractionMatrix, H: int, chunk: int = 2048) -> HopC
 
 
 def save_contexts(path, ctxs: HopContexts) -> None:
-    """Header (dimensions, depth H, nonzeros per hop), then for each hop
-    2..H its CSR indptr (u64), indices (u32) and data (f32)."""
+    """The dimensions, the hop list 2..H, and for each hop h its CSR arrays
+    `hop{h}.indptr` (u64), `.indices` (u32) and `.data` (f32)."""
     hops = ctxs.hop_list
     if not hops or hops != tuple(range(2, hops[-1] + 1)):
         raise ContractError(f"cache expects contiguous hops starting at 2, got {hops}")
-    with atomic_write(path) as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<H", _VERSION))
-        f.write(struct.pack("<QQH", ctxs.num_users, ctxs.num_items, hops[-1]))
-        f.write(struct.pack(f"<{len(hops)}Q", *(ctxs.hops[h].nnz for h in hops)))
-        for h in hops:
-            a = ctxs.hops[h]
-            for arr, dtype in ((a.indptr, "<u8"), (a.indices, "<u4"), (a.data, "<f4")):
-                f.write(np.ascontiguousarray(arr, dtype=dtype))
+    arrays = {"dims": np.array([ctxs.num_users, ctxs.num_items], "<u8"),
+              "hops": np.array(hops, "<u8")}
+    for h in hops:
+        a = ctxs.hops[h]
+        arrays |= {f"hop{h}.indptr": a.indptr.astype("<u8", copy=False),
+                   f"hop{h}.indices": a.indices.astype("<u4", copy=False),
+                   f"hop{h}.data": a.data.astype("<f4", copy=False)}
+    write_arrays(path, _MAGIC, _VERSION, arrays)
 
 
 def load_contexts(path) -> HopContexts:
     """Read a cache written by `save_contexts`. The file comes from outside
-    the program, so its length, offsets and indices are all checked."""
-    with open(path, "rb") as f:
-        r = ExactReader(f, path)
-        if r.read(4) != _MAGIC:
-            raise FormatError(f"{path}: not a context cache (bad magic)")
-        (version,) = r.unpack("<H")
-        if version != _VERSION:
-            raise FormatError(f"{path}: unsupported cache version {version}")
-        num_users, num_items, H = r.unpack("<QQH")
-        if H < 2 or max(num_users, num_items) >= 2**31:
-            raise FormatError(f"{path}: implausible header {num_users}x{num_items}, H={H}")
-        nnz = r.unpack(f"<{H - 1}Q")
-        size = f.tell() + sum(8 * (num_users + 1) + 8 * n for n in nnz)
-        if size != r.size:
-            raise FormatError(f"{path}: {r.size} bytes where the header implies {size}")
-        hops = {}
-        for h, n in zip(range(2, H + 1), nnz):
-            dim = _side_dim(h, num_users, num_items)
-            indptr, indices = r.array("<u8", num_users + 1), r.array("<u4", n)
-            if indptr[0] != 0 or indptr[-1] != n or (indptr[1:] < indptr[:-1]).any():
-                raise FormatError(f"{path}: hop {h} offsets are not 0..{n} non-decreasing")
-            if n and int(indices.max()) >= dim:
-                raise FormatError(f"{path}: hop {h} has an index >= its dimension {dim}")
-            hops[h] = sp.csr_matrix(
-                (r.array("<f4", n), indices.view("<i4"), indptr.view("<i8")),
-                shape=(num_users, dim))
-        r.end()
-    return HopContexts(int(num_users), int(num_items), hops)
+    the program, so its offsets and indices are all checked; the arrays
+    back the CSR matrices without a copy."""
+    arrays = read_arrays(path, _MAGIC, _VERSION, "context cache")
+    num_users, num_items = map(int, get_array(arrays, path, "dims", "<u8", (2,)))
+    hops = get_array(arrays, path, "hops", "<u8").tolist()
+    if not hops or hops != list(range(2, len(hops) + 2)) or max(num_users, num_items) >= 2**31:
+        raise FormatError(f"{path}: implausible header {num_users}x{num_items}, hops {hops}")
+    ctxs = {}
+    for h in hops:
+        dim = _side_dim(h, num_users, num_items)
+        indptr = get_array(arrays, path, f"hop{h}.indptr", "<u8", (num_users + 1,))
+        n = int(indptr[-1])
+        if indptr[0] != 0 or (indptr[1:] < indptr[:-1]).any():
+            raise FormatError(f"{path}: hop {h} offsets must start at 0 and never decrease")
+        indices = get_array(arrays, path, f"hop{h}.indices", "<u4", (n,))
+        if n and int(indices.max()) >= dim:
+            raise FormatError(f"{path}: hop {h} has an index >= its dimension {dim}")
+        ctxs[h] = sp.csr_matrix(
+            (get_array(arrays, path, f"hop{h}.data", "<f4", (n,)), indices.view("<i4"),
+             indptr.view("<i8")), shape=(num_users, dim))
+    return HopContexts(num_users, num_items, ctxs)

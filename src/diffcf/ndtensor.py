@@ -22,22 +22,24 @@ Conventions:
   above `finite_check_limit` elements are not checked; leaves and the loss
   (which `backward` always checks) are. A limit of `math.inf` checks
   everything, 0 only leaves and the loss.
+
+Checkpoints (`save_checkpoint`, `load_checkpoint`, `load_fit_state`) are
+one file of named arrays in the container of `errors.write_arrays`:
+parameters, Adam's state, the schedule, the fit state and the config text.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
-import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ContractError, ExactReader, FormatError, NumericError, ShapeError,
-                     atomic_write)
+from .errors import (ContractError, FormatError, NumericError, ShapeError, get_array,
+                     read_arrays, write_arrays)
 
 DTYPE = np.float32
 
@@ -606,132 +608,76 @@ def gradient_check(build_fn, params: dict[str, np.ndarray], eps: float = 1e-3,
 # ------------------------------------------------------------- checkpoint i/o
 
 _CKPT_MAGIC = b"CFCK"
-_CKPT_VERSION = 2
+_CKPT_VERSION = 3  # 2 kept the config in a digest-pinned sidecar file
 FIT_KEYS = ("best_metric", "best_epoch", "stale")
 
 
-def _float64_words(values) -> np.ndarray:
-    """float64 values as the float32 words of their bytes, which a
-    checkpoint tensor carries exactly."""
-    return np.asarray(values, np.float64).view(np.float32)
-
-
-def _read_float64s(path, name: str, words: np.ndarray, count: int) -> np.ndarray:
-    if words is None or words.shape != (2 * count,):
-        raise FormatError(f"{path}: tensor {name!r} does not hold {count} float64 values")
-    return words.view(np.float64)
-
-
-def _write_tensor(f, name: str, arr: np.ndarray) -> None:
-    nb = name.encode("utf-8")
-    f.write(struct.pack("<H", len(nb)))
-    f.write(nb)
-    f.write(struct.pack("<B", arr.ndim))
-    for d in arr.shape:
-        f.write(struct.pack("<Q", d))
-    f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-
-
-def _read_tensor(r: ExactReader) -> tuple[str, np.ndarray]:
-    (nlen,) = r.unpack("<H")
-    name = r.text(nlen)
-    (ndim,) = r.unpack("<B")
-    shape = r.unpack(f"<{ndim}Q")
-    return name, r.array("<f4", math.prod(shape)).reshape(shape)
+def _text(arrays: dict, path, name: str) -> str:
+    try:
+        return get_array(arrays, path, name, "|u1").tobytes().decode("utf-8")
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: array {name!r} is not UTF-8 text") from None
 
 
 def save_checkpoint(path, params: dict[str, np.ndarray], config_text: str,
                     schedule_fields: tuple[int, float, float, str, float],
                     adam: AdamState | None = None,
                     fit: dict[str, float] | None = None) -> None:
-    """Binary checkpoint: header (magic, version, config digest, schedule),
-    then named float32 tensors. Optimizer tensors ride along under an
-    "adam." name prefix, and the fit loop's state (`FIT_KEYS`) under "fit.".
-    Adam's hyperparameters and each fit value are stored as the bytes of
-    float64s, two float32 words each, so a resumed run continues with
-    exactly the values it stopped with. The human-readable config goes to
-    `path` + ".config" and its sha256 is pinned in the header so a stale
-    sidecar is detected. Both files are written beside their targets and
-    renamed into place only once both are complete."""
-    digest = hashlib.sha256(config_text.encode("utf-8")).digest()
+    """One file of named arrays: the config text, the schedule, each
+    parameter as float32 under its own name, and, when given, Adam's
+    moments ("adam.m.*", "adam.v.*"), step and float64 hyperparameters,
+    and the fit loop's state (`FIT_KEYS`, as "fit.*"). Every float64 is
+    stored as one, so a resumed run continues with exactly the values it
+    stopped with. Parameter names carry no dot; every other name does."""
+    if any("." in k for k in params):
+        raise ContractError(f"parameter names may not contain '.': {sorted(params)}")
     T, beta_min, beta_max, kind, scale = schedule_fields
-    kb = kind.encode("utf-8")
-
-    tensors: list[tuple[str, np.ndarray]] = sorted(params.items())
+    arrays = {"config.text": np.frombuffer(config_text.encode("utf-8"), np.uint8),
+              "schedule.steps": np.int64(T),
+              "schedule.kind": np.frombuffer(kind.encode("utf-8"), np.uint8),
+              "schedule.floats": np.array([beta_min, beta_max, scale], np.float64)}
+    arrays |= {k: np.asarray(v, np.float32) for k, v in sorted(params.items())}
     if adam is not None:
-        tensors += sorted(("adam.m." + k, v) for k, v in adam.m.items())
-        tensors += sorted(("adam.v." + k, v) for k, v in adam.v.items())
-        tensors.append(("adam.step", np.asarray([adam.step], dtype=np.float32)))
-        tensors.append(("adam.hyper", _float64_words(
-            [adam.lr, adam.beta1, adam.beta2, adam.eps])))
+        arrays |= {"adam.m." + k: np.asarray(v, np.float32) for k, v in sorted(adam.m.items())}
+        arrays |= {"adam.v." + k: np.asarray(v, np.float32) for k, v in sorted(adam.v.items())}
+        arrays |= {"adam.step": np.int64(adam.step),
+                   "adam.hyper": np.array([adam.lr, adam.beta1, adam.beta2, adam.eps])}
     if fit is not None:
-        tensors += [("fit." + k, _float64_words([fit[k]])) for k in FIT_KEYS]
-
-    with atomic_write(path) as f, atomic_write(str(path) + ".config", "w") as side:
-        f.write(_CKPT_MAGIC)
-        f.write(struct.pack("<H", _CKPT_VERSION))
-        f.write(digest)
-        f.write(struct.pack("<I", T))
-        f.write(struct.pack("<d", beta_min))
-        f.write(struct.pack("<d", beta_max))
-        f.write(struct.pack("<H", len(kb)))
-        f.write(kb)
-        f.write(struct.pack("<d", scale))
-        f.write(struct.pack("<I", len(tensors)))
-        for name, arr in tensors:
-            _write_tensor(f, name, np.asarray(arr))
-        side.write(config_text)
+        arrays |= {"fit.best_metric": np.float64(fit["best_metric"]),
+                   "fit.best_epoch": np.int64(fit["best_epoch"]),
+                   "fit.stale": np.int64(fit["stale"])}
+    write_arrays(path, _CKPT_MAGIC, _CKPT_VERSION, arrays)
 
 
-def _read_checkpoint(path):
-    """Returns ({tensor name: array}, schedule_fields, config_text)."""
-    with open(path, "rb") as f:
-        r = ExactReader(f, path)
-        if r.read(4) != _CKPT_MAGIC:
-            raise FormatError(f"{path}: not a checkpoint file (bad magic)")
-        (version,) = r.unpack("<H")
-        if version != _CKPT_VERSION:
-            raise FormatError(f"{path}: unsupported checkpoint version {version}")
-        digest = r.read(32)
-        T, beta_min, beta_max, klen = r.unpack("<IddH")
-        kind = r.text(klen)
-        scale, count = r.unpack("<dI")
-        tensors = dict(_read_tensor(r) for _ in range(count))
-        r.end()
-
-    try:
-        with open(str(path) + ".config", "r", encoding="utf-8") as f:
-            config_text = f.read()
-    except FileNotFoundError:
-        raise FormatError(f"{path}: missing config sidecar {path}.config") from None
-    if hashlib.sha256(config_text.encode("utf-8")).digest() != digest:
-        raise FormatError(f"{path}: config sidecar does not match header digest")
-
-    return tensors, (T, beta_min, beta_max, kind, scale), config_text
+def _read_checkpoint(path) -> dict[str, np.ndarray]:
+    return read_arrays(path, _CKPT_MAGIC, _CKPT_VERSION, "checkpoint")
 
 
 def load_checkpoint(path):
     """Returns (params, adam_state_or_None, schedule_fields, config_text)."""
-    tensors, fields, config_text = _read_checkpoint(path)
-    params = {k: v for k, v in tensors.items() if not k.startswith(("adam.", "fit."))}
+    arrays = _read_checkpoint(path)
+    beta_min, beta_max, scale = map(float, get_array(arrays, path, "schedule.floats", "<f8", (3,)))
+    fields = (int(get_array(arrays, path, "schedule.steps", "<i8", ())), beta_min, beta_max,
+              _text(arrays, path, "schedule.kind"), scale)
+    tensors = {k: get_array(arrays, path, k, "<f4", (None,) * v.ndim) for k, v in arrays.items()
+               if "." not in k or k.startswith(("adam.m.", "adam.v."))}
+    params = {k: v for k, v in tensors.items() if "." not in k}
     adam = None
-    if "adam.step" in tensors:
-        lr, beta1, beta2, eps = map(float, _read_float64s(
-            path, "adam.hyper", tensors.get("adam.hyper"), 4))
-        adam = AdamState(
-            lr=lr, beta1=beta1, beta2=beta2, eps=eps, step=int(tensors["adam.step"][0]),
-            m={k[len("adam.m."):]: v for k, v in tensors.items() if k.startswith("adam.m.")},
-            v={k[len("adam.v."):]: v for k, v in tensors.items() if k.startswith("adam.v.")},
-        )
-    return params, adam, fields, config_text
+    if any(k.startswith("adam.") for k in arrays):
+        lr, beta1, beta2, eps = map(float, get_array(arrays, path, "adam.hyper", "<f8", (4,)))
+        moments = {part: {k[len(f"adam.{part}."):]: v for k, v in tensors.items()
+                          if k.startswith(f"adam.{part}.")} for part in "mv"}
+        adam = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps,
+                         step=int(get_array(arrays, path, "adam.step", "<i8", ())), **moments)
+    return params, adam, fields, _text(arrays, path, "config.text")
 
 
 def load_fit_state(path) -> dict[str, float] | None:
     """The fit loop's state saved with the checkpoint at `path`, or None
     when it holds none."""
-    tensors, _, _ = _read_checkpoint(path)
-    words = [tensors.get("fit." + k) for k in FIT_KEYS]
-    if any(w is None for w in words):
+    arrays = _read_checkpoint(path)
+    if not any(k.startswith("fit.") for k in arrays):
         return None
-    return {k: float(_read_float64s(path, "fit." + k, w, 1)[0])
-            for k, w in zip(FIT_KEYS, words)}
+    return {"best_metric": float(get_array(arrays, path, "fit.best_metric", "<f8", ())),
+            "best_epoch": int(get_array(arrays, path, "fit.best_epoch", "<i8", ())),
+            "stale": int(get_array(arrays, path, "fit.stale", "<i8", ()))}

@@ -5,6 +5,8 @@ Acceptance tests record a one-line verdict per criterion through
 the end of the run so they are visible even when pytest captures stdout.
 """
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,22 @@ def inference_forward(params, config, u_t, contexts, t):
     """As `trainable_forward`, with the parameters bound as plain leaves,
     as `eval.denoise_infer` binds them: the tape keeps no node at all."""
     return _bound_forward(params, config, u_t, contexts, t, trainable=False)
+
+
+def container_bytes(magic: bytes, version: int, entries) -> bytes:
+    """An artifact in the container layout, spelled out byte by byte from
+    (name, dtype code, values) triples: magic, u16 version, u32 count, then
+    per array its u16-prefixed name, 3-byte dtype, u8 rank, u64 shape and
+    bytes. The dtype code (3 characters) is written as given, so a test can
+    ask for one the readers refuse, such as "|O8" or "<c8"."""
+    out = magic + struct.pack("<HI", version, len(entries))
+    for name, code, values in entries:
+        values = np.asarray(values)
+        raw = name.encode()
+        out += struct.pack("<H", len(raw)) + raw + code.encode()
+        out += struct.pack(f"<B{values.ndim}Q", values.ndim, *values.shape)
+        out += values.astype(code).tobytes()
+    return out
 
 
 def make_matrix(user_items: list[list[int]], num_items: int | None = None,

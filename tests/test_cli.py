@@ -7,7 +7,6 @@ and produced artifacts can all be asserted without subprocesses.
 import contextlib
 import hashlib
 import json
-import struct
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +14,7 @@ import pytest
 
 from diffcf import cli, config as cfgmod, dataset, eval as evaluation, graph
 from diffcf import ndtensor as nd
-from test_formats import CutFile
+from test_formats import CutFile, contexts_version_2
 
 TINY_TRAIN = ["--latent-dim", "4", "--attn-dim", "2", "--layers", "1",
               "--steps", "5", "--epochs", "2", "--eval-every", "1",
@@ -240,7 +239,7 @@ class TestTrain:
 
     def test_ablation_flag_sets_variant(self, prepared, tmp_path):
         rc = cli.main(["train", "--data", str(prepared["data"]),
-                       "--out-dir", str(tmp_path), "--self-attn",
+                       "--out-dir", str(tmp_path), "--variant", "self-attn",
                        "--epochs", "1"] + TINY_TRAIN[:-4])
         assert rc == 0
         echoed = cfgmod.parse_config_text((tmp_path / "config.echo").read_text())
@@ -411,10 +410,9 @@ class TestContextCache:
         (data / "matrix.cfdm").write_bytes((trained["data"] / "matrix.cfdm").read_bytes())
         cache = cli.context_cache_path(data / "matrix.cfdm", 3)
         fresh = (trained["data"] / cache.name).read_bytes()
-        # A cache as the first format version wrote it: same header fields,
-        # then per-user runs.
-        stale = b"CFHC" + struct.pack("<HQQH", 1, 12, 16, 3) + bytes(8 * 12)
-        cache.write_bytes(stale)
+        # The same contexts as format version 2 laid them out.
+        hops = graph.load_contexts(trained["data"] / cache.name).hops
+        cache.write_bytes(contexts_version_2(12, 16, hops))
         rc = cli.main(["evaluate", "--data", str(data),
                        "--checkpoint", str(trained["checkpoint"])])
         assert rc == 0

@@ -21,8 +21,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import container_bytes
 from diffcf import ndtensor as nd
-from diffcf.errors import ContractError, FormatError, NumericError, ShapeError
+from diffcf.errors import ContractError, FormatError, NumericError, ShapeError, read_arrays
 
 
 def analytic_gradients(build, arrays):
@@ -911,12 +912,15 @@ class TestCheckpointIO:
 
     @pytest.mark.parametrize("hyper", [None, np.ones(4, np.float32)], ids=["missing", "float32"])
     def test_adam_hyper_not_four_float64_is_format_error(self, tmp_path, hyper):
-        tensors = {"w": np.ones((2, 2), np.float32), "adam.step": np.ones(1, np.float32)}
-        if hyper is not None:
-            tensors["adam.hyper"] = hyper
+        params, adam = self._payload()
         path = tmp_path / "model.cfck"
-        nd.save_checkpoint(path, tensors, "x = 1\n", (5, 0.1, 0.2, "linear", 1.0))
-        with pytest.raises(FormatError, match="'adam.hyper' does not hold 4 float64"):
+        nd.save_checkpoint(path, params, "x = 1\n", (5, 0.1, 0.2, "linear", 1.0), adam=adam)
+        arrays = read_arrays(path, b"CFCK", 3, "checkpoint")
+        entries = [(k, v.dtype.str, v) for k, v in arrays.items() if k != "adam.hyper"]
+        if hyper is not None:
+            entries.append(("adam.hyper", "<f4", hyper))
+        path.write_bytes(container_bytes(b"CFCK", 3, entries))
+        with pytest.raises(FormatError, match="array 'adam.hyper' is "):
             nd.load_checkpoint(path)
 
     def test_save_is_deterministic(self, tmp_path):
@@ -935,22 +939,6 @@ class TestCheckpointIO:
         assert adam is None
         assert fields[3] == "linear-scaled"
 
-    def test_sidecar_tamper_detected(self, tmp_path):
-        params, _ = self._payload()
-        path = tmp_path / "model.cfck"
-        nd.save_checkpoint(path, params, "a = 1\n", (2, 0.1, 0.2, "linear", 1.0))
-        (tmp_path / "model.cfck.config").write_text("a = 2\n")
-        with pytest.raises(FormatError):
-            nd.load_checkpoint(path)
-
-    def test_missing_sidecar_detected(self, tmp_path):
-        params, _ = self._payload()
-        path = tmp_path / "model.cfck"
-        nd.save_checkpoint(path, params, "a = 1\n", (2, 0.1, 0.2, "linear", 1.0))
-        (tmp_path / "model.cfck.config").unlink()
-        with pytest.raises(FormatError):
-            nd.load_checkpoint(path)
-
     def test_bad_magic_and_truncation(self, tmp_path):
         params, _ = self._payload()
         path = tmp_path / "model.cfck"
@@ -962,6 +950,5 @@ class TestCheckpointIO:
             nd.load_checkpoint(bad)
         cut = tmp_path / "cut.cfck"
         cut.write_bytes(raw[:-7])
-        (tmp_path / "cut.cfck.config").write_text("a = 1\n")
         with pytest.raises(FormatError):
             nd.load_checkpoint(cut)

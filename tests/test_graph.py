@@ -9,13 +9,12 @@ Neither shares code with `graph.build_contexts` (masked products over
 sparse or dense row blocks), so agreement is meaningful.
 """
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from conftest import make_matrix
+from conftest import container_bytes, make_matrix
 from diffcf import graph
 from diffcf.dataset import TAG_TEST, TAG_TRAIN, as_csr
 from diffcf.errors import ContractError, FormatError
@@ -385,21 +384,19 @@ class TestContextIO:
         ctxs = graph.build_contexts(worked_example_matrix(), H=3)
         path = tmp_path / "ctx.cfhc"
         graph.save_contexts(path, ctxs)
-        want = b"CFHC" + struct.pack("<HQQH2Q", 2, 3, 5, 3,
-                                     ctxs.hops[2].nnz, ctxs.hops[3].nnz)
+        entries = [("dims", "<u8", [3, 5]), ("hops", "<u8", [2, 3])]
         for h in (2, 3):
             a = ctxs.hops[h]
-            want += (a.indptr.astype("<u8").tobytes() + a.indices.astype("<u4").tobytes()
-                     + a.data.astype("<f4").tobytes())
-        assert path.read_bytes() == want
+            entries += [(f"hop{h}.indptr", "<u8", a.indptr), (f"hop{h}.indices", "<u4", a.indices),
+                        (f"hop{h}.data", "<f4", a.data)]
+        assert path.read_bytes() == container_bytes(b"CFHC", 3, entries)
 
     @staticmethod
     def write_hop2_cache(path, indptr, indices):
         """A depth-2 cache over 3 users and 5 items with two nonzeros."""
-        path.write_bytes(b"CFHC" + struct.pack("<HQQHQ", 2, 3, 5, 2, 2)
-                         + np.asarray(indptr, "<u8").tobytes()
-                         + np.asarray(indices, "<u4").tobytes()
-                         + np.ones(2, "<f4").tobytes())
+        path.write_bytes(container_bytes(b"CFHC", 3, [
+            ("dims", "<u8", [3, 5]), ("hops", "<u8", [2]), ("hop2.indptr", "<u8", indptr),
+            ("hop2.indices", "<u4", indices), ("hop2.data", "<f4", np.ones(2))]))
 
     def test_hand_written_cache_loads(self, tmp_path):
         self.write_hop2_cache(tmp_path / "ctx.cfhc", [0, 1, 2, 2], [1, 0])
