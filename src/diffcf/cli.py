@@ -62,9 +62,6 @@ def _apply_flags(cfg: dict, args: argparse.Namespace) -> None:
             cfg[key] = value
         else:
             cfgmod.set_value(cfg, key, str(value))
-    for variant_flag in ("self_attn", "no_cross_attn", "no_ae"):
-        if getattr(args, variant_flag, False):
-            cfg["variant"] = variant_flag.replace("_", "-")
 
 
 def _effective_config(args: argparse.Namespace) -> dict:
@@ -325,12 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quiet", action=argparse.BooleanOptionalAction, default=True,
                    help="suppress per-epoch lines on stdout")
     _add_config_flags(p, MODEL_KEYS + SCHED_KEYS + TRAIN_KEYS + EVAL_KEYS)
-    p.add_argument("--self-attn", action="store_true",
-                   help="ablation: queries from the interaction tokens")
-    p.add_argument("--no-cross-attn", action="store_true",
-                   help="ablation: skip attention entirely")
-    p.add_argument("--no-ae", action="store_true",
-                   help="ablation: identity encoders at full width")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("evaluate", help="rank the catalog and report metrics")
