@@ -370,6 +370,42 @@ class TestEvaluateEndToEnd:
             assert 0.0 <= report.recall[k] <= 1.0
             assert 0.0 <= report.ndcg[k] <= 1.0
 
+    @pytest.mark.parametrize("stochastic", [False, True])
+    def test_rankings_do_not_depend_on_the_batch_size(self, monkeypatch, stochastic):
+        # Each user's noise comes from [infer_seed, user], so each step's
+        # denoiser input rows and the top-k lists are the same at any batch
+        # size. Values may differ in the last bits, since BLAS sums a
+        # product of another shape in another order, so they are compared
+        # within a tolerance.
+        rng = np.random.default_rng(95)
+        rows = [sorted(rng.choice(30, size=int(rng.integers(4, 12)), replace=False).tolist())
+                for _ in range(70)]
+        m = dataset.split_holdout(make_matrix(rows, num_items=30), seed=4)
+        cfg = CamAeConfig(num_users=m.num_users, num_items=m.num_items, latent_dim=6,
+                          attn_dim=4, layers=2, hops=3, hop_weights=(0.6, 0.4))
+        params = camae.init_params(cfg, seed=96)
+        contexts = graph.build_contexts(m, H=3)
+        rank_topk, denoise = evaluation.rank_topk, camae.denoise
+        lists, inputs = [], []
+        monkeypatch.setattr(evaluation, "rank_topk",
+                            lambda *a: lists.append(rank_topk(*a)) or lists[-1])
+        monkeypatch.setattr(camae, "denoise", lambda tape, leaves, config, u, *rest:
+                            inputs.append(u) or denoise(tape, leaves, config, u, *rest))
+        tops, walks = [], []
+        for batch_size in (7, 64, m.num_users):
+            lists.clear()
+            inputs.clear()
+            evaluation.evaluate(params, cfg, build_schedule(8), m, contexts, ks=(5,),
+                                infer_steps=4, infer_seed=3, stochastic=stochastic,
+                                batch_size=batch_size)
+            tops.append(np.concatenate(lists))
+            walks.append(np.concatenate([np.stack(inputs[at:at + 4])
+                                         for at in range(0, len(inputs), 4)], axis=1))
+        assert len(lists) == 1 and walks[2].shape == (4, m.num_users, m.num_items)
+        for top, walk in zip(tops[:2], walks[:2]):
+            np.testing.assert_array_equal(top, tops[2])
+            np.testing.assert_allclose(walk, walks[2], rtol=0, atol=1e-5)
+
     def test_include_val_controls_scorer_inputs(self, tagged_matrix):
         m = tagged_matrix
         seen = {}
