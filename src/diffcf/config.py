@@ -42,7 +42,9 @@ SCHEMA: dict[str, tuple[str, object, str]] = {
     "train_seed": ("int", 0, "seed for init, shuffling, noise draws"),
     "eval_every": ("int", 5, "epochs between validation evaluations"),
     "patience": ("int", 10, "validation evals without improvement before stopping"),
-    "max_hours": ("float", 0.0, "wall-clock training budget in hours (0 disables)"),
+    "max_hours": ("float", 0.0, "wall-clock training budget in hours (0 disables); "
+                  "checked after each epoch, which then validates once more, so a run "
+                  "can overrun it by an epoch and a validation pass"),
     # evaluation
     "topk": ("ints", (10, 20), "cutoffs for recall/ndcg"),
     "infer_steps": ("int", 10, "corruption depth T' used at inference"),

@@ -28,7 +28,7 @@ TAG_TRAIN, TAG_VAL, TAG_TEST = 0, 1, 2
 _TAG_NAMES = {"train": TAG_TRAIN, "val": TAG_VAL, "test": TAG_TEST}
 
 _MAGIC = b"CFDM"
-_VERSION = 2  # 1 had a fixed header and no array names
+_VERSION = 2
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ from .dataset import InteractionMatrix, as_csr
 from .errors import ContractError, FormatError, get_array, read_arrays, write_arrays
 
 _MAGIC = b"CFHC"
-_VERSION = 3  # 2 had a fixed header and no array names
+_VERSION = 3
 
 # Route costs, in units of one sparse multiply-add on this class of
 # hardware (about 15 ns on a 2-CPU x86 VM with OpenBLAS). In that time a

@@ -608,8 +608,7 @@ def gradient_check(build_fn, params: dict[str, np.ndarray], eps: float = 1e-3,
 # ------------------------------------------------------------- checkpoint i/o
 
 _CKPT_MAGIC = b"CFCK"
-_CKPT_VERSION = 3  # 2 kept the config in a digest-pinned sidecar file
-FIT_KEYS = ("best_metric", "best_epoch", "stale")
+_CKPT_VERSION = 3
 
 
 def _text(arrays: dict, path, name: str) -> str:
@@ -626,9 +625,10 @@ def save_checkpoint(path, params: dict[str, np.ndarray], config_text: str,
     """One file of named arrays: the config text, the schedule, each
     parameter as float32 under its own name, and, when given, Adam's
     moments ("adam.m.*", "adam.v.*"), step and float64 hyperparameters,
-    and the fit loop's state (`FIT_KEYS`, as "fit.*"). Every float64 is
-    stored as one, so a resumed run continues with exactly the values it
-    stopped with. Parameter names carry no dot; every other name does."""
+    and the fit loop's state ("fit.best_metric", "fit.best_epoch",
+    "fit.stale"). Every float64 is stored as one, so a resumed run
+    continues with exactly the values it stopped with. Parameter names
+    carry no dot; every other name does."""
     if any("." in k for k in params):
         raise ContractError(f"parameter names may not contain '.': {sorted(params)}")
     T, beta_min, beta_max, kind, scale = schedule_fields

@@ -189,8 +189,8 @@ def fit(params: dict, model_cfg: camae.CamAeConfig, train_cfg: TrainConfig,
     epoch the parameters, Adam state and fit state go to `last.cfck`
     beside the checkpoint, so a run that is killed loses at most the epoch
     it was in, and one that ends keeps its final state. A resumed run passes
-    the `fit_state` saved with its checkpoint (`nd.FIT_KEYS`), so it beats
-    the stored best before it overwrites the checkpoint, and patience
+    the `fit_state` saved with its checkpoint (`nd.load_fit_state`), so it
+    beats the stored best before it overwrites the checkpoint, and patience
     counts on from where it stopped. The log at `log_path` gets one line
     per epoch; a run that starts at epoch 1 replaces it, a resumed one
     appends to it."""

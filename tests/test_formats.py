@@ -153,6 +153,8 @@ def test_files_of_the_previous_version_are_refused(tmp_path, capsys):
     path.write_bytes(matrix_version_1([0, 2, 3], [0, 2, 1], [0, 2, 1]))
     with pytest.raises(FormatError, match="unsupported interaction matrix version 1"):
         dataset.load_matrix(path)
+    assert cli.main(["train", "--data", str(tmp_path), "--out-dir", str(tmp_path / "run")]) == 2
+    assert "unsupported interaction matrix version 1" in capsys.readouterr().err
     m = make_matrix([[0, 1, 4], [1, 2, 3], [1, 3, 4]], num_items=5)
     ctxs = graph.build_contexts(m, H=3)
     path = tmp_path / "ctx.cfhc"
