@@ -43,8 +43,8 @@ SCHEMA: dict[str, tuple[str, object, str]] = {
     "eval_every": ("int", 5, "epochs between validation evaluations"),
     "patience": ("int", 10, "validation evals without improvement before stopping"),
     "max_hours": ("float", 0.0, "wall-clock training budget in hours (0 disables); "
-                  "checked after each epoch, which then validates once more, so a run "
-                  "can overrun it by an epoch and a validation pass"),
+                  "checked after each epoch, and a run past it validates once more, so "
+                  "it can overrun by an epoch and a validation pass"),
     # evaluation
     "topk": ("ints", (10, 20), "cutoffs for recall/ndcg"),
     "infer_steps": ("int", 10, "corruption depth T' used at inference"),
