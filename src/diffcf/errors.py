@@ -151,7 +151,8 @@ def write_arrays(path, magic: bytes, version: int, arrays: dict[str, np.ndarray]
 def read_arrays(path, magic: bytes, version: int, what: str) -> dict[str, np.ndarray]:
     """The arrays of a container file whose magic marks `what`, in file
     order. A bad magic or version, a dtype outside `DTYPES`, a repeated
-    name, and a cut or padded file are FormatErrors naming `path`."""
+    name, a shape numpy cannot hold, and a cut or padded file are
+    FormatErrors naming `path`."""
     with open(path, "rb") as f:
         r = ExactReader(f, path)
         if r.read(len(magic)) != magic:
@@ -170,6 +171,11 @@ def read_arrays(path, magic: bytes, version: int, what: str) -> dict[str, np.nda
             if name in arrays:
                 raise FormatError(f"{path}: array {name!r} appears twice")
             shape = r.unpack(f"<{r.unpack('<B')[0]}Q")
+            # numpy 1's rank limit, and the byte limit an empty array also obeys.
+            if (len(shape) > 32
+                    or math.prod(filter(None, shape)) * np.dtype(code).itemsize >= 2**63):
+                raise FormatError(f"{path}: array {name!r} of rank {len(shape)} has a shape "
+                                  "numpy cannot hold")
             arrays[name] = r.array(code, math.prod(shape)).reshape(shape)
         r.end()
     return arrays

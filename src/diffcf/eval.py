@@ -27,29 +27,28 @@ from .schedule import NoiseSchedule, diffuse_to
 _SPLIT_TAGS = {"val": TAG_VAL, "test": TAG_TEST}
 
 
-def _normal(rng, shape: tuple[int, int], dtype) -> np.ndarray:
-    """Standard normal rows from one generator, or row i from generator i."""
-    if isinstance(rng, np.random.Generator):
-        return rng.standard_normal(shape).astype(dtype)
+def _normal(rngs: list[np.random.Generator], shape: tuple[int, int], dtype) -> np.ndarray:
+    """Standard normal rows, row i from generator i."""
+    if len(rngs) != shape[0]:
+        raise ContractError(f"{len(rngs)} noise generators for {shape[0]} rows")
     out = np.empty(shape)
-    for row, g in zip(out, rng):
+    for row, g in zip(out, rngs):
         g.standard_normal(out=row)
     return out.astype(dtype)
 
 
 def denoise_infer(params: dict, config: camae.CamAeConfig, sched: NoiseSchedule,
                   u_obs: np.ndarray, contexts: dict[int, np.ndarray],
-                  infer_steps: int,
-                  rng: np.random.Generator | list[np.random.Generator] | None = None,
+                  infer_steps: int, rngs: list[np.random.Generator] | None = None,
                   stochastic: bool = False) -> np.ndarray:
     """Corrupt-then-denoise scores for a batch of observed rows.
 
     infer_steps = 0 skips corruption entirely and runs one denoiser pass
-    at t = 1 on the clean input. The noise comes from `rng`, or, when it
-    is a list with one generator per row, each row's from its own, so a
-    row's scores do not depend on the rows batched with it. The parameters
-    are bound as plain leaves of one tape, which keeps no node, and the
-    batch is conditioned on its hop contexts once, for every step.
+    at t = 1 on the clean input. Row i draws its noise from `rngs[i]`
+    (default: a generator seeded [0, i]), so a row's scores do not depend
+    on the rows batched with it. The parameters are bound as plain leaves
+    of one tape, which keeps no node, and the batch is conditioned on its
+    hop contexts once, for every step.
     """
     if not 0 <= infer_steps <= sched.T:
         raise ContractError(f"infer_steps must lie in 0..{sched.T}, got {infer_steps}")
@@ -64,13 +63,13 @@ def denoise_infer(params: dict, config: camae.CamAeConfig, sched: NoiseSchedule,
     if infer_steps == 0:
         scores = denoise(u_obs, 1)
     else:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        u = diffuse_to(u_obs, infer_steps, sched, _normal(rng, u_obs.shape, u_obs.dtype))
+        if rngs is None:
+            rngs = [np.random.default_rng([0, i]) for i in range(len(u_obs))]
+        u = diffuse_to(u_obs, infer_steps, sched, _normal(rngs, u_obs.shape, u_obs.dtype))
         for t in range(infer_steps, 0, -1):
             u = denoise(u, t)
             if stochastic and t >= 2:
-                eps = _normal(rng, u.shape, u.dtype)
+                eps = _normal(rngs, u.shape, u.dtype)
                 u = u + np.sqrt(sched.betas[t - 1]).astype(u.dtype) * eps
         scores = u
     if not np.isfinite(scores).all():
@@ -205,7 +204,7 @@ def evaluate(params: dict, config: camae.CamAeConfig, sched: NoiseSchedule,
         ctx = {h: contexts.batch_rows(users, h) for h in config.hop_list}
         rngs = [np.random.default_rng([infer_seed, int(u)]) for u in users]
         return denoise_infer(params, config, sched, u_obs, ctx,
-                             infer_steps, rng=rngs, stochastic=stochastic)
+                             infer_steps, rngs=rngs, stochastic=stochastic)
 
     return evaluate_scores(score_fn, matrix, split, ks, include_val, batch_size)
 

@@ -649,13 +649,9 @@ def save_checkpoint(path, params: dict[str, np.ndarray], config_text: str,
     write_arrays(path, _CKPT_MAGIC, _CKPT_VERSION, arrays)
 
 
-def _read_checkpoint(path) -> dict[str, np.ndarray]:
-    return read_arrays(path, _CKPT_MAGIC, _CKPT_VERSION, "checkpoint")
-
-
 def load_checkpoint(path):
     """Returns (params, adam_state_or_None, schedule_fields, config_text)."""
-    arrays = _read_checkpoint(path)
+    arrays = read_arrays(path, _CKPT_MAGIC, _CKPT_VERSION, "checkpoint")
     beta_min, beta_max, scale = map(float, get_array(arrays, path, "schedule.floats", "<f8", (3,)))
     fields = (int(get_array(arrays, path, "schedule.steps", "<i8", ())), beta_min, beta_max,
               _text(arrays, path, "schedule.kind"), scale)
@@ -675,7 +671,7 @@ def load_checkpoint(path):
 def load_fit_state(path) -> dict[str, float] | None:
     """The fit loop's state saved with the checkpoint at `path`, or None
     when it holds none."""
-    arrays = _read_checkpoint(path)
+    arrays = read_arrays(path, _CKPT_MAGIC, _CKPT_VERSION, "checkpoint")
     if not any(k.startswith("fit.") for k in arrays):
         return None
     return {"best_metric": float(get_array(arrays, path, "fit.best_metric", "<f8", ())),

@@ -63,6 +63,23 @@ def container_bytes(magic: bytes, version: int, entries) -> bytes:
     return out
 
 
+def with_empty_array(raw: bytes, name: str, code: str, shape: tuple[int, ...]) -> bytes:
+    """Container bytes `raw` with one more array appended: `name` of dtype
+    `code`, declaring `shape` (whose product must be 0, so no bytes
+    follow). The header is written as given, so a test can declare a rank
+    or a shape numpy cannot make."""
+    out = bytearray(raw)
+    struct.pack_into("<I", out, 6, struct.unpack_from("<I", out, 6)[0] + 1)
+    nb = name.encode()
+    return bytes(out) + struct.pack(f"<H{len(nb)}s3sB{len(shape)}Q", len(nb), nb,
+                                    code.encode(), len(shape), *shape)
+
+
+# Shapes of no elements that numpy cannot make; the dims are <f8's.
+UNHOLDABLE_SHAPES = [(0,) * 33, (0,) * 255, (0, 2**63), (0, 2**64 - 1), (0, 2**60),
+                     (3, 0, 2**61)]
+
+
 def make_matrix(user_items: list[list[int]], num_items: int | None = None,
                 tags: list[list[int]] | None = None) -> dataset.InteractionMatrix:
     """Build an InteractionMatrix from per-user item lists (sorted for you)."""

@@ -14,6 +14,7 @@ import pytest
 
 from diffcf import cli, config as cfgmod, dataset, eval as evaluation, graph
 from diffcf import ndtensor as nd
+from conftest import with_empty_array
 from test_formats import CutFile, contexts_version_2
 
 TINY_TRAIN = ["--latent-dim", "4", "--attn-dim", "2", "--layers", "1",
@@ -413,6 +414,20 @@ class TestContextCache:
         # The same contexts as format version 2 laid them out.
         hops = graph.load_contexts(trained["data"] / cache.name).hops
         cache.write_bytes(contexts_version_2(12, 16, hops))
+        rc = cli.main(["evaluate", "--data", str(data),
+                       "--checkpoint", str(trained["checkpoint"])])
+        assert rc == 0
+        assert cache.read_bytes() == fresh
+
+    def test_cache_of_a_shape_numpy_cannot_hold_is_rebuilt(self, trained, tmp_path,
+                                                          monkeypatch):
+        monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "matrix.cfdm").write_bytes((trained["data"] / "matrix.cfdm").read_bytes())
+        cache = cli.context_cache_path(data / "matrix.cfdm", 3)
+        fresh = (trained["data"] / cache.name).read_bytes()
+        cache.write_bytes(with_empty_array(fresh, "extra", "<f4", (0,) * 40))
         rc = cli.main(["evaluate", "--data", str(data),
                        "--checkpoint", str(trained["checkpoint"])])
         assert rc == 0

@@ -217,6 +217,16 @@ class TestEvaluateScores:
             evaluation.evaluate_scores(fn, all_train, "test", (5,))
 
 
+def row_rngs(seed: int, rows: int) -> list[np.random.Generator]:
+    return [np.random.default_rng([seed, i]) for i in range(rows)]
+
+
+def row_noise(seed: int, u: np.ndarray) -> np.ndarray:
+    """The corruption noise `denoise_infer` draws from `row_rngs(seed, ...)`."""
+    return np.stack([g.standard_normal(u.shape[1]) for g in row_rngs(seed, len(u))]
+                    ).astype(u.dtype)
+
+
 @pytest.fixture(scope="module")
 def model_world():
     cfg = CamAeConfig(num_users=6, num_items=8, latent_dim=4, attn_dim=2,
@@ -245,10 +255,8 @@ class TestDenoiseInfer:
             vcfg = dataclasses.replace(cfg, variant=variant)
             params = camae.init_params(vcfg, seed=90)
             got = evaluation.denoise_infer(params, vcfg, sched, u_obs, contexts, 3,
-                                           rng=np.random.default_rng(7))
-            rng = np.random.default_rng(7)
-            noise = rng.standard_normal(u_obs.shape).astype(u_obs.dtype)
-            u = diffuse_to(u_obs, 3, sched, noise)
+                                           rngs=row_rngs(7, len(u_obs)))
+            u = diffuse_to(u_obs, 3, sched, row_noise(7, u_obs))
             for t in (3, 2, 1):
                 tape, _, out = inference_forward(params, vcfg, u, contexts, t)
                 u = out.value
@@ -279,19 +287,33 @@ class TestDenoiseInfer:
     def test_deterministic_given_rng_seed(self, model_world):
         params, cfg, sched, u_obs, contexts = model_world
         runs = [evaluation.denoise_infer(params, cfg, sched, u_obs, contexts,
-                                         4, rng=np.random.default_rng(11))
+                                         4, rngs=row_rngs(11, len(u_obs)))
                 for _ in range(2)]
         np.testing.assert_array_equal(runs[0], runs[1])
         other = evaluation.denoise_infer(params, cfg, sched, u_obs, contexts,
-                                         4, rng=np.random.default_rng(12))
+                                         4, rngs=row_rngs(12, len(u_obs)))
         assert not np.array_equal(runs[0], other)
+
+    def test_default_noise_is_seeded_zero_and_row(self, model_world):
+        params, cfg, sched, u_obs, contexts = model_world
+        got = evaluation.denoise_infer(params, cfg, sched, u_obs, contexts, 4)
+        want = evaluation.denoise_infer(params, cfg, sched, u_obs, contexts,
+                                        4, rngs=row_rngs(0, len(u_obs)))
+        np.testing.assert_array_equal(got, want)
+
+    def test_one_generator_per_row(self, model_world):
+        params, cfg, sched, u_obs, contexts = model_world
+        for n in (len(u_obs) - 1, len(u_obs) + 1):
+            with pytest.raises(ContractError, match="noise generators"):
+                evaluation.denoise_infer(params, cfg, sched, u_obs, contexts,
+                                         4, rngs=row_rngs(11, n))
 
     def test_stochastic_walk_differs(self, model_world):
         params, cfg, sched, u_obs, contexts = model_world
         plain = evaluation.denoise_infer(params, cfg, sched, u_obs, contexts,
-                                         4, rng=np.random.default_rng(13))
+                                         4, rngs=row_rngs(13, len(u_obs)))
         noisy = evaluation.denoise_infer(params, cfg, sched, u_obs, contexts,
-                                         4, rng=np.random.default_rng(13),
+                                         4, rngs=row_rngs(13, len(u_obs)),
                                          stochastic=True)
         assert not np.array_equal(plain, noisy)
 
@@ -322,7 +344,7 @@ class TestDenoiseInfer:
 
         monkeypatch.setattr(camae, "denoise", spy)
         got = evaluation.denoise_infer(params, cfg, sched, u_obs, contexts, steps,
-                                       rng=np.random.default_rng(94))
+                                       rngs=row_rngs(94, len(u_obs)))
         monkeypatch.undo()
         assert len(tapes) == max(steps, 1)
         for tape, out in zip(tapes, outs):
@@ -334,8 +356,7 @@ class TestDenoiseInfer:
             tape, _, out = trainable_forward(params, cfg, u_obs, contexts, 1)
             want = out.value
         else:
-            noise = np.random.default_rng(94).standard_normal(u_obs.shape)
-            want = diffuse_to(u_obs, steps, sched, noise.astype(u_obs.dtype))
+            want = diffuse_to(u_obs, steps, sched, row_noise(94, u_obs))
             for t in range(steps, 0, -1):
                 tape, _, out = trainable_forward(params, cfg, want, contexts, t)
                 # Attention keeps one log-sum-exp per query row for its

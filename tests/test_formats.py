@@ -15,7 +15,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import container_bytes, make_matrix
+from conftest import UNHOLDABLE_SHAPES, container_bytes, make_matrix, with_empty_array
 from diffcf import cli, dataset, errors, graph, ndtensor as nd
 from diffcf.errors import FormatError, read_arrays
 
@@ -113,6 +113,29 @@ def test_missing_array_is_format_error_naming_it(tmp_path, write):
                                          [e for e in entries if e[0] != name]))
         with pytest.raises(FormatError, match=f"artifact: array {name!r} is missing"):
             load(path)
+
+
+@pytest.mark.parametrize("shape", UNHOLDABLE_SHAPES)
+@pytest.mark.parametrize("write", WRITERS)
+def test_shape_numpy_cannot_hold_is_format_error(tmp_path, write, shape):
+    # None of these holds an element, so the file size does not bound them.
+    path = tmp_path / "artifact"
+    load, magic, version, entries = saved_entries(write, path)
+    name = entries[0][0]
+    path.write_bytes(with_empty_array(container_bytes(magic, version, entries[1:]),
+                                      name, "<f8", shape))
+    with pytest.raises(FormatError, match=f"artifact: array {name!r} of rank {len(shape)} "
+                                          "has a shape numpy cannot hold"):
+        load(path)
+
+
+def test_matrix_of_a_shape_numpy_cannot_hold_exits_2(tmp_path, capsys):
+    path = tmp_path / "matrix.cfdm"
+    _, magic, version, entries = saved_entries(write_matrix, path)
+    path.write_bytes(with_empty_array(container_bytes(magic, version, entries),
+                                      "extra", "|u1", (0, 2**63)))
+    assert cli.main(["train", "--data", str(tmp_path), "--out-dir", str(tmp_path / "run")]) == 2
+    assert "array 'extra' of rank 2 has a shape numpy cannot hold" in capsys.readouterr().err
 
 
 def matrix_version_1(indptr, indices, tags, num_items=3):
