@@ -31,7 +31,7 @@ from .errors import ContractError, DiffcfError, FormatError, ParseError, atomic_
 PREP_KEYS = ("min_rating", "split", "split_seed", "hops")
 MODEL_KEYS = ("hops", "latent_dim", "attn_dim", "layers", "hop_weights",
               "ff_hidden", "t_embed", "residual", "variant")
-SCHED_KEYS = ("steps", "beta_min", "beta_max", "schedule", "schedule_scale")
+SCHED_KEYS = ("steps", "beta_min", "beta_max", "schedule_scale")
 TRAIN_KEYS = ("batch_size", "lr", "epochs", "weighting", "train_seed",
               "eval_every", "patience", "max_hours")
 EVAL_KEYS = ("topk", "infer_steps", "infer_seed", "stochastic_infer",
@@ -226,15 +226,15 @@ def cmd_evaluate(args) -> int:
     params, _, sched_fields, config_text = nd.load_checkpoint(args.checkpoint)
     cfg = cfgmod.parse_config_text(config_text)
     _apply_flags(cfg, args)
+    sched = cfgmod.schedule_config(cfg)
+    if sched.fields() != sched_fields:
+        raise FormatError(f"{args.checkpoint}: stored schedule {sched_fields} differs from "
+                          f"the {sched.fields()} of its config text")
     mpath = matrix_path(args.data)
     matrix = dataset.load_matrix(mpath)
     contexts = _load_contexts(matrix, mpath, int(cfg["hops"]))
     model_cfg = cfgmod.model_config(cfg, matrix.num_users, matrix.num_items)
     _check_shapes(args.checkpoint, model_cfg, params)
-    T, beta_min, beta_max, kind, scale = sched_fields
-    sched = cfgmod.schedule_config({**cfg, "steps": T, "beta_min": beta_min,
-                                    "beta_max": beta_max, "schedule": kind,
-                                    "schedule_scale": scale})
     report = evaluation.evaluate(
         params, model_cfg, sched, matrix, contexts, split=args.split,
         ks=tuple(cfg["topk"]), infer_steps=int(cfg["infer_steps"]),

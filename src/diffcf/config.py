@@ -1,16 +1,16 @@
 """Flat run configuration: one schema, three surfaces.
 
 The same key set backs (1) `key = value` config files, (2) auto-generated
-CLI flags, and (3) the canonical text stored beside checkpoints (whose
-sha256 is pinned in the checkpoint header). Canonical text is sorted and
-normalized so equal configs always serialize to identical bytes.
+CLI flags, and (3) the canonical text stored as an array inside each
+checkpoint. Canonical text is sorted and normalized so equal configs
+always serialize to identical bytes.
 """
 
 from __future__ import annotations
 
 from .camae import CamAeConfig, VARIANTS
 from .errors import ContractError
-from .schedule import NoiseSchedule, SCHEDULE_KINDS, build_schedule
+from .schedule import NoiseSchedule, build_schedule
 
 # name -> (type, default, help). Types: int, float, bool, str, ints, floats.
 SCHEMA: dict[str, tuple[str, object, str]] = {
@@ -32,8 +32,7 @@ SCHEMA: dict[str, tuple[str, object, str]] = {
     "steps": ("int", 100, "diffusion steps T"),
     "beta_min": ("float", 1e-4, "first-step noise variance"),
     "beta_max": ("float", 0.02, "last-step noise variance"),
-    "schedule": ("str", "linear", f"one of {', '.join(SCHEDULE_KINDS)}"),
-    "schedule_scale": ("float", 1.0, "endpoint multiplier for linear-scaled"),
+    "schedule_scale": ("float", 1.0, "noise scale: multiplies both beta_min and beta_max"),
     # training
     "batch_size": ("int", 128, "users per optimization step"),
     "lr": ("float", 3e-4, "Adam learning rate"),
@@ -148,10 +147,5 @@ def model_config(cfg: dict, num_users: int, num_items: int) -> CamAeConfig:
 
 
 def schedule_config(cfg: dict) -> NoiseSchedule:
-    return build_schedule(
-        T=int(cfg["steps"]),
-        beta_min=float(cfg["beta_min"]),
-        beta_max=float(cfg["beta_max"]),
-        kind=str(cfg["schedule"]),
-        scale=float(cfg["schedule_scale"]),
-    )
+    return build_schedule(T=int(cfg["steps"]), beta_min=float(cfg["beta_min"]),
+                          beta_max=float(cfg["beta_max"]), scale=float(cfg["schedule_scale"]))

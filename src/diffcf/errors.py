@@ -83,6 +83,8 @@ class ExactReader:
     def _fill(self, make, n: int):
         at = self.f.tell()
         if n <= self.size - at:
+            if make is None:
+                return self.f.seek(n, os.SEEK_CUR)
             buf = make()
             if self.f.readinto(buf) == n:
                 return buf
@@ -105,6 +107,9 @@ class ExactReader:
     def array(self, dtype, count: int) -> np.ndarray:
         dtype = np.dtype(dtype)
         return self._fill(lambda: np.empty(count, dtype), dtype.itemsize * count)
+
+    def skip(self, n: int) -> None:
+        self._fill(None, n)
 
     def end(self) -> None:
         at = self.f.tell()
@@ -148,11 +153,12 @@ def write_arrays(path, magic: bytes, version: int, arrays: dict[str, np.ndarray]
             f.write(np.ascontiguousarray(arr, dtype=code).reshape(-1))
 
 
-def read_arrays(path, magic: bytes, version: int, what: str) -> dict[str, np.ndarray]:
+def read_arrays(path, magic: bytes, version: int, what: str, keep=None) -> dict[str, np.ndarray]:
     """The arrays of a container file whose magic marks `what`, in file
-    order. A bad magic or version, a dtype outside `DTYPES`, a repeated
-    name, a shape numpy cannot hold, and a cut or padded file are
-    FormatErrors naming `path`."""
+    order; only those named in `keep` when it is given, the others being
+    checked alike and skipped. A bad magic or version, a dtype outside
+    `DTYPES`, a repeated name, a shape numpy cannot hold, and a cut or
+    padded file are FormatErrors naming `path`."""
     with open(path, "rb") as f:
         r = ExactReader(f, path)
         if r.read(len(magic)) != magic:
@@ -162,21 +168,26 @@ def read_arrays(path, magic: bytes, version: int, what: str) -> dict[str, np.nda
             raise FormatError(f"{path}: unsupported {what} version {found}; "
                               f"this build reads version {version}")
         arrays: dict[str, np.ndarray] = {}
+        seen: set[str] = set()
         for _ in range(r.unpack("<I")[0]):
             name = r.text(r.unpack("<H")[0])
             code = r.read(3).decode("ascii", "replace")
             if code not in DTYPES:
                 raise FormatError(f"{path}: array {name!r} has dtype {code!r}, "
                                   f"not one of {' '.join(DTYPES)}")
-            if name in arrays:
+            if name in seen:
                 raise FormatError(f"{path}: array {name!r} appears twice")
+            seen.add(name)
             shape = r.unpack(f"<{r.unpack('<B')[0]}Q")
             # numpy 1's rank limit, and the byte limit an empty array also obeys.
             if (len(shape) > 32
                     or math.prod(filter(None, shape)) * np.dtype(code).itemsize >= 2**63):
                 raise FormatError(f"{path}: array {name!r} of rank {len(shape)} has a shape "
                                   "numpy cannot hold")
-            arrays[name] = r.array(code, math.prod(shape)).reshape(shape)
+            if keep is None or name in keep:
+                arrays[name] = r.array(code, math.prod(shape)).reshape(shape)
+            else:
+                r.skip(np.dtype(code).itemsize * math.prod(shape))
         r.end()
     return arrays
 

@@ -608,18 +608,11 @@ def gradient_check(build_fn, params: dict[str, np.ndarray], eps: float = 1e-3,
 # ------------------------------------------------------------- checkpoint i/o
 
 _CKPT_MAGIC = b"CFCK"
-_CKPT_VERSION = 3
-
-
-def _text(arrays: dict, path, name: str) -> str:
-    try:
-        return get_array(arrays, path, name, "|u1").tobytes().decode("utf-8")
-    except UnicodeDecodeError:
-        raise FormatError(f"{path}: array {name!r} is not UTF-8 text") from None
+_CKPT_VERSION = 4
 
 
 def save_checkpoint(path, params: dict[str, np.ndarray], config_text: str,
-                    schedule_fields: tuple[int, float, float, str, float],
+                    schedule_fields: tuple[int, float, float, float],
                     adam: AdamState | None = None,
                     fit: dict[str, float] | None = None) -> None:
     """One file of named arrays: the config text, the schedule, each
@@ -631,11 +624,9 @@ def save_checkpoint(path, params: dict[str, np.ndarray], config_text: str,
     carry no dot; every other name does."""
     if any("." in k for k in params):
         raise ContractError(f"parameter names may not contain '.': {sorted(params)}")
-    T, beta_min, beta_max, kind, scale = schedule_fields
     arrays = {"config.text": np.frombuffer(config_text.encode("utf-8"), np.uint8),
-              "schedule.steps": np.int64(T),
-              "schedule.kind": np.frombuffer(kind.encode("utf-8"), np.uint8),
-              "schedule.floats": np.array([beta_min, beta_max, scale], np.float64)}
+              "schedule.steps": np.int64(schedule_fields[0]),
+              "schedule.floats": np.array(schedule_fields[1:], np.float64)}
     arrays |= {k: np.asarray(v, np.float32) for k, v in sorted(params.items())}
     if adam is not None:
         arrays |= {"adam.m." + k: np.asarray(v, np.float32) for k, v in sorted(adam.m.items())}
@@ -652,9 +643,12 @@ def save_checkpoint(path, params: dict[str, np.ndarray], config_text: str,
 def load_checkpoint(path):
     """Returns (params, adam_state_or_None, schedule_fields, config_text)."""
     arrays = read_arrays(path, _CKPT_MAGIC, _CKPT_VERSION, "checkpoint")
-    beta_min, beta_max, scale = map(float, get_array(arrays, path, "schedule.floats", "<f8", (3,)))
-    fields = (int(get_array(arrays, path, "schedule.steps", "<i8", ())), beta_min, beta_max,
-              _text(arrays, path, "schedule.kind"), scale)
+    fields = (int(get_array(arrays, path, "schedule.steps", "<i8", ())),
+              *map(float, get_array(arrays, path, "schedule.floats", "<f8", (3,))))
+    try:
+        text = get_array(arrays, path, "config.text", "|u1").tobytes().decode("utf-8")
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: array 'config.text' is not UTF-8 text") from None
     tensors = {k: get_array(arrays, path, k, "<f4", (None,) * v.ndim) for k, v in arrays.items()
                if "." not in k or k.startswith(("adam.m.", "adam.v."))}
     params = {k: v for k, v in tensors.items() if "." not in k}
@@ -665,14 +659,16 @@ def load_checkpoint(path):
                           if k.startswith(f"adam.{part}.")} for part in "mv"}
         adam = AdamState(lr=lr, beta1=beta1, beta2=beta2, eps=eps,
                          step=int(get_array(arrays, path, "adam.step", "<i8", ())), **moments)
-    return params, adam, fields, _text(arrays, path, "config.text")
+    return params, adam, fields, text
 
 
 def load_fit_state(path) -> dict[str, float] | None:
     """The fit loop's state saved with the checkpoint at `path`, or None
-    when it holds none."""
-    arrays = read_arrays(path, _CKPT_MAGIC, _CKPT_VERSION, "checkpoint")
-    if not any(k.startswith("fit.") for k in arrays):
+    when it holds none. Only the fit arrays are read; the rest of the file
+    is checked and skipped."""
+    arrays = read_arrays(path, _CKPT_MAGIC, _CKPT_VERSION, "checkpoint",
+                         keep=("fit.best_metric", "fit.best_epoch", "fit.stale"))
+    if not arrays:
         return None
     return {"best_metric": float(get_array(arrays, path, "fit.best_metric", "<f8", ())),
             "best_epoch": int(get_array(arrays, path, "fit.best_epoch", "<i8", ())),

@@ -5,7 +5,9 @@ sqrt(beta_t) noise at each step t = 1..T. All tables are float64;
 outputs are cast back to the input dtype so float32 model code stays
 float32. Timestep indices are 1-based everywhere (t = 0 is the clean
 signal), and `alpha_bars[t]` is the cumulative product through step t
-with the convenience entry alpha_bars[0] = 1.
+with the convenience entry alpha_bars[0] = 1. The betas run linearly from
+scale * beta_min to scale * beta_max: as in DiffRec, the noise scale
+multiplies both ends.
 """
 
 from __future__ import annotations
@@ -16,12 +18,9 @@ import numpy as np
 
 from .errors import ContractError, NumericError
 
-SCHEDULE_KINDS = ("linear", "linear-scaled")
-
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    kind: str
     T: int
     beta_min: float
     beta_max: float
@@ -30,17 +29,15 @@ class NoiseSchedule:
     alphas: np.ndarray      # 1 - betas
     alpha_bars: np.ndarray  # shape (T+1,), cumulative alphas, [0] = 1
 
-    def fields(self) -> tuple[int, float, float, str, float]:
-        return (self.T, self.beta_min, self.beta_max, self.kind, self.scale)
+    def fields(self) -> tuple[int, float, float, float]:
+        return (self.T, self.beta_min, self.beta_max, self.scale)
 
 
 def build_schedule(T: int, beta_min: float = 1e-4, beta_max: float = 0.02,
-                   kind: str = "linear", scale: float = 1.0) -> NoiseSchedule:
-    if kind not in SCHEDULE_KINDS:
-        raise ContractError(f"schedule kind must be one of {SCHEDULE_KINDS}, got {kind!r}")
+                   scale: float = 1.0) -> NoiseSchedule:
     if T < 1:
         raise ContractError(f"schedule needs T >= 1, got {T}")
-    lo, hi = (beta_min, beta_max) if kind == "linear" else (scale * beta_min, scale * beta_max)
+    lo, hi = scale * beta_min, scale * beta_max
     if not (0.0 < lo <= hi < 1.0):
         raise ContractError(f"betas must satisfy 0 < {lo} <= {hi} < 1")
     betas = np.linspace(lo, hi, T, dtype=np.float64)
@@ -49,7 +46,7 @@ def build_schedule(T: int, beta_min: float = 1e-4, beta_max: float = 0.02,
     betas.setflags(write=False)
     alphas.setflags(write=False)
     alpha_bars.setflags(write=False)
-    return NoiseSchedule(kind, T, beta_min, beta_max, scale, betas, alphas, alpha_bars)
+    return NoiseSchedule(T, beta_min, beta_max, scale, betas, alphas, alpha_bars)
 
 
 def _check_t(t, T: int) -> np.ndarray:

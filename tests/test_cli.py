@@ -14,7 +14,8 @@ import pytest
 
 from diffcf import cli, config as cfgmod, dataset, eval as evaluation, graph
 from diffcf import ndtensor as nd
-from conftest import with_empty_array
+from diffcf.errors import read_arrays
+from conftest import container_bytes, with_empty_array
 from test_formats import CutFile, contexts_version_2
 
 TINY_TRAIN = ["--latent-dim", "4", "--attn-dim", "2", "--layers", "1",
@@ -306,6 +307,31 @@ class TestEvaluate:
         assert "model on val (" in out
         assert len(out.strip().splitlines()) == 4  # title, header, two rows
 
+    def test_schedule_that_differs_from_the_config_text_exits_2(self, trained, tmp_path,
+                                                                 capsys):
+        params, adam, fields, text = nd.load_checkpoint(trained["checkpoint"])
+        ckpt = tmp_path / "drifted.cfck"
+        nd.save_checkpoint(ckpt, params, text, fields[:3] + (0.5,), adam=adam)
+        assert cli.main(["evaluate", "--data", str(trained["data"]),
+                         "--checkpoint", str(ckpt)]) == 2
+        assert f"format: {ckpt}: stored schedule (5, 0.0001, 0.02, 0.5) differs" \
+            in capsys.readouterr().err
+
+    def test_checkpoint_of_format_version_3_exits_2(self, trained, tmp_path, capsys):
+        # Version 3 stored a schedule kind, under which "linear" ignored the
+        # scale; read as version 4, such a run would evaluate on other betas.
+        arrays = read_arrays(trained["checkpoint"], b"CFCK", 4, "checkpoint")
+        entries = [(k, v.dtype.str, v) for k, v in arrays.items()]
+        entries.insert(2, ("schedule.kind", "|u1", np.frombuffer(b"linear", np.uint8)))
+        old = tmp_path / "old.cfck"
+        old.write_bytes(container_bytes(b"CFCK", 3, entries))
+        assert cli.main(["evaluate", "--data", str(trained["data"]),
+                         "--checkpoint", str(old)]) == 2
+        assert f"{old}: unsupported checkpoint version 3" in capsys.readouterr().err
+        assert cli.main(["train", "--data", str(trained["data"]), "--out-dir",
+                         str(tmp_path / "run"), "--resume", str(old)] + TINY_TRAIN) == 2
+        assert f"{old}: unsupported checkpoint version 3" in capsys.readouterr().err
+
 
 class TestGradcheckCommand:
     MICRO = ["gradcheck", "--users", "6", "--items", "8", "--latent-dim", "6",
@@ -373,6 +399,12 @@ class TestErrorMapping:
                        "--out-dir", str(tmp_path), "--lr", "fast"])
         assert rc == 1
         assert "diffcf: error: contract:" in capsys.readouterr().err
+
+    def test_config_file_with_the_schedule_key_is_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("schedule = linear\n")
+        assert cli.main(["gradcheck", "--config", str(cfg)]) == 1
+        assert "config line 1: unknown key 'schedule'" in capsys.readouterr().err
 
     def test_missing_data_dir_is_io(self, tmp_path, capsys):
         rc = cli.main(["train", "--data", str(tmp_path / "nothing"),

@@ -898,10 +898,10 @@ class TestCheckpointIO:
     def test_round_trip_bitwise(self, tmp_path):
         params, adam = self._payload()
         path = tmp_path / "model.cfck"
-        nd.save_checkpoint(path, params, "lr = 0.002\n", (10, 1e-4, 0.02, "linear", 1.0),
+        nd.save_checkpoint(path, params, "lr = 0.002\n", (10, 1e-4, 0.02, 1.0),
                            adam=adam)
         loaded, adam2, fields, text = nd.load_checkpoint(path)
-        assert fields == (10, 1e-4, 0.02, "linear", 1.0)
+        assert fields == (10, 1e-4, 0.02, 1.0)
         assert text == "lr = 0.002\n"
         for k in params:
             assert np.array_equal(loaded[k], params[k])
@@ -914,12 +914,12 @@ class TestCheckpointIO:
     def test_adam_hyper_not_four_float64_is_format_error(self, tmp_path, hyper):
         params, adam = self._payload()
         path = tmp_path / "model.cfck"
-        nd.save_checkpoint(path, params, "x = 1\n", (5, 0.1, 0.2, "linear", 1.0), adam=adam)
-        arrays = read_arrays(path, b"CFCK", 3, "checkpoint")
+        nd.save_checkpoint(path, params, "x = 1\n", (5, 0.1, 0.2, 1.0), adam=adam)
+        arrays = read_arrays(path, b"CFCK", 4, "checkpoint")
         entries = [(k, v.dtype.str, v) for k, v in arrays.items() if k != "adam.hyper"]
         if hyper is not None:
             entries.append(("adam.hyper", "<f4", hyper))
-        path.write_bytes(container_bytes(b"CFCK", 3, entries))
+        path.write_bytes(container_bytes(b"CFCK", 4, entries))
         with pytest.raises(FormatError, match="array 'adam.hyper' is "):
             nd.load_checkpoint(path)
 
@@ -927,22 +927,22 @@ class TestCheckpointIO:
         params, adam = self._payload()
         a, b = tmp_path / "a.cfck", tmp_path / "b.cfck"
         for path in (a, b):
-            nd.save_checkpoint(path, params, "x = 1\n", (5, 0.1, 0.2, "linear", 1.0),
+            nd.save_checkpoint(path, params, "x = 1\n", (5, 0.1, 0.2, 1.0),
                                adam=adam)
         assert a.read_bytes() == b.read_bytes()
 
     def test_no_adam_round_trip(self, tmp_path):
         params, _ = self._payload()
         path = tmp_path / "bare.cfck"
-        nd.save_checkpoint(path, params, "", (3, 0.1, 0.3, "linear-scaled", 0.5))
+        nd.save_checkpoint(path, params, "", (3, 0.1, 0.3, 0.5))
         _, adam, fields, _ = nd.load_checkpoint(path)
         assert adam is None
-        assert fields[3] == "linear-scaled"
+        assert fields == (3, 0.1, 0.3, 0.5)
 
     def test_bad_magic_and_truncation(self, tmp_path):
         params, _ = self._payload()
         path = tmp_path / "model.cfck"
-        nd.save_checkpoint(path, params, "a = 1\n", (2, 0.1, 0.2, "linear", 1.0))
+        nd.save_checkpoint(path, params, "a = 1\n", (2, 0.1, 0.2, 1.0))
         raw = path.read_bytes()
         bad = tmp_path / "bad.cfck"
         bad.write_bytes(b"XXXX" + raw[4:])

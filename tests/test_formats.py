@@ -33,7 +33,7 @@ def write_contexts(path):
 
 def write_checkpoint(path):
     params = {"w": np.ones((2, 3), np.float32), "b": np.zeros(4, np.float32)}
-    nd.save_checkpoint(path, params, "a = 1\n", (5, 1e-4, 0.02, "linear", 1.0),
+    nd.save_checkpoint(path, params, "a = 1\n", (5, 1e-4, 0.02, 1.0),
                        adam=nd.init_adam(params, lr=1e-3),
                        fit={"best_metric": 0.25, "best_epoch": 3, "stale": 1})
     return load_checkpoint
@@ -201,13 +201,35 @@ def test_checkpoint_of_format_version_1_is_refused(tmp_path, capsys):
     path = tmp_path / "old.cfck"
     write_checkpoint(path)
     whole = bytearray(path.read_bytes())
-    assert struct.unpack_from("<H", whole, 4) == (3,)
+    assert struct.unpack_from("<H", whole, 4) == (4,)
     struct.pack_into("<H", whole, 4, 1)
     path.write_bytes(bytes(whole))
     with pytest.raises(FormatError, match="version 1"):
         nd.load_checkpoint(path)
     assert cli.main(["evaluate", "--data", str(tmp_path), "--checkpoint", str(path)]) == 2
     assert "unsupported checkpoint version 1" in capsys.readouterr().err
+
+
+def test_fit_state_reads_only_the_fit_arrays(tmp_path, monkeypatch):
+    path = tmp_path / "model.cfck"
+    write_checkpoint(path)
+    whole = path.read_bytes()
+    read, array = [], errors.ExactReader.array
+
+    def spy(self, dtype, count):
+        read.append(array(self, dtype, count))
+        return read[-1]
+
+    monkeypatch.setattr(errors.ExactReader, "array", spy)
+    assert nd.load_fit_state(path) == {"best_metric": 0.25, "best_epoch": 3, "stale": 1}
+    assert [(a.dtype.str, a.size) for a in read] == [("<f8", 1), ("<i8", 1), ("<i8", 1)]
+    nd.load_checkpoint(path)
+    assert len(read) > 6
+    # The arrays it skips are checked against the file size all the same.
+    for damaged in [whole[:cut] for cut in range(len(whole))] + [whole + b"\0"]:
+        path.write_bytes(damaged)
+        with pytest.raises(FormatError):
+            nd.load_fit_state(path)
 
 
 class CutFile:

@@ -9,7 +9,7 @@ grid-integration oracle that knows nothing about the closed form.
 import numpy as np
 import pytest
 
-from diffcf import schedule
+from diffcf import config, schedule
 from diffcf.errors import ContractError, NumericError
 
 
@@ -61,11 +61,19 @@ class TestBuildSchedule:
         s = schedule.build_schedule(50)
         assert (np.diff(s.alpha_bars) < 0).all()
 
-    def test_scaled_kind_multiplies_endpoints(self):
-        s = schedule.build_schedule(4, 1e-3, 0.1, kind="linear-scaled", scale=0.5)
+    def test_scale_multiplies_endpoints(self):
+        s = schedule.build_schedule(4, 1e-3, 0.1, scale=0.5)
         assert s.betas[0] == pytest.approx(5e-4)
         assert s.betas[-1] == pytest.approx(0.05)
-        assert s.fields() == (4, 1e-3, 0.1, "linear-scaled", 0.5)
+        assert s.fields() == (4, 1e-3, 0.1, 0.5)
+
+    def test_schedule_scale_applies_under_the_default_config(self):
+        cfg = config.defaults()
+        betas = config.schedule_config(cfg).betas
+        assert betas.tobytes() == np.linspace(1e-4, 0.02, 100).tobytes()
+        scaled = config.schedule_config({**cfg, "schedule_scale": 0.1}).betas
+        np.testing.assert_allclose(scaled, 0.1 * betas, rtol=1e-12)
+        assert scaled[-1] == pytest.approx(0.002)
 
     def test_tables_are_write_protected(self):
         s = schedule.build_schedule(5)
@@ -76,15 +84,13 @@ class TestBuildSchedule:
         with pytest.raises(ContractError):
             schedule.build_schedule(0)
         with pytest.raises(ContractError):
-            schedule.build_schedule(5, kind="cosine")
-        with pytest.raises(ContractError):
             schedule.build_schedule(5, beta_min=0.0)
         with pytest.raises(ContractError):
             schedule.build_schedule(5, beta_min=0.5, beta_max=0.2)
         with pytest.raises(ContractError):
             schedule.build_schedule(5, beta_max=1.0)
         with pytest.raises(ContractError):
-            schedule.build_schedule(5, kind="linear-scaled", scale=100.0)
+            schedule.build_schedule(5, scale=100.0)
 
 
 class TestDiffuse:
