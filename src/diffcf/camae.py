@@ -13,11 +13,16 @@ the residual flag adds each layer's input back to its blended output.
 A learned d -> 1 collapse and a decoder map the final state back to
 item space.
 
+A hop's tokens are its latent scalars times the row `expand_ctx`, so its
+queries are rank one. The model attends with the hop latents themselves
+and folds `expand_ctx` and the query projection into the key weight, so
+the attention of "full" and "no-ae" is width 1 (see `denoise`); the
+parameters are still those of the d-wide tokens.
+
 The forward is recorded in two parts. `condition` reads only the hop
-vectors (hop encoders, token expansion, per-layer query projections);
-`denoise` reads u_t and t and runs the rest. Training records both for
-each batch through `camae_forward`; inference conditions once per batch
-and denoises once per step.
+vectors (the hop encoders); `denoise` reads u_t and t and runs the rest.
+Training records both for each batch through `camae_forward`; inference
+conditions once per batch and denoises once per step.
 
 There are no bias terms anywhere; with the timestep embedding disabled,
 zero inputs provably map to zero output. The sinusoidal timestep
@@ -170,13 +175,12 @@ def encode_interactions(tape: nd.Tape, leaves: dict[str, nd.Node],
 
 
 def condition(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig,
-              contexts: dict[int, np.ndarray]) -> dict[tuple[int, int], nd.Node]:
+              contexts: dict[int, np.ndarray]) -> dict[int, nd.Node]:
     """Record the part of the denoiser that reads only the hop contexts
-    `contexts[h]` (B, hop_dim(h)): each hop's encoder, token expansion and
-    per-layer query projection. Nothing here depends on u_t or t, so
-    inference records it once per batch. Returns {(layer, hop): queries
-    (B, seq, d)}, empty for the variants whose attention takes no hop
-    queries ("self-attn" draws them from the tokens)."""
+    `contexts[h]` (B, hop_dim(h)): each hop's encoder. Nothing here depends
+    on u_t or t, so inference records it once per batch. Returns {hop:
+    latent (B, seq, 1)}, empty for the variants whose attention takes no
+    hop queries ("self-attn" draws them from the tokens)."""
     missing = [h for h in config.hop_list if h not in contexts]
     if missing:
         raise ContractError(f"missing contexts for hops {missing}")
@@ -188,7 +192,7 @@ def condition(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig,
         return {}
 
     dtype = leaves["collapse"].value.dtype
-    queries: dict[tuple[int, int], nd.Node] = {}
+    latents: dict[int, nd.Node] = {}
     for h in config.hop_list:
         c = tape.leaf(np.asarray(contexts[h], dtype=dtype))
         if config.variant == "no-ae":
@@ -196,21 +200,23 @@ def condition(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig,
             z = tape.record("matmul", c, pad)
         else:
             z = tape.record("matmul", c, leaves[f"enc_hop{h}"])
-        z3 = tape.record("reshape", z, shape=(len(c.value), config.seq_len, 1))
-        expanded = tape.record("matmul", z3, leaves["expand_ctx"])
-        for layer in range(1, config.layers + 1):
-            queries[layer, h] = tape.record("matmul", expanded,
-                                            leaves[f"attn{layer}_hop{h}_q"])
-    return queries
+        latents[h] = tape.record("reshape", z, shape=(len(c.value), config.seq_len, 1))
+    return latents
 
 
 def denoise(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig,
-            u_t: np.ndarray, queries: dict[tuple[int, int], nd.Node],
-            t: np.ndarray) -> nd.Node:
+            u_t: np.ndarray, latents: dict[int, nd.Node], t: np.ndarray) -> nd.Node:
     """Record the part of the denoiser that reads the noised rows `u_t`
-    (B, |items|) and their B integer timesteps `t`, attending with the
-    `queries` that `condition` recorded; returns the node of the
-    reconstructed interaction rows (B, |items|)."""
+    (B, |items|) and their B integer timesteps `t`, attending with the hop
+    `latents` that `condition` recorded; returns the node of the
+    reconstructed interaction rows (B, |items|).
+
+    A hop's queries, its latent z (B, seq, 1) expanded to tokens by
+    `expand_ctx` (e) and projected by W_q, are z (e W_q): rank one. So
+    their logits against the keys state W_k, scaled by 1/sqrt(d), are those
+    of z against the width-1 keys state (W_k (e W_q)^T / sqrt(d)), and the
+    attention runs on the latents and that folded key weight. No (B, seq,
+    d) query is made, and W_q and e get their gradients through the fold."""
     u_t = np.asarray(u_t)
     if u_t.ndim != 2 or u_t.shape[1] != config.num_items:
         raise ShapeError(f"u_t must be (B, {config.num_items}), got {u_t.shape}")
@@ -236,9 +242,16 @@ def denoise(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig,
             if config.variant == "no-cross-attn":
                 attended = state
             else:
-                q = (tape.record("matmul", tokens, leaves[f"attn{layer}_hop{h}_q"])
-                     if config.variant == "self-attn" else queries[layer, h])
-                key = tape.record("matmul", state, leaves[f"attn{layer}_hop{h}_k"])
+                w_q, w_k = leaves[f"attn{layer}_hop{h}_q"], leaves[f"attn{layer}_hop{h}_k"]
+                if config.variant == "self-attn":
+                    q = tape.record("matmul", tokens, w_q)
+                else:
+                    q = latents[h]
+                    e_q = tape.record("reshape", tape.record("matmul", leaves["expand_ctx"], w_q),
+                                      shape=(config.attn_dim, 1))
+                    w_k = tape.record("scale", tape.record("matmul", w_k, e_q),
+                                      factor=1.0 / math.sqrt(config.attn_dim))
+                key = tape.record("matmul", state, w_k)
                 val = tape.record("matmul", state, leaves[f"attn{layer}_hop{h}_v"])
                 attended = tape.record("cross_attention", q, key, val)
             hidden = tape.record("relu", tape.record("matmul", attended,

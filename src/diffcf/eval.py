@@ -54,11 +54,11 @@ def denoise_infer(params: dict, config: camae.CamAeConfig, sched: NoiseSchedule,
         raise ContractError(f"infer_steps must lie in 0..{sched.T}, got {infer_steps}")
     tape = nd.Tape()
     leaves = {name: tape.leaf(value) for name, value in params.items()}
-    queries = camae.condition(tape, leaves, config, contexts)
+    latents = camae.condition(tape, leaves, config, contexts)
 
     def denoise(u: np.ndarray, t: int) -> np.ndarray:
         steps = np.full(len(u), t, dtype=np.int64)
-        return camae.denoise(tape, leaves, config, u, queries, steps).value
+        return camae.denoise(tape, leaves, config, u, latents, steps).value
 
     if infer_steps == 0:
         scores = denoise(u_obs, 1)

@@ -107,34 +107,42 @@ def sinusoidal_embedding(t: np.ndarray, dim: int, dtype=DTYPE) -> np.ndarray:
 #
 # The forward normalises after the product, as FlashAttention does, and
 # folds every elementwise step it can into the products it makes anyway.
-# The queries are scaled by 1/sqrt(d) before their product with the keys
-# (exact for d a power of 4), so a chunk's scores come out of that product
-# ready to exponentiate. The row max is taken only when a chunk's logits
-# could overflow or underflow: their Cauchy-Schwarz bound, the largest row
-# norm of the scaled queries times that of the keys, stays within
-# `_logit_limit` on ordinary inputs, and then exp runs on the scores as
-# they are. So a score block sees three passes: the product, exp in place,
-# and one product with [v | 1] that gives the unnormalised output and the
-# row sums together. Past the limit, each row is shifted by its max first.
+# The queries are scaled by 1/sqrt(d) (exact for d a power of 4) and the
+# scores formed as [q/sqrt(d), 0] [k, 1]^T, a product over K = d+1, so a
+# chunk's scores come out ready to exponentiate. The zero column adds
+# nothing to a score, and it keeps the model's width-1 hop attention off
+# BLAS's slow K=1 route: one (4, 500, 500) score block takes 2.9 ms at
+# K=1, 0.35 ms at K=2 and 0.89 ms at K=16 on a 2-CPU x86 VM. The row max
+# is taken only when a chunk's logits could overflow or underflow: their
+# Cauchy-Schwarz bound, the largest row norm of the scaled queries times
+# that of the keys, stays within `_logit_limit` on ordinary inputs, and
+# then exp runs on the scores as they are. At width 1 that bound is the
+# largest logit magnitude itself. So a score block sees three passes: the
+# product, exp in place, and one product with [v | 1] that gives the
+# unnormalised output and the row sums together. Past the limit, each row
+# is shifted by its max first.
 # The backward keeps only the row log-sum-exp (B, m) of the forward and
-# rebuilds the softmax from it chunk by chunk, as exp([q/sqrt(d), -lse]
-# [k, 1]^T), so the scale and the shift happen inside the product. It
-# forms dP - rowsum(dO * O) as [dO, -rowsum(dO * O)] [v, 1]^T, uses
-# rowsum(dO * O) in place of rowsum(dP * P), and multiplies by P in place;
-# 1/sqrt(d) is applied to the (B, m, d) query gradient, and the key
-# gradient is taken against the scaled queries. That is two elementwise
-# passes over a score block, and no (B, m, n) array lives between the two
-# passes.
+# rebuilds the softmax from it chunk by chunk, with -lse in the zero
+# column: exp([q/sqrt(d), -lse] [k, 1]^T), so the scale and the shift
+# happen inside the product. It forms dP - rowsum(dO * O) as
+# [dO, -rowsum(dO * O)] [v, 1]^T, uses rowsum(dO * O) in place of
+# rowsum(dP * P), and multiplies by P in place; 1/sqrt(d) is applied to
+# the (B, m, d) query gradient, and the key gradient is taken against the
+# scaled queries. That is two elementwise passes over a score block, and
+# no (B, m, n) array lives between the two passes.
 #
 # Both passes run their chunks on one worker thread per CPU the process
 # may use (numpy releases the GIL in its loops and in BLAS), each worker
 # in score buffers of its own. Each product is issued in blocks of rows
 # small enough that OpenBLAS runs it on the calling thread: it hands a
 # gemm with m*n*k above 2**18 to its own threads, which would then fight
-# the workers for the same CPUs. Chunk and block boundaries depend only on
-# the operand shapes, and a chunk's route only on its values, so the
-# results depend neither on the worker count nor on the BLAS thread count,
-# and match a whole-batch computation up to rounding.
+# the workers for the same CPUs. (At width 1 the backward's query and key
+# gradients are matrix-vector products, which OpenBLAS threads by another
+# rule; they take about 0.2 ms per chunk, and the tests check their bits
+# under one and two BLAS threads.) Chunk and block boundaries depend only
+# on the operand shapes, and a chunk's route only on its values, so the
+# results depend neither on the worker count nor on the BLAS thread
+# count, and match a whole-batch computation up to rounding.
 
 ATTN_CHUNK_BYTES = 1 << 22
 
@@ -204,15 +212,18 @@ def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, keep_lse: bo
 
     def run(starts):
         width = min(chunk, batch)
-        qs = np.empty((width, m, d), q.dtype)
+        qa = np.zeros((width, m, d + 1), q.dtype)  # [q / sqrt(d), 0]
+        ka = np.ones((width, n, d + 1), q.dtype)   # [k, 1]
         s = np.empty((width, m, n), q.dtype)
         v1 = np.ones((width, n, e + 1), q.dtype)
         acc = np.empty((width, m, e + 1), q.dtype)
         for lo in starts:
             part = slice(lo, lo + chunk)
             c = len(q[part])
-            qc, sc = np.multiply(q[part], inv, out=qs[:c]), s[:c]
-            _gemm(qc, _swap(k[part]), sc)
+            qc, sc = qa[:c], s[:c]
+            np.multiply(q[part], inv, out=qc[..., :d])
+            ka[:c, :, :d] = k[part]
+            _gemm(qc, _swap(ka[:c]), sc)
             shift = None
             if _max_row_norm(qc) * _max_row_norm(k[part]) > limit:
                 shift = sc.max(axis=-1, keepdims=True)

@@ -213,6 +213,81 @@ class TestCrossAttention:
         np.testing.assert_allclose(got.value, want, rtol=1e-12, atol=1e-12)
 
 
+class TestRankOneQueries:
+    """A hop's queries z (e W_q), its latent z (B, seq, 1) expanded by
+    `expand_ctx` (e) and projected by W_q, are rank one: `denoise` attends
+    with z at width 1 against the keys state (W_k (e W_q)^T / sqrt(d)). In
+    float32 the factored attention matches the d-wide composition, values,
+    row log-sum-exp and gradients, on both routes of the kernel."""
+
+    B, SEQ, D = 5, 300, 16
+
+    def attend(self, inputs, target, folded):
+        tape = nd.Tape()
+        z, e, w_q, w_k, state, v = leaves = [tape.leaf(x, trainable=True) for x in inputs]
+        if folded:
+            e_q = tape.record("reshape", tape.record("matmul", e, w_q), shape=(self.D, 1))
+            w = tape.record("scale", tape.record("matmul", w_k, e_q),
+                            factor=1.0 / math.sqrt(self.D))
+            q, key = z, tape.record("matmul", state, w)
+        else:
+            q = tape.record("matmul", tape.record("matmul", z, e), w_q)
+            key = tape.record("matmul", state, w_k)
+        out = tape.record("cross_attention", q, key, v)
+        grads = tape.backward(tape.record("mse", out, tape.leaf(target)))
+        bound = (np.linalg.norm(q.value, axis=-1).max() / math.sqrt(q.value.shape[-1])
+                 * np.linalg.norm(key.value, axis=-1).max())
+        return [out.value, out.ctx["lse"]] + [grads[x] for x in leaves], bound
+
+    @pytest.mark.parametrize("z_scale, shifted", [(1.0, False), (60.0, True)])
+    def test_factored_attention_matches_the_wide_composition(self, z_scale, shifted):
+        rng = np.random.default_rng(49)
+        d = self.D
+        bound = math.sqrt(6.0 / (2 * d))
+        inputs = [rng.uniform(-1, 1, (self.B, self.SEQ, 1)) * z_scale,
+                  rng.uniform(-1, 1, (1, d)),
+                  rng.uniform(-bound, bound, (d, d)),
+                  rng.uniform(-bound, bound, (d, d)),
+                  rng.standard_normal((self.B, self.SEQ, d)),
+                  rng.standard_normal((self.B, self.SEQ, d))]
+        inputs = [x.astype(np.float32) for x in inputs]
+        target = rng.standard_normal((self.B, self.SEQ, d)).astype(np.float32)
+        got, got_bound = self.attend(inputs, target, folded=True)
+        want, want_bound = self.attend(inputs, target, folded=False)
+        limit = nd._logit_limit(np.float32, self.SEQ)
+        # Both runs take the same route: the row-max shift exactly when the
+        # logits could leave exp's range.
+        assert (got_bound > limit) == (want_bound > limit) == shifted
+        names = ["out", "lse", "z", "expand_ctx", "W_q", "W_k", "state", "v"]
+        for name, g, w in zip(names, got, want):
+            assert g.shape == w.shape, name
+            np.testing.assert_allclose(g, w, rtol=1e-4, atol=1e-5 * np.abs(w).max(),
+                                       err_msg=name)
+
+    def test_training_tape_holds_no_hop_query(self):
+        # The nodes that read a hop context but not u_t are its encoder
+        # product and latent only: no (B, seq, d) query waits on the tape,
+        # with its gradient, for the layers that read it.
+        cfg = small_config()
+        params = random_params(cfg, seed=38, dtype=np.float32)
+        u_t, contexts, t = random_inputs(cfg, batch=3, seed=39)
+        u_t = u_t.astype(np.float32)
+        contexts = {h: c.astype(np.float32) for h, c in contexts.items()}
+        tape, _, _ = trainable_forward(params, cfg, u_t, contexts, t)
+        reads: dict = {}
+
+        def sources(node):
+            if node not in reads:
+                got = {h for h, c in contexts.items() if node.value is c}
+                got |= {"u_t"} if node.value is u_t else set()
+                reads[node] = got.union(*(sources(x) for x in node.inputs))
+            return reads[node]
+
+        hop_only = {node.value.shape for node in tape.nodes
+                    if sources(node) and "u_t" not in sources(node)}
+        assert hop_only == {(3, cfg.seq_len), (3, cfg.seq_len, 1)}
+
+
 class TestForwardOracle:
     @pytest.mark.parametrize("variant", camae.VARIANTS)
     @pytest.mark.parametrize("t_embed", [False, True])

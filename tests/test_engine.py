@@ -10,6 +10,7 @@ update its scratch-buffer form replaced, and checkpoints must round-trip
 bitwise.
 """
 
+import itertools
 import math
 import os
 import subprocess
@@ -393,25 +394,29 @@ class TestChunkedAttention:
         # give finite values. A logit of order 250 (float32) or 1800
         # (float64) carries a rounding of eps times that, so each result is
         # held to the dtype's tolerance relative to its largest entry.
+        # At width 1, the width of the model's hop attention, the bound is
+        # the largest logit magnitude itself.
         rng = np.random.default_rng(46)
-        q = (rng.standard_normal((3, self.M, self.D)) * scale).astype(dtype)
-        k = (rng.standard_normal((3, self.N, self.D)) * scale).astype(dtype)
-        v = rng.standard_normal((3, self.N, self.DV)).astype(dtype)
-        logits = np.matmul(q, np.swapaxes(k, -1, -2), dtype=np.float64) / math.sqrt(self.D)
-        assert logits.max() > 2 * math.log(float(np.finfo(dtype).max))
-        tape = nd.Tape()
-        ids = [tape.leaf(x, trainable=True) for x in (q, k, v)]
-        node = tape.record("cross_attention", *ids)
-        want, want_s = whole_batch_attention(q, k, v)
-        g = rng.standard_normal(want.shape).astype(dtype)
-        got = dict(tape._vjp(node, g))
-        rtol = TOLERANCE[dtype]["rtol"]
-        pairs = [(node.value, want), (node.ctx["lse"], whole_batch_lse(q, k))]
-        pairs += [(got[leaf], gx) for leaf, gx in
-                  zip(ids, whole_batch_attention_vjp(q, k, v, want_s, g))]
-        for value, oracle in pairs:
-            assert np.isfinite(value).all()
-            np.testing.assert_allclose(value, oracle, rtol=0, atol=rtol * np.abs(oracle).max())
+        for d in (self.D, 1):
+            q = (rng.standard_normal((3, self.M, d)) * scale).astype(dtype)
+            k = (rng.standard_normal((3, self.N, d)) * scale).astype(dtype)
+            v = rng.standard_normal((3, self.N, self.DV)).astype(dtype)
+            logits = np.matmul(q, np.swapaxes(k, -1, -2), dtype=np.float64) / math.sqrt(d)
+            assert logits.max() > 2 * math.log(float(np.finfo(dtype).max))
+            tape = nd.Tape()
+            ids = [tape.leaf(x, trainable=True) for x in (q, k, v)]
+            node = tape.record("cross_attention", *ids)
+            want, want_s = whole_batch_attention(q, k, v)
+            g = rng.standard_normal(want.shape).astype(dtype)
+            got = dict(tape._vjp(node, g))
+            rtol = TOLERANCE[dtype]["rtol"]
+            pairs = [(node.value, want), (node.ctx["lse"], whole_batch_lse(q, k))]
+            pairs += [(got[leaf], gx) for leaf, gx in
+                      zip(ids, whole_batch_attention_vjp(q, k, v, want_s, g))]
+            for value, oracle in pairs:
+                assert np.isfinite(value).all()
+                np.testing.assert_allclose(value, oracle, rtol=0,
+                                           atol=rtol * np.abs(oracle).max(), err_msg=f"d={d}")
 
     @staticmethod
     def assert_rejected(shapes, dtype):
@@ -511,9 +516,10 @@ class TestAttentionWorkers:
         chunk = chunk_len(self.M, self.N, dtype)
         rng = np.random.default_rng(44)
         # 6 chunks + 1 give every count here at least two chunks per worker.
-        for batch in sorted({1, chunk, 2 * chunk + 1, 6 * chunk + 1}):
-            q = rng.standard_normal((batch, self.M, self.D)).astype(dtype)
-            k = rng.standard_normal((batch, self.N, self.D)).astype(dtype)
+        for d, batch in itertools.product((self.D, 1),
+                                          sorted({1, chunk, 2 * chunk + 1, 6 * chunk + 1})):
+            q = rng.standard_normal((batch, self.M, d)).astype(dtype)
+            k = rng.standard_normal((batch, self.N, d)).astype(dtype)
             v = rng.standard_normal((batch, self.N, self.DV)).astype(dtype)
             g = rng.standard_normal((batch, self.M, self.DV)).astype(dtype)
             runs = {}
@@ -528,26 +534,29 @@ class TestAttentionWorkers:
                 chunks = -(-batch // chunk)
                 # Two forwards and a backward, each one job per worker or none.
                 assert pool.jobs == (3 * workers if chunks >= 2 * workers else 0), \
-                    (batch, workers)
+                    (d, batch, workers)
             for workers in (2, 3):
                 for got, want in zip(runs[workers], runs[1]):
                     assert got.dtype == want.dtype and np.array_equal(got, want), \
-                        (batch, workers)
+                        (d, batch, workers)
             assert np.array_equal(runs[1][0], runs[1][1])
 
     def test_default_shape_matches_whole_batch(self):
-        # At k=500, d=16 the products run in row blocks, which BLAS may sum
-        # in another order than one whole product, and the softmax is
-        # normalised after the product: equal to float32 rounding.
+        # At k=500 the products run in row blocks, which BLAS may sum in
+        # another order than one whole product, and the softmax is
+        # normalised after the product: equal to float32 rounding. The
+        # model's hop attention is width 1 ("self-attn" is d=16 wide); the
+        # values are d=16 wide in both.
         rng = np.random.default_rng(45)
-        q, k, v = (rng.standard_normal((9, 500, 16)).astype(np.float32) for _ in range(3))
-        g = rng.standard_normal((9, 500, 16)).astype(np.float32)
-        out, _, lse, gq, gk, gv = self.run(q, k, v, g)
-        want, want_s = whole_batch_attention(q, k, v)
-        np.testing.assert_allclose(out, want, rtol=1e-5, atol=1e-6)
-        np.testing.assert_allclose(lse, whole_batch_lse(q, k), rtol=1e-6)
-        for got, gx in zip((gq, gk, gv), whole_batch_attention_vjp(q, k, v, want_s, g)):
-            np.testing.assert_allclose(got, gx, rtol=1e-4, atol=1e-5)
+        for d in (16, 1):
+            q, k = (rng.standard_normal((9, 500, d)).astype(np.float32) for _ in range(2))
+            v, g = (rng.standard_normal((9, 500, 16)).astype(np.float32) for _ in range(2))
+            out, _, lse, gq, gk, gv = self.run(q, k, v, g)
+            want, want_s = whole_batch_attention(q, k, v)
+            np.testing.assert_allclose(out, want, rtol=1e-5, atol=1e-6, err_msg=f"d={d}")
+            np.testing.assert_allclose(lse, whole_batch_lse(q, k), rtol=1e-6, err_msg=f"d={d}")
+            for got, gx in zip((gq, gk, gv), whole_batch_attention_vjp(q, k, v, want_s, g)):
+                np.testing.assert_allclose(got, gx, rtol=1e-4, atol=1e-5, err_msg=f"d={d}")
 
 
     def test_values_do_not_depend_on_the_blas_thread_count(self):
@@ -571,14 +580,17 @@ import hashlib
 import numpy as np
 from diffcf import ndtensor as nd
 rng = np.random.default_rng(47)
-q, k, v, g = (rng.standard_normal((9, 500, 16)).astype(np.float32) for _ in range(4))
-tape = nd.Tape()
-ids = [tape.leaf(x, trainable=True) for x in (q, k, v)]
-node = tape.record("cross_attention", *ids)
-grads = dict(tape._vjp(node, g))
-digest = hashlib.sha256(node.value.tobytes())
-for leaf in ids:
-    digest.update(grads[leaf].tobytes())
+digest = hashlib.sha256()
+for d in (16, 1):
+    q, k = (rng.standard_normal((9, 500, d)).astype(np.float32) for _ in range(2))
+    v, g = (rng.standard_normal((9, 500, 16)).astype(np.float32) for _ in range(2))
+    tape = nd.Tape()
+    ids = [tape.leaf(x, trainable=True) for x in (q, k, v)]
+    node = tape.record("cross_attention", *ids)
+    grads = dict(tape._vjp(node, g))
+    digest.update(node.value.tobytes())
+    for leaf in ids:
+        digest.update(grads[leaf].tobytes())
 print(digest.hexdigest())
 """
 
