@@ -7,8 +7,9 @@ hop), then each latent scalar is expanded to a d-wide token so the
 latents become k x d token grids. Each of N layers lets every hop
 condition the running interaction state through cross-attention (hop
 tokens make the queries; the state makes keys and values), pushes the
-result through that hop's two-layer ReLU feedforward, and blends the
-hop outputs with fixed mixing weights. Layers stack plainly by default;
+result through that hop's two-layer ReLU feedforward (one tape op that
+keeps no hidden activation for the backward pass), and blends the hop
+outputs with fixed mixing weights. Layers stack plainly by default;
 the residual flag adds each layer's input back to its blended output.
 A learned d -> 1 collapse and a decoder map the final state back to
 item space.
@@ -16,8 +17,10 @@ item space.
 A hop's tokens are its latent scalars times the row `expand_ctx`, so its
 queries are rank one. The model attends with the hop latents themselves
 and folds `expand_ctx` and the query projection into the key weight, so
-the attention of "full" and "no-ae" is width 1 (see `denoise`); the
-parameters are still those of the d-wide tokens.
+the attention of "full" and "no-ae" is width 1 (see `denoise`). In the
+first layer the interaction tokens are rank two (latents times
+`expand_obs`, plus the timestep code), so its keys and values are width 1
+as well; the parameters are still those of the d-wide tokens.
 
 The forward is recorded in two parts. `condition` reads only the hop
 vectors (the hop encoders); `denoise` reads u_t and t and runs the rest.
@@ -204,6 +207,38 @@ def condition(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig,
     return latents
 
 
+def _folded_key_weight(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig,
+                       layer: int, h: int) -> nd.Node:
+    """W_k (e W_q)^T / sqrt(d), (d, 1): the key weight of hop h's latents in
+    `layer`, with `expand_ctx` (e) and the query projection folded in."""
+    e_q = tape.record("reshape", tape.record("matmul", leaves["expand_ctx"],
+                                             leaves[f"attn{layer}_hop{h}_q"]),
+                      shape=(config.attn_dim, 1))
+    return tape.record("scale", tape.record("matmul", leaves[f"attn{layer}_hop{h}_k"], e_q),
+                       factor=1.0 / math.sqrt(config.attn_dim))
+
+
+def _first_layer_attention(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig,
+                           h: int, latent: nd.Node, z_obs: nd.Node,
+                           emb: nd.Node | None) -> nd.Node:
+    """Hop h's attention in layer 1 of "full"/"no-ae", at width 1 throughout.
+
+    There the state is the tokens z_obs e_obs + emb(t), rank two. Their
+    keys against the folded weight w are z_obs (e_obs w) + emb(t) w, and the
+    second term adds one constant to every logit of a query row, which
+    softmax cancels: the keys are z_obs (e_obs w). The rows of the softmax P
+    sum to one, so P (tokens W_v) = (P z_obs)(e_obs W_v) + emb(t) W_v: the
+    values are z_obs. Returns the attended (B, seq, d)."""
+    e_obs, w_v = leaves["expand_obs"], leaves[f"attn1_hop{h}_v"]
+    w_k = tape.record("matmul", e_obs, _folded_key_weight(tape, leaves, config, 1, h))
+    key = tape.record("matmul", z_obs, w_k)
+    attended = tape.record("matmul", tape.record("cross_attention", latent, key, z_obs),
+                           tape.record("matmul", e_obs, w_v))
+    if emb is None:
+        return attended
+    return tape.record("add", attended, tape.record("matmul", emb, w_v))
+
+
 def denoise(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig,
             u_t: np.ndarray, latents: dict[int, nd.Node], t: np.ndarray) -> nd.Node:
     """Record the part of the denoiser that reads the noised rows `u_t`
@@ -215,8 +250,12 @@ def denoise(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig,
     `expand_ctx` (e) and projected by W_q, are z (e W_q): rank one. So
     their logits against the keys state W_k, scaled by 1/sqrt(d), are those
     of z against the width-1 keys state (W_k (e W_q)^T / sqrt(d)), and the
-    attention runs on the latents and that folded key weight. No (B, seq,
-    d) query is made, and W_q and e get their gradients through the fold."""
+    attention of "full" and "no-ae" runs on the latents and that folded key
+    weight. No (B, seq, d) query is made, and W_q and e get their gradients
+    through the fold. In layer 1 the state is the rank-two tokens, so the
+    keys and values are width 1 as well (see `_first_layer_attention`), and
+    the (B, seq, d) tokens are recorded only where something reads them:
+    the residual add, and the "self-attn" and "no-cross-attn" layers."""
     u_t = np.asarray(u_t)
     if u_t.ndim != 2 or u_t.shape[1] != config.num_items:
         raise ShapeError(f"u_t must be (B, {config.num_items}), got {u_t.shape}")
@@ -228,35 +267,37 @@ def denoise(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig,
     dtype = leaves["collapse"].value.dtype
     u = tape.leaf(u_t.astype(dtype, copy=False))
     seq = config.seq_len
-    z_obs = encode_interactions(tape, leaves, config, u)
-    tokens = tape.record("matmul", tape.record("reshape", z_obs, shape=(batch, seq, 1)),
-                         leaves["expand_obs"])
-    if config.t_embed:
-        emb = tape.leaf(nd.sinusoidal_embedding(t, config.attn_dim, dtype))
-        tokens = tape.record("add", tokens, emb)
+    z_obs = tape.record("reshape", encode_interactions(tape, leaves, config, u),
+                        shape=(batch, seq, 1))
+    emb = tape.leaf(nd.sinusoidal_embedding(t, config.attn_dim, dtype)) if config.t_embed else None
+    tokens = None
+    if config.residual or config.variant in ("self-attn", "no-cross-attn"):
+        tokens = tape.record("matmul", z_obs, leaves["expand_obs"])
+        if emb is not None:
+            tokens = tape.record("add", tokens, emb)
 
     state = tokens
     for layer in range(1, config.layers + 1):
         hop_outs = []
         for h in config.hop_list:
+            w_v = leaves[f"attn{layer}_hop{h}_v"]
             if config.variant == "no-cross-attn":
                 attended = state
+            elif config.variant == "self-attn":
+                attended = tape.record(
+                    "cross_attention",
+                    tape.record("matmul", tokens, leaves[f"attn{layer}_hop{h}_q"]),
+                    tape.record("matmul", state, leaves[f"attn{layer}_hop{h}_k"]),
+                    tape.record("matmul", state, w_v))
+            elif layer == 1:
+                attended = _first_layer_attention(tape, leaves, config, h, latents[h], z_obs, emb)
             else:
-                w_q, w_k = leaves[f"attn{layer}_hop{h}_q"], leaves[f"attn{layer}_hop{h}_k"]
-                if config.variant == "self-attn":
-                    q = tape.record("matmul", tokens, w_q)
-                else:
-                    q = latents[h]
-                    e_q = tape.record("reshape", tape.record("matmul", leaves["expand_ctx"], w_q),
-                                      shape=(config.attn_dim, 1))
-                    w_k = tape.record("scale", tape.record("matmul", w_k, e_q),
-                                      factor=1.0 / math.sqrt(config.attn_dim))
-                key = tape.record("matmul", state, w_k)
-                val = tape.record("matmul", state, leaves[f"attn{layer}_hop{h}_v"])
-                attended = tape.record("cross_attention", q, key, val)
-            hidden = tape.record("relu", tape.record("matmul", attended,
-                                                     leaves[f"ff_hop{h}_in"]))
-            hop_outs.append(tape.record("matmul", hidden, leaves[f"ff_hop{h}_out"]))
+                key = tape.record("matmul", state,
+                                  _folded_key_weight(tape, leaves, config, layer, h))
+                attended = tape.record("cross_attention", latents[h], key,
+                                       tape.record("matmul", state, w_v))
+            hop_outs.append(tape.record("feedforward", attended, leaves[f"ff_hop{h}_in"],
+                                        leaves[f"ff_hop{h}_out"]))
         blended = tape.record("weighted_sum", *hop_outs, weights=config.hop_weights)
         state = tape.record("add", state, blended) if config.residual else blended
 

@@ -4,10 +4,11 @@ The model code runs every operation through a `Tape` (a Wengert list).
 Each op returns a `Node` holding its eagerly computed value. The tape
 keeps only what `Tape.backward` visits: trainable leaves, and the nodes
 of ops with an input that requires a gradient, together with their
-inputs and the values their backward pass reads. Any other node is
-returned with no inputs and no saved values, and is not kept, so a
-forward pass with no trainable leaf holds nothing beyond what its
-caller holds. `Tape.backward` walks the kept list once in reverse and
+inputs and the values their backward pass reads (the feedforward op
+reads only its inputs, and recomputes its hidden activations). Any
+other node is returned with no inputs and no saved values, and is not
+kept, so a forward pass with no trainable leaf holds nothing beyond
+what its caller holds. `Tape.backward` walks the kept list once in reverse and
 returns exact gradients for every trainable leaf, with zeros for leaves
 the loss never touched.
 
@@ -48,7 +49,7 @@ OPS = (
     "matmul",
     "add",
     "scale",
-    "relu",
+    "feedforward",
     "mse",
     "weighted_sum",
     "cross_attention",
@@ -137,9 +138,10 @@ def sinusoidal_embedding(t: np.ndarray, dim: int, dtype=DTYPE) -> np.ndarray:
 # small enough that OpenBLAS runs it on the calling thread: it hands a
 # gemm with m*n*k above 2**18 to its own threads, which would then fight
 # the workers for the same CPUs. (At width 1 the backward's query and key
-# gradients are matrix-vector products, which OpenBLAS threads by another
-# rule; they take about 0.2 ms per chunk, and the tests check their bits
-# under one and two BLAS threads.) Chunk and block boundaries depend only
+# gradients, and with width-1 values the value gradient, are
+# matrix-vector products, which OpenBLAS threads by another rule; they
+# take about 0.2 ms per chunk, and the tests check their bits under one
+# and two BLAS threads.) Chunk and block boundaries depend only
 # on the operand shapes, and a chunk's route only on its values, so the
 # results depend neither on the worker count nor on the BLAS thread
 # count, and match a whole-batch computation up to rounding.
@@ -285,6 +287,97 @@ def _attention_backward(q: np.ndarray, k: np.ndarray, v: np.ndarray, out: np.nda
     return grads
 
 
+# ---------------------------------------------------------------- feedforward
+#
+# feedforward(x, W_in, W_out) = relu(x W_in) W_out over the rows of x (every
+# axis but the last is a row axis). Its (rows, hidden) activations never
+# exist whole: both passes walk x in blocks of rows small enough that
+# OpenBLAS runs every product of a block on the calling thread, and a
+# block's activations live only in buffers of its worker. The pool takes
+# _FF_GROUP blocks at a time, each product of the pass issued as one
+# stacked numpy call that still makes one BLAS call per block: a numpy
+# call per block cost about 20 us on top of its 7-10 us products, and two
+# workers then ran no faster than one (2-CPU x86 VM, B=128, k=500, d=16:
+# 6.8 -> 2.3 ms forward, 20.7 -> 6.8 ms backward). A training node keeps
+# only its inputs; the backward recomputes each block's activations from
+# them, the trade FlashAttention makes for its scores. Each block writes
+# its weight-gradient partials to slots of its own, which are summed in
+# block order, so the bits depend neither on the worker count nor on the
+# BLAS thread count.
+
+_FF_GROUP = 8
+
+
+def _ff_rows(w_in: np.ndarray, w_out: np.ndarray) -> int:
+    """Rows per block: every product of a block, rows times one weight's
+    size in multiply-adds, stays within _GEMM_ON_CALLER."""
+    return max(1, _GEMM_ON_CALLER // max(w_in.size, w_out.size))
+
+
+def _ff_pieces(n: int, block: int, lo: int) -> list[tuple[slice, slice, int]]:
+    """Blocks lo .. lo + _FF_GROUP - 1 of n rows cut in blocks of `block`,
+    as (blocks, rows, rows per block): the full blocks in one piece, and a
+    short last block in a piece of its own."""
+    full, hi = n // block, min(lo + _FF_GROUP, -(-n // block))
+    pieces = []
+    if min(hi, full) > lo:
+        pieces.append((slice(lo, min(hi, full)), slice(lo * block, min(hi, full) * block), block))
+    if hi > full:
+        pieces.append((slice(full, hi), slice(full * block, n), n - full * block))
+    return pieces
+
+
+def _feedforward_forward(x: np.ndarray, w_in: np.ndarray, w_out: np.ndarray) -> np.ndarray:
+    rows, block = x.reshape(-1, x.shape[-1]), _ff_rows(w_in, w_out)
+    n, blocks = len(rows), -(-len(rows) // block)
+    out = np.empty((n, w_out.shape[1]), np.result_type(x, w_in, w_out))
+
+    def run(starts):
+        hidden = np.empty((min(_FF_GROUP, blocks), min(block, n), w_in.shape[1]), out.dtype)
+        for lo in starts:
+            for _, part, r in _ff_pieces(n, block, lo):
+                xb = rows[part].reshape(-1, r, rows.shape[1])
+                h = np.matmul(xb, w_in, out=hidden[:len(xb), :r])
+                np.matmul(np.maximum(h, 0, out=h), w_out, out=out[part].reshape(len(xb), r, -1))
+
+    _map_chunks(blocks, _FF_GROUP, run)
+    return out.reshape(*x.shape[:-1], w_out.shape[1])
+
+
+def _feedforward_backward(x: np.ndarray, w_in: np.ndarray, w_out: np.ndarray,
+                          g: np.ndarray, need: list[bool]) -> list[np.ndarray | None]:
+    """Gradients for (x, W_in, W_out), None for an input in `need` marked
+    False, recomputing each block's activations."""
+    rows, g_rows = x.reshape(-1, x.shape[-1]), g.reshape(-1, g.shape[-1])
+    block, n = _ff_rows(w_in, w_out), len(rows)
+    blocks, dtype = -(-n // block), np.result_type(x, w_in, w_out, g)
+    gx = np.empty(rows.shape, dtype) if need[0] else None
+    slots = [np.empty((blocks, *w.shape), dtype) if wanted else None
+             for w, wanted in zip((w_in, w_out), need[1:])]
+
+    def run(starts):
+        hidden, g_hidden = (np.empty((min(_FF_GROUP, blocks), min(block, n), w_in.shape[1]),
+                                     dtype) for _ in range(2))
+        for lo in starts:
+            for at, part, r in _ff_pieces(n, block, lo):
+                xb = rows[part].reshape(-1, r, rows.shape[1])
+                gb = g_rows[part].reshape(len(xb), r, -1)
+                h = np.matmul(xb, w_in, out=hidden[:len(xb), :r])
+                np.maximum(h, 0, out=h)
+                if slots[1] is not None:
+                    np.matmul(_swap(h), gb, out=slots[1][at])
+                gh = np.matmul(gb, _swap(w_out), out=g_hidden[:len(xb), :r])
+                gh *= h > 0
+                if slots[0] is not None:
+                    np.matmul(_swap(xb), gh, out=slots[0][at])
+                if gx is not None:
+                    np.matmul(gh, _swap(w_in), out=gx[part].reshape(xb.shape))
+
+    _map_chunks(blocks, _FF_GROUP, run)
+    return [None if gx is None else gx.reshape(x.shape)] + [
+        None if s is None else s.sum(axis=0, dtype=np.float64).astype(dtype) for s in slots]
+
+
 class Tape:
     """Wengert list of the nodes a backward pass visits, swept once in reverse."""
 
@@ -336,9 +429,14 @@ class Tape:
             out = a * c
             if out.shape != a.shape:
                 raise ShapeError(f"scale: factor {np.shape(c)} broadcasts {a.shape} up to {out.shape}")
-        elif op == "relu":
-            (a,) = vals
-            out = np.maximum(a, 0)
+        elif op == "feedforward":
+            x, w_in, w_out = vals
+            if not (x.ndim >= 2 and w_in.ndim == w_out.ndim == 2
+                    and x.shape[-1] == w_in.shape[0] and w_in.shape[1] == w_out.shape[0]):
+                raise ShapeError(
+                    f"feedforward: shapes {x.shape}, {w_in.shape}, {w_out.shape} are not "
+                    "(..., d), (d, h), (h, e)")
+            out = _feedforward_forward(x, w_in, w_out)
         elif op == "mse":
             a, b = vals
             if a.shape != b.shape:
@@ -427,8 +525,9 @@ class Tape:
                     yield inp, _reduce_to(g, x.shape)
         elif op == "scale":
             yield ins[0], g * node.ctx["factor"]
-        elif op == "relu":
-            yield ins[0], g * (vals[0] > 0)
+        elif op == "feedforward":
+            grads = _feedforward_backward(*vals, g, need)
+            yield from ((inp, gi) for inp, gi in zip(ins, grads) if gi is not None)
         elif op == "mse":
             a, b = vals
             d = a - b

@@ -287,6 +287,95 @@ class TestRankOneQueries:
                     if sources(node) and "u_t" not in sources(node)}
         assert hop_only == {(3, cfg.seq_len), (3, cfg.seq_len, 1)}
 
+    def test_training_tape_holds_no_hidden_activation_or_first_layer_token(self):
+        # The feedforward keeps only its inputs; layer 1 attends over the
+        # (B, seq, 1) latents, so no (B, seq, d) token, key or value of it
+        # waits on the tape for the backward pass.
+        cfg = small_config(attn_dim=3)
+        params = random_params(cfg, seed=40, dtype=np.float32)
+        u_t, contexts, t = random_inputs(cfg, batch=3, seed=41)
+        tape, leaves, _ = trainable_forward(params, cfg, u_t.astype(np.float32),
+                                            {h: c.astype(np.float32)
+                                             for h, c in contexts.items()}, t)
+        held = [node.value for node in tape.nodes]
+        held += [x for node in tape.nodes for x in node.ctx.values()
+                 if isinstance(x, np.ndarray)]
+        assert (3, cfg.seq_len, cfg.ff_width) not in {x.shape for x in held}
+        assert not [node for node in tape.nodes if leaves["expand_obs"] in node.inputs
+                    and node.value.shape == (3, cfg.seq_len, 3)]
+        first_layer = [node for node in tape.nodes
+                       if node.op == "cross_attention"][:len(cfg.hop_list)]
+        assert first_layer
+        for node in first_layer:
+            assert [x.value.shape for x in node.inputs] == [(3, cfg.seq_len, 1)] * 3
+
+
+class TestRankTwoFirstLayer:
+    """In layer 1 of "full"/"no-ae" the state is the tokens z_obs e_obs +
+    emb(t), rank two: `_first_layer_attention` attends with the width-1
+    keys z_obs (e_obs w), w the folded key weight, against the values
+    z_obs, and adds emb(t) W_v after the attention. In float32 it matches
+    the d-wide composition of layer 1 in float64, output and gradients,
+    with and without the timestep code, on both routes of the kernel."""
+
+    B, SEQ, D = 5, 300, 16
+    NAMES = ["z_ctx", "z_obs", "expand_obs", "expand_ctx",
+             "attn1_hop2_q", "attn1_hop2_k", "attn1_hop2_v"]
+
+    def attend(self, inputs, emb, target, factored):
+        tape = nd.Tape()
+        leaves = {n: tape.leaf(x, trainable=True) for n, x in zip(self.NAMES, inputs)}
+        emb = None if emb is None else tape.leaf(emb)
+        z_ctx, z_obs = leaves["z_ctx"], leaves["z_obs"]
+        if factored:
+            out = camae._first_layer_attention(tape, leaves, small_config(attn_dim=self.D), 2,
+                                               z_ctx, z_obs, emb)
+        else:
+            tokens = tape.record("matmul", z_obs, leaves["expand_obs"])
+            if emb is not None:
+                tokens = tape.record("add", tokens, emb)
+            q = tape.record("matmul", tape.record("matmul", z_ctx, leaves["expand_ctx"]),
+                            leaves["attn1_hop2_q"])
+            out = tape.record("cross_attention", q,
+                              tape.record("matmul", tokens, leaves["attn1_hop2_k"]),
+                              tape.record("matmul", tokens, leaves["attn1_hop2_v"]))
+        grads = tape.backward(tape.record("mse", out, tape.leaf(target)))
+        return [out.value] + [grads[leaves[n]] for n in self.NAMES]
+
+    @pytest.mark.parametrize("t_embed", [False, True])
+    @pytest.mark.parametrize("z_scale, shifted", [(1.0, False), (500.0, True)])
+    def test_factored_first_layer_matches_the_wide_composition(self, t_embed, z_scale,
+                                                                shifted):
+        rng = np.random.default_rng(50)
+        d = self.D
+        bound = math.sqrt(6.0 / (2 * d))
+        inputs = [rng.uniform(-1, 1, (self.B, self.SEQ, 1)) * z_scale,
+                  rng.standard_normal((self.B, self.SEQ, 1)),
+                  rng.uniform(-1, 1, (1, d)),
+                  rng.uniform(-1, 1, (1, d)),
+                  *(rng.uniform(-bound, bound, (d, d)) for _ in range(3))]
+        inputs = [x.astype(np.float32) for x in inputs]
+        emb = nd.sinusoidal_embedding(rng.integers(1, 50, self.B), d) if t_embed else None
+        target = rng.standard_normal((self.B, self.SEQ, d)).astype(np.float32)
+        # The factored kernel's logits are the latents times the keys, and it
+        # shifts its rows exactly when the largest of them passes the limit.
+        z_ctx, z_obs, e_obs, e_ctx, w_q, w_k, _ = (x.astype(np.float64) for x in inputs)
+        folded = e_obs @ w_k @ (e_ctx @ w_q).T / math.sqrt(d)
+        largest = np.abs(z_ctx).max() * np.abs(z_obs * folded).max()
+        assert (largest > nd._logit_limit(np.float32, self.SEQ)) == shifted
+        # The reference is float64: in float32 the d-wide composition errs
+        # several times more than the factored one, since its keys carry
+        # the timestep term, whose logit gradient sums to zero only in
+        # exact arithmetic.
+        got = self.attend(inputs, emb, target, factored=True)
+        want = self.attend([x.astype(np.float64) for x in inputs],
+                           None if emb is None else emb.astype(np.float64),
+                           target.astype(np.float64), factored=False)
+        for name, g, w in zip(["out"] + self.NAMES, got, want):
+            assert g.shape == w.shape, name
+            np.testing.assert_allclose(g, w, rtol=1e-4, atol=1e-5 * np.abs(w).max(),
+                                       err_msg=name)
+
 
 class TestForwardOracle:
     @pytest.mark.parametrize("variant", camae.VARIANTS)

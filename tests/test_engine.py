@@ -4,7 +4,8 @@ Every differentiable op is checked against central finite differences
 computed by an oracle in this file (not the engine's own checker), the
 fused attention op is cross-checked against its primitive composition
 and the whole-batch computation its chunked kernel replaced, and bit for
-bit across thread-pool sizes and BLAS thread counts, Adam is compared to
+bit across thread-pool sizes and BLAS thread counts (as is the blocked
+feedforward op), Adam is compared to
 an independent reimplementation and, bit for bit, to the plain-expression
 update its scratch-buffer form replaced, and checkpoints must round-trip
 bitwise.
@@ -126,11 +127,18 @@ class TestOpGradients:
 
         check_op_gradients(build, [q, k])
 
-    def test_relu_away_from_kink(self):
-        rng = np.random.default_rng(8)
-        a = rng.uniform(0.2, 1.0, (3, 4)) * rng.choice([-1.0, 1.0], (3, 4))
+    def test_feedforward_away_from_kink(self, monkeypatch):
+        # Blocks of 2 rows over 3 x 3 rows, taken 3 at a time: the second
+        # group holds a full block and a short one, and the weight gradients
+        # sum five block partials.
+        monkeypatch.setattr(nd, "_GEMM_ON_CALLER", 2 * 4 * 3)
+        monkeypatch.setattr(nd, "_FF_GROUP", 3)
+        rng = np.random.default_rng(11)
+        x, w_in, w_out = (rng.standard_normal(s) for s in ((3, 3, 3), (3, 4), (4, 2)))
+        assert nd._ff_rows(w_in, w_out) == 2
+        assert np.abs(x @ w_in).min() > 1e-2  # every probe stays on one side of the kink
         check_op_gradients(
-            lambda t, ids: sum_of_squares(t, t.record("relu", ids[0])), [a])
+            lambda t, ids: sum_of_squares(t, t.record("feedforward", *ids)), [x, w_in, w_out])
 
     def test_mse_both_sides(self):
         rng = np.random.default_rng(10)
@@ -162,15 +170,16 @@ class TestOpGradients:
             [a])
 
     def test_shared_leaf_accumulates(self):
-        # A leaf feeding two branches must receive the sum of both adjoints.
+        # A leaf feeding two branches, or two inputs of one op, must receive
+        # the sum of all its adjoints.
         rng = np.random.default_rng(16)
         x = rng.uniform(0.3, 1.0, (3, 3))
-        w = rng.standard_normal((3, 3))
+        w = rng.uniform(0.3, 1.0, (3, 3))
 
         def build(t, ids):
             xid, wid = ids
             y1 = t.record("matmul", xid, wid)
-            y2 = t.record("relu", xid)
+            y2 = t.record("feedforward", xid, wid, wid)
             return sum_of_squares(t, t.record("add", y1, y2))
 
         check_op_gradients(build, [x, w])
@@ -280,7 +289,7 @@ class TestOpValues:
         c = tape.leaf(np.ones((1, 2, 3), dtype=np.float32))
         for node in (tape.record("matmul", a, b),
                      tape.record("cross_attention", c, c, c),
-                     tape.record("relu", a)):
+                     tape.record("feedforward", c, b, a)):
             assert node.value.dtype == np.float32
 
 
@@ -492,8 +501,9 @@ def attention_workers(monkeypatch):
 
 
 class TestAttentionWorkers:
-    """The chunks of both passes run on a thread pool; the worker count
-    must not change a bit of the output, the kept row log-sum-exp or the
+    """The chunks of both attention passes, and the row blocks of both
+    feedforward passes, run on a thread pool; the worker count must not
+    change a bit of the output, the kept row log-sum-exp or the
     gradients."""
 
     M, N, D, DV = TestChunkedAttention.M, TestChunkedAttention.N, 8, 5
@@ -511,35 +521,64 @@ class TestAttentionWorkers:
         grads = dict(tape._vjp(node, g))
         return [node.value, plain.value, node.ctx["lse"]] + [grads[i] for i in ids]
 
+    @staticmethod
+    def run_feedforward(x, w_in, w_out, g):
+        tape = nd.Tape()
+        ids = [tape.leaf(a, trainable=True) for a in (x, w_in, w_out)]
+        node = tape.record("feedforward", *ids)
+        plain = tape.record("feedforward", *(tape.leaf(a) for a in (x, w_in, w_out)))
+        grads = dict(tape._vjp(node, g))
+        return [node.value, plain.value] + [grads[i] for i in ids]
+
+    @staticmethod
+    def same_bits_on_every_worker_count(run, args, chunks, attention_workers, where):
+        """Runs `run(*args)` on pools of 1, 2 and 3 workers and asserts
+        equal bits; `run` makes two forwards and a backward over `chunks`
+        chunks, each one job per worker or none."""
+        runs = {}
+        for workers in (1, 2, 3):
+            pool = attention_workers(workers)
+            switch = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)  # let the workers interleave finely
+            try:
+                runs[workers] = run(*args)
+            finally:
+                sys.setswitchinterval(switch)
+            assert pool.jobs == (3 * workers if chunks >= 2 * workers else 0), (where, workers)
+        for workers in (2, 3):
+            for got, want in zip(runs[workers], runs[1]):
+                assert got.dtype == want.dtype and np.array_equal(got, want), (where, workers)
+        assert np.array_equal(runs[1][0], runs[1][1])
+        return runs[1]
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_values_do_not_depend_on_the_worker_count(self, dtype, attention_workers):
         chunk = chunk_len(self.M, self.N, dtype)
         rng = np.random.default_rng(44)
         # 6 chunks + 1 give every count here at least two chunks per worker.
-        for d, batch in itertools.product((self.D, 1),
-                                          sorted({1, chunk, 2 * chunk + 1, 6 * chunk + 1})):
+        # The model's hop attention has width-1 queries, and in its first
+        # layer width-1 values too.
+        for (d, e), batch in itertools.product(((self.D, self.DV), (1, self.DV), (1, 1)),
+                                               sorted({1, chunk, 2 * chunk + 1, 6 * chunk + 1})):
             q = rng.standard_normal((batch, self.M, d)).astype(dtype)
             k = rng.standard_normal((batch, self.N, d)).astype(dtype)
-            v = rng.standard_normal((batch, self.N, self.DV)).astype(dtype)
-            g = rng.standard_normal((batch, self.M, self.DV)).astype(dtype)
-            runs = {}
-            for workers in (1, 2, 3):
-                pool = attention_workers(workers)
-                switch = sys.getswitchinterval()
-                sys.setswitchinterval(1e-6)  # let the workers interleave finely
-                try:
-                    runs[workers] = self.run(q, k, v, g)
-                finally:
-                    sys.setswitchinterval(switch)
-                chunks = -(-batch // chunk)
-                # Two forwards and a backward, each one job per worker or none.
-                assert pool.jobs == (3 * workers if chunks >= 2 * workers else 0), \
-                    (d, batch, workers)
-            for workers in (2, 3):
-                for got, want in zip(runs[workers], runs[1]):
-                    assert got.dtype == want.dtype and np.array_equal(got, want), \
-                        (d, batch, workers)
-            assert np.array_equal(runs[1][0], runs[1][1])
+            v = rng.standard_normal((batch, self.N, e)).astype(dtype)
+            g = rng.standard_normal((batch, self.M, e)).astype(dtype)
+            self.same_bits_on_every_worker_count(self.run, (q, k, v, g), -(-batch // chunk),
+                                                 attention_workers, (d, e, batch))
+        # The feedforward at the model's default widths, in blocks of 256
+        # rows, which the workers take _FF_GROUP at a time; 6 groups and a
+        # short block give every count here at least two groups per worker.
+        w_in, w_out = (rng.standard_normal(s).astype(dtype) / 4 for s in ((16, 64), (64, 16)))
+        block, group = nd._ff_rows(w_in, w_out), nd._FF_GROUP * nd._ff_rows(w_in, w_out)
+        assert block == 256
+        for rows in (1, block, 2 * block + 1, 6 * group + 1):
+            x, g = (rng.standard_normal((1, rows, 16)).astype(dtype) for _ in range(2))
+            out = self.same_bits_on_every_worker_count(
+                self.run_feedforward, (x, w_in, w_out, g), -(-rows // group),
+                attention_workers, rows)[0]
+            want = np.maximum(x @ w_in, 0) @ w_out
+            np.testing.assert_allclose(out, want, **TOLERANCE[dtype], err_msg=str(rows))
 
     def test_default_shape_matches_whole_batch(self):
         # At k=500 the products run in row blocks, which BLAS may sum in
@@ -548,9 +587,9 @@ class TestAttentionWorkers:
         # model's hop attention is width 1 ("self-attn" is d=16 wide); the
         # values are d=16 wide in both.
         rng = np.random.default_rng(45)
-        for d in (16, 1):
+        for d, e in ((16, 16), (1, 16), (1, 1)):
             q, k = (rng.standard_normal((9, 500, d)).astype(np.float32) for _ in range(2))
-            v, g = (rng.standard_normal((9, 500, 16)).astype(np.float32) for _ in range(2))
+            v, g = (rng.standard_normal((9, 500, e)).astype(np.float32) for _ in range(2))
             out, _, lse, gq, gk, gv = self.run(q, k, v, g)
             want, want_s = whole_batch_attention(q, k, v)
             np.testing.assert_allclose(out, want, rtol=1e-5, atol=1e-6, err_msg=f"d={d}")
@@ -561,8 +600,9 @@ class TestAttentionWorkers:
 
     def test_values_do_not_depend_on_the_blas_thread_count(self):
         # OpenBLAS splits a large product over its threads, which changes
-        # the order of its sums; every attention product stays below that
-        # size, so one and two BLAS threads give the same bits.
+        # the order of its sums; every attention and feedforward product
+        # stays below that size, so one and two BLAS threads give the same
+        # bits.
         src = str(Path(nd.__file__).resolve().parents[1])
         digests = []
         for threads in ("1", "2"):
@@ -581,12 +621,18 @@ import numpy as np
 from diffcf import ndtensor as nd
 rng = np.random.default_rng(47)
 digest = hashlib.sha256()
-for d in (16, 1):
-    q, k = (rng.standard_normal((9, 500, d)).astype(np.float32) for _ in range(2))
-    v, g = (rng.standard_normal((9, 500, 16)).astype(np.float32) for _ in range(2))
+w_in, w_out = (rng.standard_normal(s).astype(np.float32) / 4 for s in ((16, 64), (64, 16)))
+cases = [("cross_attention", (rng.standard_normal((9, 500, d)).astype(np.float32),
+                              rng.standard_normal((9, 500, d)).astype(np.float32),
+                              rng.standard_normal((9, 500, e)).astype(np.float32)), e)
+         for d, e in ((16, 16), (1, 16), (1, 1))]
+cases.append(("feedforward", (rng.standard_normal((9, 500, 16)).astype(np.float32),
+                              w_in, w_out), 16))
+for op, inputs, e in cases:
+    g = rng.standard_normal((9, 500, e)).astype(np.float32)
     tape = nd.Tape()
-    ids = [tape.leaf(x, trainable=True) for x in (q, k, v)]
-    node = tape.record("cross_attention", *ids)
+    ids = [tape.leaf(x, trainable=True) for x in inputs]
+    node = tape.record(op, *ids)
     grads = dict(tape._vjp(node, g))
     digest.update(node.value.tobytes())
     for leaf in ids:
@@ -659,6 +705,10 @@ class TestTapeContracts:
                         weights=(0.5, 0.5))
         with pytest.raises(ShapeError):
             tape.record("reshape", a, shape=(7, 7))
+        with pytest.raises(ShapeError):
+            tape.record("feedforward", a, b, tape.leaf(np.ones((3, 2))))
+        with pytest.raises(ShapeError):
+            tape.record("feedforward", a, tape.leaf(np.ones((3, 4))), b)
 
     def test_sparse_leaf_rejected(self):
         with pytest.raises(ContractError):
@@ -667,7 +717,8 @@ class TestTapeContracts:
     def test_tape_keeps_only_what_backward_visits(self):
         tape = nd.Tape()
         x = tape.leaf(np.ones((2, 3)))
-        const = tape.record("relu", tape.record("scale", x, factor=2.0))
+        const = tape.record("feedforward", tape.record("scale", x, factor=2.0),
+                            tape.leaf(np.ones((3, 4))), tape.leaf(np.ones((4, 3))))
         assert const.inputs == () and not const.ctx and not const.requires_grad
         assert not tape.nodes
         w = tape.leaf(np.ones((3, 2)), trainable=True)
@@ -680,7 +731,7 @@ class TestTapeContracts:
     def test_backward_requires_scalar_loss(self):
         tape = nd.Tape()
         a = tape.leaf(np.ones((2, 2)), trainable=True)
-        out = tape.record("relu", a)
+        out = tape.record("feedforward", a, a, a)
         with pytest.raises(ContractError):
             tape.backward(out)
 
@@ -891,7 +942,7 @@ class TestGradientCheckHarness:
                         * rng.choice([-1.0, 1.0], (3, 2))).astype(np.float32)}
 
         def build(tape, leaves):
-            h = tape.record("relu", tape.record("matmul", tape.leaf(x), leaves["w"]))
+            h = tape.record("feedforward", tape.leaf(x), leaves["w"], tape.leaf(np.eye(2)))
             return tape.record("mse", h, tape.leaf(y))
 
         report = nd.gradient_check(build, params, eps=1e-3)
