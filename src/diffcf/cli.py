@@ -99,6 +99,11 @@ def _load_contexts(matrix: dataset.InteractionMatrix, mpath: Path,
                 and ctxs.num_items == matrix.num_items
                 and set(range(2, hops + 1)) <= set(ctxs.hop_list)):
             return ctxs
+    return _build_contexts(matrix, cpath, hops)
+
+
+def _build_contexts(matrix, cpath: Path, hops: int) -> graph.HopContexts:
+    """Build the contexts and write them to the cache file `cpath`."""
     ctxs = graph.build_contexts(matrix, H=hops)
     cpath.parent.mkdir(parents=True, exist_ok=True)
     graph.save_contexts(cpath, ctxs)
@@ -144,10 +149,8 @@ def cmd_prepare(args) -> int:
     matrix = dataset.split_holdout(matrix, tuple(cfg["split"]), seed=int(cfg["split_seed"]))
     mpath = matrix_path(out)
     dataset.save_matrix(mpath, matrix)
-    ctxs = graph.build_contexts(matrix, H=int(cfg["hops"]))
     cpath = context_cache_path(mpath, int(cfg["hops"]))
-    cpath.parent.mkdir(parents=True, exist_ok=True)
-    graph.save_contexts(cpath, ctxs)
+    _build_contexts(matrix, cpath, int(cfg["hops"]))
     no_test = matrix.num_users - dataset.users_with_tag(matrix, dataset.TAG_TEST).size
     summary = {
         "num_users": matrix.num_users,

@@ -44,6 +44,7 @@ import scipy.sparse as sp
 
 from .dataset import InteractionMatrix, as_csr
 from .errors import ContractError, FormatError, get_array, read_arrays, write_arrays
+from .ndtensor import matmul
 
 _MAGIC = b"CFHC"
 _VERSION = 3
@@ -125,9 +126,9 @@ def _dense_route(rows: int, mid: int, out_dim: int, prev_nnz: int, adj_nnz: int)
 
 def _dense_hop(support: np.ndarray, adj: np.ndarray,
                visited: np.ndarray) -> tuple[_Rows, np.ndarray]:
-    """Counts as one GEMM with the visited columns zeroed, normalized in
-    place; returns the rows and the reached block."""
-    counts = support @ adj
+    """Counts as one GEMM, on the worker pool, with the visited columns
+    zeroed, normalized in place; returns the rows and the reached block."""
+    counts = matmul(support, adj)
     counts[visited] = 0.0
     reached = counts > 0
     sums = counts.sum(axis=1, dtype=np.float64)

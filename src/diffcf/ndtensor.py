@@ -23,6 +23,8 @@ Conventions:
   above `finite_check_limit` elements are not checked; leaves and the loss
   (which `backward` always checks) are. A limit of `math.inf` checks
   everything, 0 only leaves and the loss.
+- Importing this module holds numpy's bundled OpenBLAS to one thread: the
+  kernels' worker pool is the only owner of threads.
 
 Checkpoints (`save_checkpoint`, `load_checkpoint`, `load_fit_state`) are
 one file of named arrays in the container of `errors.write_arrays`:
@@ -31,11 +33,13 @@ parameters, Adam's state, the schedule, the fit state and the config text.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -98,6 +102,87 @@ def sinusoidal_embedding(t: np.ndarray, dim: int, dtype=DTYPE) -> np.ndarray:
     return emb.astype(dtype).reshape(len(t), 1, dim)
 
 
+# -------------------------------------------------------------------- threads
+#
+# The worker pool below is the process's one owner of threads. numpy's
+# bundled OpenBLAS would otherwise hand a large product to threads of its
+# own, which fight the workers for the same CPUs and sum in an order that
+# depends on how many there are. So importing this module holds it to one
+# thread, and every kernel issues its products as plain numpy calls. Where
+# numpy brings no OpenBLAS with that setter, BLAS is left alone, and results
+# may then depend on its thread count.
+
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+_POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="diffcf-worker")
+
+
+def _hold_blas_to_one_thread() -> None:
+    """Sets numpy's bundled OpenBLAS, when it has one, to one thread. numpy
+    has already loaded that library, so loading it here cannot fail."""
+    for path in sorted((Path(np.__file__).resolve().parents[1] / "numpy.libs").glob("*openblas*")):
+        setter = getattr(ctypes.CDLL(str(path)), "scipy_openblas_set_num_threads64_", None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+
+
+_hold_blas_to_one_thread()
+
+
+def _map_chunks(batch: int, chunk: int, run) -> None:
+    """Calls `run(starts)` with iterators that together yield every chunk
+    start once. With at least two chunks per worker, every worker of the
+    pool runs `run` and takes the next chunk when it is free; otherwise
+    one late worker would hold up the call (measured slower than one
+    thread at k=128, 2 chunks), so `run` walks all chunks here."""
+    starts = range(0, batch, chunk)
+    if len(starts) < 2 * _WORKERS:
+        run(iter(starts))
+        return
+    todo, lock = iter(starts), threading.Lock()
+
+    def take():
+        with lock:
+            return next(todo, None)
+
+    jobs = [_POOL.submit(run, iter(take, None)) for _ in range(_WORKERS)]
+    wait(jobs)
+    for job in jobs:
+        job.result()
+
+
+# A block of a pooled product holds at least this many multiply-adds, about
+# 0.1 ms on one core of a 2-CPU x86 VM, where handing it to a worker costs
+# about as much as it saves. Small blocks also reach OpenBLAS's small-matrix
+# kernels, which sum in another order: with its SkylakeX float32 kernels,
+# products cut in blocks of 2**20 multiply-adds or more gave the bits of
+# the whole product on all of about 2400 random shapes and cuts, and blocks
+# of 2**18 differed on about a third.
+_BLOCK_MACS = 1 << 22
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b. A 2-D float32 product is cut along the longer axis of its
+    output into one block per worker, or fewer so that each block holds at
+    least _BLOCK_MACS multiply-adds, each block one numpy call on the pool.
+    Blocks are no smaller, because each one repacks the other operand.
+    Every output element is then summed in the order of one whole product,
+    so the bits do not depend on the worker count. OpenBLAS's float64
+    kernels do not keep that order across blocks, so float64 products,
+    which only the gradient checks make, run whole on the calling thread."""
+    blocks = min(_WORKERS, a.shape[0] * a.shape[-1] * b.shape[-1] // _BLOCK_MACS)
+    if blocks < 2 or a.ndim != 2 or b.ndim != 2 or np.result_type(a, b) != np.float32:
+        return np.matmul(a, b)
+    out = np.empty((len(a), b.shape[1]), np.float32)
+    rows, step = out.shape[0] >= out.shape[1], -(-max(out.shape) // blocks)
+    parts = [(a[s], b, out[s]) if rows else (a, b[:, s], out[:, s])
+             for s in (slice(lo, lo + step) for lo in range(0, max(out.shape), step))]
+    for job in [_POOL.submit(np.matmul, x, y, out=o) for x, y, o in parts]:
+        job.result()
+    return out
+
+
 # ------------------------------------------------------------ cross-attention
 #
 # The operands are (B, m, d) queries, (B, n, d) keys and (B, n, e) values
@@ -132,40 +217,18 @@ def sinusoidal_embedding(t: np.ndarray, dim: int, dtype=DTYPE) -> np.ndarray:
 # scaled queries. That is two elementwise passes over a score block, and
 # no (B, m, n) array lives between the two passes.
 #
-# Both passes run their chunks on one worker thread per CPU the process
-# may use (numpy releases the GIL in its loops and in BLAS), each worker
-# in score buffers of its own. Each product is issued in blocks of rows
-# small enough that OpenBLAS runs it on the calling thread: it hands a
-# gemm with m*n*k above 2**18 to its own threads, which would then fight
-# the workers for the same CPUs. (At width 1 the backward's query and key
-# gradients, and with width-1 values the value gradient, are
-# matrix-vector products, which OpenBLAS threads by another rule; they
-# take about 0.2 ms per chunk, and the tests check their bits under one
-# and two BLAS threads.) Chunk and block boundaries depend only
-# on the operand shapes, and a chunk's route only on its values, so the
-# results depend neither on the worker count nor on the BLAS thread
-# count, and match a whole-batch computation up to rounding.
+# Both passes run their chunks on the pool, each worker in score buffers
+# of its own, and each of a chunk's products is one numpy call. Chunk
+# boundaries depend only on the operand shapes, and a chunk's route only
+# on its values, so the results do not depend on the worker count, and
+# match a whole-batch computation up to rounding.
 
 ATTN_CHUNK_BYTES = 1 << 22
-
-_GEMM_ON_CALLER = 1 << 18
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-_POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="diffcf-attention")
 
 
 def _chunk_len(q: np.ndarray, k: np.ndarray) -> int:
     """Batch entries per chunk: as many (m, n) score blocks as fit the budget."""
     return max(1, ATTN_CHUNK_BYTES // (q.shape[1] * k.shape[1] * q.itemsize))
-
-
-def _gemm(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = a @ b, issued in blocks of rows of `a` that OpenBLAS runs on
-    the calling thread."""
-    rows = max(1, _GEMM_ON_CALLER // (a.shape[-1] * b.shape[-1]))
-    for r in range(0, a.shape[-2], rows):
-        np.matmul(a[..., r:r + rows, :], b, out=out[..., r:r + rows, :])
-    return out
 
 
 def _logit_limit(dtype, n: int) -> float:
@@ -179,28 +242,6 @@ def _logit_limit(dtype, n: int) -> float:
 
 def _max_row_norm(x: np.ndarray) -> float:
     return math.sqrt(float(np.einsum("...i,...i->...", x, x).max()))
-
-
-def _map_chunks(batch: int, chunk: int, run) -> None:
-    """Calls `run(starts)` with iterators that together yield every chunk
-    start once. With at least two chunks per worker, every worker of the
-    pool runs `run` and takes the next chunk when it is free; otherwise
-    one late worker would hold up the call (measured slower than one
-    thread at k=128, 2 chunks), so `run` walks all chunks here."""
-    starts = range(0, batch, chunk)
-    if len(starts) < 2 * _WORKERS:
-        run(iter(starts))
-        return
-    todo, lock = iter(starts), threading.Lock()
-
-    def take():
-        with lock:
-            return next(todo, None)
-
-    jobs = [_POOL.submit(run, iter(take, None)) for _ in range(_WORKERS)]
-    wait(jobs)
-    for job in jobs:
-        job.result()
 
 
 def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, keep_lse: bool):
@@ -225,14 +266,14 @@ def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, keep_lse: bo
             qc, sc = qa[:c], s[:c]
             np.multiply(q[part], inv, out=qc[..., :d])
             ka[:c, :, :d] = k[part]
-            _gemm(qc, _swap(ka[:c]), sc)
+            np.matmul(qc, _swap(ka[:c]), out=sc)
             shift = None
             if _max_row_norm(qc) * _max_row_norm(k[part]) > limit:
                 shift = sc.max(axis=-1, keepdims=True)
                 sc -= shift
             np.exp(sc, out=sc)
             v1[:c, :, :e] = v[part]
-            _gemm(sc, v1[:c], acc[:c])
+            np.matmul(sc, v1[:c], out=acc[:c])
             np.divide(acc[:c, :, :e], acc[:c, :, e:], out=out[part])
             if keep_lse:
                 np.log(acc[:c, :, e], out=lse[part], dtype=np.float64)
@@ -271,17 +312,17 @@ def _attention_backward(q: np.ndarray, k: np.ndarray, v: np.ndarray, out: np.nda
             np.multiply(q[part], inv, out=qc[..., :d])
             np.negative(lse[part], out=qc[..., d])
             ka[:c, :, :d] = k[part]
-            np.exp(_gemm(qc, _swap(ka[:c]), pc), out=pc)
-            _gemm(_swap(pc), gc, gv[part])
+            np.exp(np.matmul(qc, _swap(ka[:c]), out=pc), out=pc)
+            np.matmul(_swap(pc), gc, out=gv[part])
             ga[:c, :, :e] = gc
             np.negative(np.multiply(gc, out[part]).sum(axis=-1, dtype=np.float64),
                         out=ga[:c, :, e])
             va[:c, :, :e] = v[part]
-            _gemm(ga[:c], _swap(va[:c]), dc)
+            np.matmul(ga[:c], _swap(va[:c]), out=dc)
             dc *= pc
-            _gemm(dc, k[part], gq[part])
+            np.matmul(dc, k[part], out=gq[part])
             gq[part] *= inv
-            _gemm(_swap(dc), qc[..., :d], gk[part])
+            np.matmul(_swap(dc), qc[..., :d], out=gk[part])
 
     _map_chunks(batch, chunk, run)
     return grads
@@ -291,56 +332,29 @@ def _attention_backward(q: np.ndarray, k: np.ndarray, v: np.ndarray, out: np.nda
 #
 # feedforward(x, W_in, W_out) = relu(x W_in) W_out over the rows of x (every
 # axis but the last is a row axis). Its (rows, hidden) activations never
-# exist whole: both passes walk x in blocks of rows small enough that
-# OpenBLAS runs every product of a block on the calling thread, and a
-# block's activations live only in buffers of its worker. The pool takes
-# _FF_GROUP blocks at a time, each product of the pass issued as one
-# stacked numpy call that still makes one BLAS call per block: a numpy
-# call per block cost about 20 us on top of its 7-10 us products, and two
-# workers then ran no faster than one (2-CPU x86 VM, B=128, k=500, d=16:
-# 6.8 -> 2.3 ms forward, 20.7 -> 6.8 ms backward). A training node keeps
-# only its inputs; the backward recomputes each block's activations from
-# them, the trade FlashAttention makes for its scores. Each block writes
-# its weight-gradient partials to slots of its own, which are summed in
-# block order, so the bits depend neither on the worker count nor on the
-# BLAS thread count.
+# exist whole: both passes walk x on the pool in blocks of _FF_ROWS rows,
+# one numpy call per product per block, and a block's activations live
+# only in a buffer of its worker. A training node keeps only its inputs;
+# the backward recomputes each block's activations from them, the trade
+# FlashAttention makes for its scores. Each block writes its weight-gradient
+# partials to slots of its own, which are summed in block order, so the
+# bits do not depend on the worker count.
 
-_FF_GROUP = 8
-
-
-def _ff_rows(w_in: np.ndarray, w_out: np.ndarray) -> int:
-    """Rows per block: every product of a block, rows times one weight's
-    size in multiply-adds, stays within _GEMM_ON_CALLER."""
-    return max(1, _GEMM_ON_CALLER // max(w_in.size, w_out.size))
-
-
-def _ff_pieces(n: int, block: int, lo: int) -> list[tuple[slice, slice, int]]:
-    """Blocks lo .. lo + _FF_GROUP - 1 of n rows cut in blocks of `block`,
-    as (blocks, rows, rows per block): the full blocks in one piece, and a
-    short last block in a piece of its own."""
-    full, hi = n // block, min(lo + _FF_GROUP, -(-n // block))
-    pieces = []
-    if min(hi, full) > lo:
-        pieces.append((slice(lo, min(hi, full)), slice(lo * block, min(hi, full) * block), block))
-    if hi > full:
-        pieces.append((slice(full, hi), slice(full * block, n), n - full * block))
-    return pieces
+_FF_ROWS = 2048
 
 
 def _feedforward_forward(x: np.ndarray, w_in: np.ndarray, w_out: np.ndarray) -> np.ndarray:
-    rows, block = x.reshape(-1, x.shape[-1]), _ff_rows(w_in, w_out)
-    n, blocks = len(rows), -(-len(rows) // block)
-    out = np.empty((n, w_out.shape[1]), np.result_type(x, w_in, w_out))
+    rows = x.reshape(-1, x.shape[-1])
+    out = np.empty((len(rows), w_out.shape[1]), np.result_type(x, w_in, w_out))
 
     def run(starts):
-        hidden = np.empty((min(_FF_GROUP, blocks), min(block, n), w_in.shape[1]), out.dtype)
+        hidden = np.empty((min(_FF_ROWS, len(rows)), w_in.shape[1]), out.dtype)
         for lo in starts:
-            for _, part, r in _ff_pieces(n, block, lo):
-                xb = rows[part].reshape(-1, r, rows.shape[1])
-                h = np.matmul(xb, w_in, out=hidden[:len(xb), :r])
-                np.matmul(np.maximum(h, 0, out=h), w_out, out=out[part].reshape(len(xb), r, -1))
+            xb = rows[lo:lo + _FF_ROWS]
+            h = np.matmul(xb, w_in, out=hidden[:len(xb)])
+            np.matmul(np.maximum(h, 0, out=h), w_out, out=out[lo:lo + _FF_ROWS])
 
-    _map_chunks(blocks, _FF_GROUP, run)
+    _map_chunks(len(rows), _FF_ROWS, run)
     return out.reshape(*x.shape[:-1], w_out.shape[1])
 
 
@@ -349,31 +363,28 @@ def _feedforward_backward(x: np.ndarray, w_in: np.ndarray, w_out: np.ndarray,
     """Gradients for (x, W_in, W_out), None for an input in `need` marked
     False, recomputing each block's activations."""
     rows, g_rows = x.reshape(-1, x.shape[-1]), g.reshape(-1, g.shape[-1])
-    block, n = _ff_rows(w_in, w_out), len(rows)
-    blocks, dtype = -(-n // block), np.result_type(x, w_in, w_out, g)
+    dtype = np.result_type(x, w_in, w_out, g)
     gx = np.empty(rows.shape, dtype) if need[0] else None
-    slots = [np.empty((blocks, *w.shape), dtype) if wanted else None
+    slots = [np.empty((-(-len(rows) // _FF_ROWS), *w.shape), dtype) if wanted else None
              for w, wanted in zip((w_in, w_out), need[1:])]
 
     def run(starts):
-        hidden, g_hidden = (np.empty((min(_FF_GROUP, blocks), min(block, n), w_in.shape[1]),
-                                     dtype) for _ in range(2))
+        hidden, g_hidden = np.empty((2, min(_FF_ROWS, len(rows)), w_in.shape[1]), dtype)
         for lo in starts:
-            for at, part, r in _ff_pieces(n, block, lo):
-                xb = rows[part].reshape(-1, r, rows.shape[1])
-                gb = g_rows[part].reshape(len(xb), r, -1)
-                h = np.matmul(xb, w_in, out=hidden[:len(xb), :r])
-                np.maximum(h, 0, out=h)
-                if slots[1] is not None:
-                    np.matmul(_swap(h), gb, out=slots[1][at])
-                gh = np.matmul(gb, _swap(w_out), out=g_hidden[:len(xb), :r])
-                gh *= h > 0
-                if slots[0] is not None:
-                    np.matmul(_swap(xb), gh, out=slots[0][at])
-                if gx is not None:
-                    np.matmul(gh, _swap(w_in), out=gx[part].reshape(xb.shape))
+            part, at = slice(lo, lo + _FF_ROWS), lo // _FF_ROWS
+            xb, gb = rows[part], g_rows[part]
+            h = np.matmul(xb, w_in, out=hidden[:len(xb)])
+            np.maximum(h, 0, out=h)
+            if slots[1] is not None:
+                np.matmul(h.T, gb, out=slots[1][at])
+            gh = np.matmul(gb, w_out.T, out=g_hidden[:len(xb)])
+            gh *= h > 0
+            if slots[0] is not None:
+                np.matmul(xb.T, gh, out=slots[0][at])
+            if gx is not None:
+                np.matmul(gh, w_in.T, out=gx[part])
 
-    _map_chunks(blocks, _FF_GROUP, run)
+    _map_chunks(len(rows), _FF_ROWS, run)
     return [None if gx is None else gx.reshape(x.shape)] + [
         None if s is None else s.sum(axis=0, dtype=np.float64).astype(dtype) for s in slots]
 
@@ -414,7 +425,7 @@ class Tape:
             a, b = vals
             if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
                 raise ShapeError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
-            out = np.matmul(a, b)
+            out = matmul(a, b)
         elif op == "add":
             a, b = vals
             try:
@@ -516,9 +527,9 @@ class Tape:
         if op == "matmul":
             a, b = vals
             if need[0]:
-                yield ins[0], _reduce_to(np.matmul(g, _swap(b)), a.shape)
+                yield ins[0], _reduce_to(matmul(g, _swap(b)), a.shape)
             if need[1]:
-                yield ins[1], _reduce_to(np.matmul(_swap(a), g), b.shape)
+                yield ins[1], _reduce_to(matmul(_swap(a), g), b.shape)
         elif op == "add":
             for inp, x, wanted in zip(ins, vals, need):
                 if wanted:

@@ -4,13 +4,14 @@ Every differentiable op is checked against central finite differences
 computed by an oracle in this file (not the engine's own checker), the
 fused attention op is cross-checked against its primitive composition
 and the whole-batch computation its chunked kernel replaced, and bit for
-bit across thread-pool sizes and BLAS thread counts (as is the blocked
-feedforward op), Adam is compared to
-an independent reimplementation and, bit for bit, to the plain-expression
-update its scratch-buffer form replaced, and checkpoints must round-trip
-bitwise.
+bit across thread-pool sizes and BLAS thread counts (as are the blocked
+feedforward op, the pooled 2-D products, a dense context build and a
+seeded training step), Adam is compared to an independent
+reimplementation and, bit for bit, to the plain-expression update its
+scratch-buffer form replaced, and checkpoints must round-trip bitwise.
 """
 
+import ctypes
 import itertools
 import math
 import os
@@ -24,7 +25,8 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import container_bytes
-from diffcf import ndtensor as nd
+from diffcf import graph, ndtensor as nd
+from diffcf.bench import synth_interactions
 from diffcf.errors import ContractError, FormatError, NumericError, ShapeError, read_arrays
 
 
@@ -128,14 +130,11 @@ class TestOpGradients:
         check_op_gradients(build, [q, k])
 
     def test_feedforward_away_from_kink(self, monkeypatch):
-        # Blocks of 2 rows over 3 x 3 rows, taken 3 at a time: the second
-        # group holds a full block and a short one, and the weight gradients
-        # sum five block partials.
-        monkeypatch.setattr(nd, "_GEMM_ON_CALLER", 2 * 4 * 3)
-        monkeypatch.setattr(nd, "_FF_GROUP", 3)
+        # Blocks of 2 rows over 3 x 3 rows: the last block is short, and the
+        # weight gradients sum five block partials.
+        monkeypatch.setattr(nd, "_FF_ROWS", 2)
         rng = np.random.default_rng(11)
         x, w_in, w_out = (rng.standard_normal(s) for s in ((3, 3, 3), (3, 4), (4, 2)))
-        assert nd._ff_rows(w_in, w_out) == 2
         assert np.abs(x @ w_in).min() > 1e-2  # every probe stays on one side of the kink
         check_op_gradients(
             lambda t, ids: sum_of_squares(t, t.record("feedforward", *ids)), [x, w_in, w_out])
@@ -501,10 +500,10 @@ def attention_workers(monkeypatch):
 
 
 class TestAttentionWorkers:
-    """The chunks of both attention passes, and the row blocks of both
-    feedforward passes, run on a thread pool; the worker count must not
-    change a bit of the output, the kept row log-sum-exp or the
-    gradients."""
+    """The chunks of both attention passes, the row blocks of both
+    feedforward passes and the blocks of a large 2-D product run on a
+    thread pool; the worker count must not change a bit of the output, the
+    kept row log-sum-exp or the gradients."""
 
     M, N, D, DV = TestChunkedAttention.M, TestChunkedAttention.N, 8, 5
 
@@ -522,19 +521,21 @@ class TestAttentionWorkers:
         return [node.value, plain.value, node.ctx["lse"]] + [grads[i] for i in ids]
 
     @staticmethod
-    def run_feedforward(x, w_in, w_out, g):
+    def run_op(op, *arrays):
+        """A taped and a plain forward of `op` on all arrays but the last,
+        and the gradients of every input for the last as output grad."""
+        *inputs, g = arrays
         tape = nd.Tape()
-        ids = [tape.leaf(a, trainable=True) for a in (x, w_in, w_out)]
-        node = tape.record("feedforward", *ids)
-        plain = tape.record("feedforward", *(tape.leaf(a) for a in (x, w_in, w_out)))
+        ids = [tape.leaf(a, trainable=True) for a in inputs]
+        node = tape.record(op, *ids)
+        plain = tape.record(op, *(tape.leaf(a) for a in inputs))
         grads = dict(tape._vjp(node, g))
         return [node.value, plain.value] + [grads[i] for i in ids]
 
     @staticmethod
-    def same_bits_on_every_worker_count(run, args, chunks, attention_workers, where):
+    def same_bits_on_every_worker_count(run, args, jobs, attention_workers, where):
         """Runs `run(*args)` on pools of 1, 2 and 3 workers and asserts
-        equal bits; `run` makes two forwards and a backward over `chunks`
-        chunks, each one job per worker or none."""
+        equal bits, and that the pool took `jobs(workers)` jobs."""
         runs = {}
         for workers in (1, 2, 3):
             pool = attention_workers(workers)
@@ -544,12 +545,18 @@ class TestAttentionWorkers:
                 runs[workers] = run(*args)
             finally:
                 sys.setswitchinterval(switch)
-            assert pool.jobs == (3 * workers if chunks >= 2 * workers else 0), (where, workers)
+            assert pool.jobs == jobs(workers), (where, workers)
         for workers in (2, 3):
             for got, want in zip(runs[workers], runs[1]):
                 assert got.dtype == want.dtype and np.array_equal(got, want), (where, workers)
         assert np.array_equal(runs[1][0], runs[1][1])
         return runs[1]
+
+    @staticmethod
+    def chunked_jobs(chunks):
+        """Jobs of two forwards and a backward over `chunks` chunks, each
+        one job per worker or none."""
+        return lambda workers: 3 * workers if chunks >= 2 * workers else 0
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_values_do_not_depend_on_the_worker_count(self, dtype, attention_workers):
@@ -564,21 +571,55 @@ class TestAttentionWorkers:
             k = rng.standard_normal((batch, self.N, d)).astype(dtype)
             v = rng.standard_normal((batch, self.N, e)).astype(dtype)
             g = rng.standard_normal((batch, self.M, e)).astype(dtype)
-            self.same_bits_on_every_worker_count(self.run, (q, k, v, g), -(-batch // chunk),
+            self.same_bits_on_every_worker_count(self.run, (q, k, v, g),
+                                                 self.chunked_jobs(-(-batch // chunk)),
                                                  attention_workers, (d, e, batch))
-        # The feedforward at the model's default widths, in blocks of 256
-        # rows, which the workers take _FF_GROUP at a time; 6 groups and a
-        # short block give every count here at least two groups per worker.
+        # The feedforward at the model's default widths, in blocks of
+        # _FF_ROWS rows; 6 blocks and a short one give every count here at
+        # least two blocks per worker, and the weight gradients 7 slots.
         w_in, w_out = (rng.standard_normal(s).astype(dtype) / 4 for s in ((16, 64), (64, 16)))
-        block, group = nd._ff_rows(w_in, w_out), nd._FF_GROUP * nd._ff_rows(w_in, w_out)
-        assert block == 256
-        for rows in (1, block, 2 * block + 1, 6 * group + 1):
+        block = nd._FF_ROWS
+        for rows in (1, block, 2 * block + 1, 6 * block + 1):
             x, g = (rng.standard_normal((1, rows, 16)).astype(dtype) for _ in range(2))
             out = self.same_bits_on_every_worker_count(
-                self.run_feedforward, (x, w_in, w_out, g), -(-rows // group),
-                attention_workers, rows)[0]
+                self.run_op, ("feedforward", x, w_in, w_out, g),
+                self.chunked_jobs(-(-rows // block)), attention_workers, rows)[0]
             want = np.maximum(x @ w_in, 0) @ w_out
             np.testing.assert_allclose(out, want, **TOLERANCE[dtype], err_msg=str(rows))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pooled_matmul_does_not_depend_on_the_worker_count(self, dtype, attention_workers):
+        # An ML-1M-shaped encoder and a wide-catalog decoder: each of the
+        # four products (two forwards and both gradients) is cut along the
+        # longer axis of its output, columns or rows, into one block per
+        # worker. A product too small for two blocks, and any float64
+        # product, runs whole on the calling thread.
+        rng = np.random.default_rng(48)
+        for m, k, n in ((128, 3706, 500), (128, 128, 30000), (64, 900, 64)):
+            a = rng.standard_normal((m, k)).astype(dtype)
+            b = (rng.standard_normal((k, n)) / math.sqrt(k)).astype(dtype)
+            g = rng.standard_normal((m, n)).astype(dtype)
+            most = m * k * n // nd._BLOCK_MACS if dtype == np.float32 else 1
+            out = self.same_bits_on_every_worker_count(
+                self.run_op, ("matmul", a, b, g),
+                lambda workers: 4 * min(workers, most) if min(workers, most) > 1 else 0,
+                attention_workers, (m, k, n))[0]
+            assert out.flags.c_contiguous and np.array_equal(out, a @ b)
+
+    def test_dense_contexts_do_not_depend_on_the_worker_count(self, attention_workers):
+        # At 6% density every hop takes the dense route, and each hop's
+        # GEMM is one block per worker.
+        matrix = synth_interactions(700, 900, 0.94, seed=3)
+        runs = {}
+        for workers in (1, 2, 3):
+            pool = attention_workers(workers)
+            ctxs = graph.build_contexts(matrix, H=4)
+            assert pool.jobs == (3 * workers if workers > 1 else 0)
+            runs[workers] = [getattr(ctxs.hops[h], name) for h in ctxs.hop_list
+                             for name in ("indptr", "indices", "data")]
+        for workers in (2, 3):
+            for got, want in zip(runs[workers], runs[1]):
+                assert got.dtype == want.dtype and np.array_equal(got, want), workers
 
     def test_default_shape_matches_whole_batch(self):
         # At k=500 the products run in row blocks, which BLAS may sum in
@@ -597,12 +638,12 @@ class TestAttentionWorkers:
             for got, gx in zip((gq, gk, gv), whole_batch_attention_vjp(q, k, v, want_s, g)):
                 np.testing.assert_allclose(got, gx, rtol=1e-4, atol=1e-5, err_msg=f"d={d}")
 
-
     def test_values_do_not_depend_on_the_blas_thread_count(self):
-        # OpenBLAS splits a large product over its threads, which changes
-        # the order of its sums; every attention and feedforward product
-        # stays below that size, so one and two BLAS threads give the same
-        # bits.
+        # numpy's OpenBLAS is held to one thread however many it was
+        # started with, so a seeded training step at a shape whose encoder
+        # products OpenBLAS would split over its threads, a dense context
+        # build and every attention and feedforward product give the same
+        # bits under one and two BLAS threads.
         src = str(Path(nd.__file__).resolve().parents[1])
         digests = []
         for threads in ("1", "2"):
@@ -614,11 +655,25 @@ class TestAttentionWorkers:
             digests.append(proc.stdout.split()[-1])
         assert digests[0] == digests[1]
 
+    def test_numpy_blas_holds_one_thread(self):
+        libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
+        getters = [getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_num_threads64_", None)
+                   for path in sorted(libs.glob("*openblas*"))]
+        getters = [get for get in getters if get is not None]
+        if not getters:
+            pytest.skip("numpy has no bundled OpenBLAS with a thread-count getter")
+        for get in getters:
+            get.restype = ctypes.c_int
+            assert get() == 1
+
 
 _BLAS_THREADS_SNIPPET = """
 import hashlib
 import numpy as np
-from diffcf import ndtensor as nd
+from diffcf import camae, graph, ndtensor as nd, train
+from diffcf.bench import synth_interactions
+from diffcf.dataset import dense_rows
+from diffcf.schedule import build_schedule
 rng = np.random.default_rng(47)
 digest = hashlib.sha256()
 w_in, w_out = (rng.standard_normal(s).astype(np.float32) / 4 for s in ((16, 64), (64, 16)))
@@ -637,6 +692,21 @@ for op, inputs, e in cases:
     digest.update(node.value.tobytes())
     for leaf in ids:
         digest.update(grads[leaf].tobytes())
+matrix = synth_interactions(700, 900, 0.94, seed=3)
+contexts = graph.build_contexts(matrix, H=3)
+for h in contexts.hop_list:
+    for a in (contexts.hops[h].indptr, contexts.hops[h].indices, contexts.hops[h].data):
+        digest.update(a.tobytes())
+cfg = camae.CamAeConfig(num_users=matrix.num_users, num_items=matrix.num_items, latent_dim=64)
+params = camae.init_params(cfg, seed=5)
+users = rng.integers(0, matrix.num_users, size=64)
+t = rng.integers(1, 101, size=64)
+noise = rng.standard_normal((64, matrix.num_items)).astype(np.float32)
+train.train_step(params, nd.init_adam(params, lr=1e-3), cfg, build_schedule(T=100), "vlb",
+                 dense_rows(matrix, users), {h: contexts.batch_rows(users, h) for h in (2, 3)},
+                 t, noise)
+for name in sorted(params):
+    digest.update(params[name].tobytes())
 print(digest.hexdigest())
 """
 
