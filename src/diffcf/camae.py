@@ -33,7 +33,8 @@ embedding (on by default) is added to the expanded interaction tokens.
 
 Ablation variants:
 - "self-attn": queries come from the expanded interaction tokens rather
-  than the hop tokens (hop encoders go unused).
+  than the hop tokens (hop encoders go unused). They attend as scalars too,
+  against width-1 keys with a bias for the timestep code.
 - "no-cross-attn": attention is skipped entirely; each hop's feedforward
   reads the running state directly.
 - "no-ae": encoders/decoder are frozen identity pads, so attention runs
@@ -208,12 +209,12 @@ def condition(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig,
 
 
 def _folded_key_weight(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig,
-                       layer: int, h: int) -> nd.Node:
-    """W_k (e W_q)^T / sqrt(d), (d, 1): the key weight of hop h's latents in
-    `layer`, with `expand_ctx` (e) and the query projection folded in."""
-    e_q = tape.record("reshape", tape.record("matmul", leaves["expand_ctx"],
-                                             leaves[f"attn{layer}_hop{h}_q"]),
-                      shape=(config.attn_dim, 1))
+                       layer: int, h: int, row: nd.Node) -> nd.Node:
+    """W_k (r W_q)^T / sqrt(d), (d, 1) or (B, d, 1): hop h's key weight in
+    `layer` for the scalar queries z of the tokens z r, with the query row
+    r, (1, d) or per user (B, 1, d), and the query projection folded in."""
+    e_q = tape.record("reshape", tape.record("matmul", row, leaves[f"attn{layer}_hop{h}_q"]),
+                      shape=(*row.value.shape[:-2], config.attn_dim, 1))
     return tape.record("scale", tape.record("matmul", leaves[f"attn{layer}_hop{h}_k"], e_q),
                        factor=1.0 / math.sqrt(config.attn_dim))
 
@@ -230,13 +231,30 @@ def _first_layer_attention(tape: nd.Tape, leaves: dict[str, nd.Node], config: Ca
     sum to one, so P (tokens W_v) = (P z_obs)(e_obs W_v) + emb(t) W_v: the
     values are z_obs. Returns the attended (B, seq, d)."""
     e_obs, w_v = leaves["expand_obs"], leaves[f"attn1_hop{h}_v"]
-    w_k = tape.record("matmul", e_obs, _folded_key_weight(tape, leaves, config, 1, h))
+    w_k = tape.record("matmul", e_obs,
+                      _folded_key_weight(tape, leaves, config, 1, h, leaves["expand_ctx"]))
     key = tape.record("matmul", z_obs, w_k)
     attended = tape.record("matmul", tape.record("cross_attention", latent, key, z_obs),
                            tape.record("matmul", e_obs, w_v))
     if emb is None:
         return attended
     return tape.record("add", attended, tape.record("matmul", emb, w_v))
+
+
+def _self_attention(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig,
+                    layer: int, h: int, z_obs: nd.Node, state: nd.Node,
+                    emb: nd.Node | None) -> nd.Node:
+    """Hop h's attention in `layer` of "self-attn". Its queries, in every
+    layer, are the tokens z_obs e_obs + emb(t) projected by W_q, so their
+    logits against the keys state W_k are z_i beta_j + gamma_j, with the
+    width-1 keys beta = state (W_k (e_obs W_q)^T / sqrt(d)) and the key bias
+    gamma = state (W_k (emb(t) W_q)^T / sqrt(d)), which is left out without
+    the timestep code. Returns the attended (B, seq, d)."""
+    beta, *gamma = [tape.record("matmul", state, _folded_key_weight(tape, leaves, config, layer,
+                                                                    h, row))
+                    for row in (leaves["expand_obs"], emb) if row is not None]
+    values = tape.record("matmul", state, leaves[f"attn{layer}_hop{h}_v"])
+    return tape.record("cross_attention", z_obs, beta, values, *gamma)
 
 
 def denoise(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig,
@@ -255,7 +273,8 @@ def denoise(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig,
     through the fold. In layer 1 the state is the rank-two tokens, so the
     keys and values are width 1 as well (see `_first_layer_attention`), and
     the (B, seq, d) tokens are recorded only where something reads them:
-    the residual add, and the "self-attn" and "no-cross-attn" layers."""
+    the residual add, and the "self-attn" and "no-cross-attn" layers. The
+    "self-attn" queries are scalar as well (see `_self_attention`)."""
     u_t = np.asarray(u_t)
     if u_t.ndim != 2 or u_t.shape[1] != config.num_items:
         raise ShapeError(f"u_t must be (B, {config.num_items}), got {u_t.shape}")
@@ -280,22 +299,17 @@ def denoise(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig,
     for layer in range(1, config.layers + 1):
         hop_outs = []
         for h in config.hop_list:
-            w_v = leaves[f"attn{layer}_hop{h}_v"]
             if config.variant == "no-cross-attn":
                 attended = state
             elif config.variant == "self-attn":
-                attended = tape.record(
-                    "cross_attention",
-                    tape.record("matmul", tokens, leaves[f"attn{layer}_hop{h}_q"]),
-                    tape.record("matmul", state, leaves[f"attn{layer}_hop{h}_k"]),
-                    tape.record("matmul", state, w_v))
+                attended = _self_attention(tape, leaves, config, layer, h, z_obs, state, emb)
             elif layer == 1:
                 attended = _first_layer_attention(tape, leaves, config, h, latents[h], z_obs, emb)
             else:
-                key = tape.record("matmul", state,
-                                  _folded_key_weight(tape, leaves, config, layer, h))
-                attended = tape.record("cross_attention", latents[h], key,
-                                       tape.record("matmul", state, w_v))
+                key = tape.record("matmul", state, _folded_key_weight(tape, leaves, config, layer,
+                                                                      h, leaves["expand_ctx"]))
+                attended = tape.record("cross_attention", latents[h], key, tape.record(
+                    "matmul", state, leaves[f"attn{layer}_hop{h}_v"]))
             hop_outs.append(tape.record("feedforward", attended, leaves[f"ff_hop{h}_in"],
                                         leaves[f"ff_hop{h}_out"]))
         blended = tape.record("weighted_sum", *hop_outs, weights=config.hop_weights)

@@ -185,37 +185,29 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 # ------------------------------------------------------------ cross-attention
 #
-# The operands are (B, m, d) queries, (B, n, d) keys and (B, n, e) values
-# over one shared batch axis. softmax(q k^T / sqrt(d)) v walks that axis
-# in chunks, so that the (chunk, m, n) score blocks it works in stay
-# within ATTN_CHUNK_BYTES each instead of materialising every (B, m, n)
-# temporary at once.
+# Every attention of the model takes one scalar per query: (B, m, 1)
+# queries a, (B, n, 1) keys b, (B, n, e) values v and an optional (B, n, 1)
+# key bias c, over one shared batch axis, give softmax_j(a_i b_j + c_j) v.
+# The op walks the batch axis in chunks, so that its (chunk, m, n) score
+# blocks stay within ATTN_CHUNK_BYTES each.
 #
-# The forward normalises after the product, as FlashAttention does, and
-# folds every elementwise step it can into the products it makes anyway.
-# The queries are scaled by 1/sqrt(d) (exact for d a power of 4) and the
-# scores formed as [q/sqrt(d), 0] [k, 1]^T, a product over K = d+1, so a
-# chunk's scores come out ready to exponentiate. The zero column adds
-# nothing to a score, and it keeps the model's width-1 hop attention off
-# BLAS's slow K=1 route: one (4, 500, 500) score block takes 2.9 ms at
-# K=1, 0.35 ms at K=2 and 0.89 ms at K=16 on a 2-CPU x86 VM. The row max
-# is taken only when a chunk's logits could overflow or underflow: their
-# Cauchy-Schwarz bound, the largest row norm of the scaled queries times
-# that of the keys, stays within `_logit_limit` on ordinary inputs, and
-# then exp runs on the scores as they are. At width 1 that bound is the
-# largest logit magnitude itself. So a score block sees three passes: the
-# product, exp in place, and one product with [v | 1] that gives the
-# unnormalised output and the row sums together. Past the limit, each row
-# is shifted by its max first.
+# The forward normalises after the product, as FlashAttention does. A
+# chunk's scores are one product over K = 2, [a, 1] [b, c]^T (c = 0 when
+# there is no bias), which also keeps it off BLAS's slow K=1 route: one
+# (4, 500, 500) score block takes 2.9 ms at K=1 and 0.35 ms at K=2 on a
+# 2-CPU x86 VM. No logit exceeds max|a| max|b| + max|c| in magnitude, and
+# only when that bound passes `_logit_limit` is each row shifted by its
+# max first. So a score block sees three passes: the product, exp in
+# place, and one product with [v | 1] that gives the unnormalised output
+# and the row sums together.
 # The backward keeps only the row log-sum-exp (B, m) of the forward and
-# rebuilds the softmax from it chunk by chunk, with -lse in the zero
-# column: exp([q/sqrt(d), -lse] [k, 1]^T), so the scale and the shift
-# happen inside the product. It forms dP - rowsum(dO * O) as
-# [dO, -rowsum(dO * O)] [v, 1]^T, uses rowsum(dO * O) in place of
-# rowsum(dP * P), and multiplies by P in place; 1/sqrt(d) is applied to
-# the (B, m, d) query gradient, and the key gradient is taken against the
-# scaled queries. That is two elementwise passes over a score block, and
-# no (B, m, n) array lives between the two passes.
+# rebuilds the softmax chunk by chunk with the shift inside the product,
+# P = exp([a, 1, -lse] [b, c, 1]^T). It forms dP - rowsum(dO * O) as
+# [dO, -rowsum(dO * O)] [v, 1]^T, using rowsum(dO * O) in place of
+# rowsum(dP * P), and multiplies by P in place to get dS. Then da = dS b,
+# and [db, dc] = dS^T [a, 1] is one product (db = dS^T a without a bias).
+# That is two elementwise passes over a score block, and no (B, m, n)
+# array lives between the two passes.
 #
 # Both passes run their chunks on the pool, each worker in score buffers
 # of its own, and each of a chunk's products is one numpy call. Chunk
@@ -226,9 +218,9 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 ATTN_CHUNK_BYTES = 1 << 22
 
 
-def _chunk_len(q: np.ndarray, k: np.ndarray) -> int:
+def _chunk_len(a: np.ndarray, b: np.ndarray) -> int:
     """Batch entries per chunk: as many (m, n) score blocks as fit the budget."""
-    return max(1, ATTN_CHUNK_BYTES // (q.shape[1] * k.shape[1] * q.itemsize))
+    return max(1, ATTN_CHUNK_BYTES // (a.shape[1] * b.shape[1] * a.itemsize))
 
 
 def _logit_limit(dtype, n: int) -> float:
@@ -240,43 +232,37 @@ def _logit_limit(dtype, n: int) -> float:
     return 0.5 * min(math.log(float(fi.max) / n), -math.log(float(fi.tiny)))
 
 
-def _max_row_norm(x: np.ndarray) -> float:
-    return math.sqrt(float(np.einsum("...i,...i->...", x, x).max()))
-
-
-def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, keep_lse: bool):
+def _attention_forward(a: np.ndarray, b: np.ndarray, v: np.ndarray,
+                       c: np.ndarray | None = None, *, keep_lse: bool):
     """Returns (output, float64 row log-sum-exp (B, m) or None)."""
-    batch, chunk = len(q), _chunk_len(q, k)
-    m, n, d, e = q.shape[1], k.shape[1], q.shape[2], v.shape[-1]
-    inv = q.dtype.type(1.0 / math.sqrt(d))
-    limit = _logit_limit(q.dtype, n)
-    out = np.empty((batch, m, e), q.dtype)
+    batch, chunk = len(a), _chunk_len(a, b)
+    m, n, e = a.shape[1], b.shape[1], v.shape[-1]
+    limit = _logit_limit(a.dtype, n)
+    qa = np.concatenate([a, np.ones_like(a)], axis=-1)                       # [a, 1]
+    kb = np.concatenate([b, np.zeros_like(b) if c is None else c], axis=-1)  # [b, c]
+    out = np.empty((batch, m, e), a.dtype)
     lse = np.empty((batch, m), np.float64) if keep_lse else None
 
     def run(starts):
         width = min(chunk, batch)
-        qa = np.zeros((width, m, d + 1), q.dtype)  # [q / sqrt(d), 0]
-        ka = np.ones((width, n, d + 1), q.dtype)   # [k, 1]
-        s = np.empty((width, m, n), q.dtype)
-        v1 = np.ones((width, n, e + 1), q.dtype)
-        acc = np.empty((width, m, e + 1), q.dtype)
+        s = np.empty((width, m, n), a.dtype)
+        v1 = np.ones((width, n, e + 1), a.dtype)
+        acc = np.empty((width, m, e + 1), a.dtype)
         for lo in starts:
             part = slice(lo, lo + chunk)
-            c = len(q[part])
-            qc, sc = qa[:c], s[:c]
-            np.multiply(q[part], inv, out=qc[..., :d])
-            ka[:c, :, :d] = k[part]
-            np.matmul(qc, _swap(ka[:c]), out=sc)
+            w = len(a[part])
+            sc = np.matmul(qa[part], _swap(kb[part]), out=s[:w])
             shift = None
-            if _max_row_norm(qc) * _max_row_norm(k[part]) > limit:
+            if (float(np.abs(a[part]).max()) * float(np.abs(kb[part, :, 0]).max())
+                    + float(np.abs(kb[part, :, 1]).max()) > limit):
                 shift = sc.max(axis=-1, keepdims=True)
                 sc -= shift
             np.exp(sc, out=sc)
-            v1[:c, :, :e] = v[part]
-            np.matmul(sc, v1[:c], out=acc[:c])
-            np.divide(acc[:c, :, :e], acc[:c, :, e:], out=out[part])
+            v1[:w, :, :e] = v[part]
+            np.matmul(sc, v1[:w], out=acc[:w])
+            np.divide(acc[:w, :, :e], acc[:w, :, e:], out=out[part])
             if keep_lse:
-                np.log(acc[:c, :, e], out=lse[part], dtype=np.float64)
+                np.log(acc[:w, :, e], out=lse[part], dtype=np.float64)
                 if shift is not None:
                     lse[part] += shift[..., 0]
 
@@ -284,16 +270,20 @@ def _attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray, keep_lse: bo
     return out, lse
 
 
-def _attention_backward(q: np.ndarray, k: np.ndarray, v: np.ndarray, out: np.ndarray,
-                        lse: np.ndarray, g: np.ndarray) -> list[np.ndarray]:
-    """Gradients for (q, k, v) from the forward's output and row log-sum-exp
-    and the output grad."""
-    batch, chunk = len(q), _chunk_len(q, k)
-    m, n, d, e = q.shape[1], k.shape[1], q.shape[2], v.shape[-1]
-    dtype = np.result_type(q, g)
-    inv = dtype.type(1.0 / math.sqrt(d))
-    grads = [np.empty(x.shape, dtype) for x in (q, k, v)]
-    gq, gk, gv = grads
+def _attention_backward(out: np.ndarray, lse: np.ndarray, g: np.ndarray, a: np.ndarray,
+                        b: np.ndarray, v: np.ndarray,
+                        c: np.ndarray | None = None) -> list[np.ndarray]:
+    """Gradients for (a, b, v), and c when given, from the forward's output
+    and row log-sum-exp and the output grad."""
+    batch, chunk = len(a), _chunk_len(a, b)
+    m, n, e = a.shape[1], b.shape[1], v.shape[-1]
+    dtype = np.result_type(a, g)
+    qa = np.concatenate([a, np.ones_like(a), -lse[..., None]], axis=-1, dtype=dtype)
+    kb = np.concatenate([b, np.zeros_like(b) if c is None else c, np.ones_like(b)], axis=-1,
+                        dtype=dtype)
+    cols = 1 if c is None else 2
+    ga, gv = np.empty(a.shape, dtype), np.empty(v.shape, dtype)
+    gbc = np.empty((batch, n, cols), dtype)  # [db, dc]
 
     def run(starts):
         width = min(chunk, batch)
@@ -301,31 +291,25 @@ def _attention_backward(q: np.ndarray, k: np.ndarray, v: np.ndarray, out: np.nda
         # they left 8 MB more resident in the workers' malloc arenas.
         p = np.empty((width, m, n), dtype)
         ds = np.empty_like(p)
-        qa = np.empty((width, m, d + 1), dtype)  # [q / sqrt(d), -lse]
-        ka = np.ones((width, n, d + 1), dtype)   # [k, 1]
-        ga = np.empty((width, m, e + 1), dtype)  # [dO, -rowsum(dO * O)]
+        go = np.empty((width, m, e + 1), dtype)  # [dO, -rowsum(dO * O)]
         va = np.ones((width, n, e + 1), dtype)   # [v, 1]
         for lo in starts:
             part = slice(lo, lo + chunk)
-            c, gc = len(q[part]), g[part]
-            pc, dc, qc = p[:c], ds[:c], qa[:c]
-            np.multiply(q[part], inv, out=qc[..., :d])
-            np.negative(lse[part], out=qc[..., d])
-            ka[:c, :, :d] = k[part]
-            np.exp(np.matmul(qc, _swap(ka[:c]), out=pc), out=pc)
+            w, gc = len(a[part]), g[part]
+            pc, dc = p[:w], ds[:w]
+            np.exp(np.matmul(qa[part], _swap(kb[part]), out=pc), out=pc)
             np.matmul(_swap(pc), gc, out=gv[part])
-            ga[:c, :, :e] = gc
+            go[:w, :, :e] = gc
             np.negative(np.multiply(gc, out[part]).sum(axis=-1, dtype=np.float64),
-                        out=ga[:c, :, e])
-            va[:c, :, :e] = v[part]
-            np.matmul(ga[:c], _swap(va[:c]), out=dc)
+                        out=go[:w, :, e])
+            va[:w, :, :e] = v[part]
+            np.matmul(go[:w], _swap(va[:w]), out=dc)
             dc *= pc
-            np.matmul(dc, k[part], out=gq[part])
-            gq[part] *= inv
-            np.matmul(_swap(dc), qc[..., :d], out=gk[part])
+            np.matmul(dc, b[part], out=ga[part])
+            np.matmul(_swap(dc), qa[part, :, :cols], out=gbc[part])
 
     _map_chunks(batch, chunk, run)
-    return grads
+    return [ga, gbc[..., :1], gv] + ([] if c is None else [gbc[..., 1:]])
 
 
 # ---------------------------------------------------------------- feedforward
@@ -466,16 +450,16 @@ class Tape:
             for wi, vi in zip(w[1:], vals[1:]):
                 out += wi * vi
         elif op == "cross_attention":
-            q, k, v = vals
-            if not (q.ndim == k.ndim == v.ndim == 3 and len(q) == len(k) == len(v)
-                    and q.shape[-1] == k.shape[-1] and k.shape[-2] == v.shape[-2]):
+            a, b, v, *c = vals
+            if not (v.ndim == 3 and a.ndim == 3 and a.shape[::2] == (len(v), 1) and len(c) <= 1
+                    and all(x.shape == (*v.shape[:2], 1) for x in (b, *c))):
                 raise ShapeError(
-                    f"cross_attention: shapes {q.shape}, {k.shape}, {v.shape} are not "
-                    "(B, m, d), (B, n, d), (B, n, e)")
-            if not q.dtype == k.dtype == v.dtype:
+                    f"cross_attention: shapes {[x.shape for x in vals]} are not "
+                    "(B, m, 1), (B, n, 1), (B, n, e) and an optional (B, n, 1)")
+            if len({x.dtype for x in vals}) != 1:
                 raise ContractError(
-                    f"cross_attention: dtypes {q.dtype}, {k.dtype}, {v.dtype} differ")
-            out, ctx["lse"] = _attention_forward(q, k, v, keep_lse=req)
+                    f"cross_attention: dtypes {[str(x.dtype) for x in vals]} differ")
+            out, ctx["lse"] = _attention_forward(*vals, keep_lse=req)
         elif op == "reshape":
             (a,) = vals
             shape = tuple(const["shape"])
@@ -552,7 +536,7 @@ class Tape:
                 if wanted:
                     yield inp, w * g
         elif op == "cross_attention":
-            grads = _attention_backward(*vals, node.value, node.ctx["lse"], g)
+            grads = _attention_backward(node.value, node.ctx["lse"], g, *vals)
             yield from ((inp, gi) for inp, gi, wanted in zip(ins, grads, need) if wanted)
         elif op == "reshape":
             yield ins[0], g.reshape(node.ctx["old_shape"])

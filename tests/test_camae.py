@@ -204,40 +204,74 @@ class TestParamShapes:
 class TestCrossAttention:
     def test_matches_plain_softmax(self):
         rng = np.random.default_rng(5)
-        q = rng.normal(size=(3, 4, 6))
-        k = rng.normal(size=(3, 5, 6))
+        a, b, c = rng.normal(size=(3, 4, 1)), rng.normal(size=(3, 5, 1)), rng.normal(size=(3, 5, 1))
         v = rng.normal(size=(3, 5, 2))
-        want = softmax_rows(q @ k.transpose(0, 2, 1) / math.sqrt(6)) @ v
+        want = softmax_rows(a @ b.transpose(0, 2, 1) + c.transpose(0, 2, 1)) @ v
         tape = nd.Tape()
-        got = tape.record("cross_attention", tape.leaf(q), tape.leaf(k), tape.leaf(v))
+        got = tape.record("cross_attention", *(tape.leaf(x) for x in (a, b, v, c)))
         np.testing.assert_allclose(got.value, want, rtol=1e-12, atol=1e-12)
+
+
+def wide_attention(tape, q, key, value, target):
+    """softmax(q key^T / sqrt(d)) value for d-wide nodes, the attention that
+    the model's scalar queries stand in for, computed in float64 numpy off
+    the tape. Returns (output, row log-sum-exp, loss node). The loss node's
+    gradient through q, key and value is that of mse(output, target), by
+    the hand-derived chain rule: it sums each input times its gradient, a
+    constant, so the tape carries that gradient on to the leaves."""
+    q64, k64, v64 = (np.asarray(x.value, np.float64) for x in (q, key, value))
+    scale = 1.0 / math.sqrt(q64.shape[-1])
+    logits = q64 @ k64.transpose(0, 2, 1) * scale
+    top = logits.max(axis=-1, keepdims=True)
+    e = np.exp(logits - top)
+    p = e / e.sum(axis=-1, keepdims=True)
+    out = p @ v64
+    g = 2.0 * (out - target)
+    gp = g @ v64.transpose(0, 2, 1)
+    gl = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
+    loss = None
+    grads = (gl @ k64, gl.transpose(0, 2, 1) @ q64, p.transpose(0, 2, 1) @ g)
+    for x, gx in zip((q, key, value), grads):
+        term = tape.record("matmul", tape.record("reshape", x, shape=(1, gx.size)),
+                           tape.leaf(gx.reshape(-1, 1)))
+        loss = term if loss is None else tape.record("add", loss, term)
+    return out, (top + np.log(e.sum(axis=-1, keepdims=True)))[..., 0], loss
+
+
+def assert_close_to_wide(names, got, want):
+    for name, g, w in zip(names, got, want):
+        assert g.shape == w.shape, name
+        np.testing.assert_allclose(g, w, rtol=1e-4, atol=1e-5 * np.abs(w).max(), err_msg=name)
 
 
 class TestRankOneQueries:
     """A hop's queries z (e W_q), its latent z (B, seq, 1) expanded by
     `expand_ctx` (e) and projected by W_q, are rank one: `denoise` attends
     with z at width 1 against the keys state (W_k (e W_q)^T / sqrt(d)). In
-    float32 the factored attention matches the d-wide composition, values,
-    row log-sum-exp and gradients, on both routes of the kernel."""
+    float32 the factored attention matches the d-wide composition in
+    float64, values, row log-sum-exp and gradients, on both routes of the
+    kernel."""
 
     B, SEQ, D = 5, 300, 16
+    NAMES = ["z", "expand_ctx", "attn2_hop2_q", "attn2_hop2_k", "state", "v"]
 
     def attend(self, inputs, target, folded):
         tape = nd.Tape()
-        z, e, w_q, w_k, state, v = leaves = [tape.leaf(x, trainable=True) for x in inputs]
+        leaves = {n: tape.leaf(x, trainable=True) for n, x in zip(self.NAMES, inputs)}
+        z, state, v = leaves["z"], leaves["state"], leaves["v"]
         if folded:
-            e_q = tape.record("reshape", tape.record("matmul", e, w_q), shape=(self.D, 1))
-            w = tape.record("scale", tape.record("matmul", w_k, e_q),
-                            factor=1.0 / math.sqrt(self.D))
-            q, key = z, tape.record("matmul", state, w)
+            w = camae._folded_key_weight(tape, leaves, small_config(attn_dim=self.D), 2, 2,
+                                         leaves["expand_ctx"])
+            node = tape.record("cross_attention", z, tape.record("matmul", state, w), v)
+            out, lse = node.value, node.ctx["lse"]
+            loss = tape.record("mse", node, tape.leaf(target))
         else:
-            q = tape.record("matmul", tape.record("matmul", z, e), w_q)
-            key = tape.record("matmul", state, w_k)
-        out = tape.record("cross_attention", q, key, v)
-        grads = tape.backward(tape.record("mse", out, tape.leaf(target)))
-        bound = (np.linalg.norm(q.value, axis=-1).max() / math.sqrt(q.value.shape[-1])
-                 * np.linalg.norm(key.value, axis=-1).max())
-        return [out.value, out.ctx["lse"]] + [grads[x] for x in leaves], bound
+            q = tape.record("matmul", tape.record("matmul", z, leaves["expand_ctx"]),
+                            leaves["attn2_hop2_q"])
+            out, lse, loss = wide_attention(
+                tape, q, tape.record("matmul", state, leaves["attn2_hop2_k"]), v, target)
+        grads = tape.backward(loss)
+        return [out, lse] + [grads[leaves[n]] for n in self.NAMES]
 
     @pytest.mark.parametrize("z_scale, shifted", [(1.0, False), (60.0, True)])
     def test_factored_attention_matches_the_wide_composition(self, z_scale, shifted):
@@ -252,17 +286,15 @@ class TestRankOneQueries:
                   rng.standard_normal((self.B, self.SEQ, d))]
         inputs = [x.astype(np.float32) for x in inputs]
         target = rng.standard_normal((self.B, self.SEQ, d)).astype(np.float32)
-        got, got_bound = self.attend(inputs, target, folded=True)
-        want, want_bound = self.attend(inputs, target, folded=False)
-        limit = nd._logit_limit(np.float32, self.SEQ)
-        # Both runs take the same route: the row-max shift exactly when the
-        # logits could leave exp's range.
-        assert (got_bound > limit) == (want_bound > limit) == shifted
-        names = ["out", "lse", "z", "expand_ctx", "W_q", "W_k", "state", "v"]
-        for name, g, w in zip(names, got, want):
-            assert g.shape == w.shape, name
-            np.testing.assert_allclose(g, w, rtol=1e-4, atol=1e-5 * np.abs(w).max(),
-                                       err_msg=name)
+        # The kernel shifts its rows exactly when its logit bound, the
+        # largest latent times the largest key, passes the limit.
+        z, e, w_q, w_k, state, _ = (x.astype(np.float64) for x in inputs)
+        largest = np.abs(z).max() * np.abs(state @ w_k @ (e @ w_q).T).max() / math.sqrt(d)
+        assert (largest > nd._logit_limit(np.float32, self.SEQ)) == shifted
+        got = self.attend(inputs, target, folded=True)
+        want = self.attend([x.astype(np.float64) for x in inputs], target.astype(np.float64),
+                           folded=False)
+        assert_close_to_wide(["out", "lse"] + self.NAMES, got, want)
 
     def test_training_tape_holds_no_hop_query(self):
         # The nodes that read a hop context but not u_t are its encoder
@@ -328,19 +360,21 @@ class TestRankTwoFirstLayer:
         emb = None if emb is None else tape.leaf(emb)
         z_ctx, z_obs = leaves["z_ctx"], leaves["z_obs"]
         if factored:
-            out = camae._first_layer_attention(tape, leaves, small_config(attn_dim=self.D), 2,
-                                               z_ctx, z_obs, emb)
+            node = camae._first_layer_attention(tape, leaves, small_config(attn_dim=self.D), 2,
+                                                z_ctx, z_obs, emb)
+            out, loss = node.value, tape.record("mse", node, tape.leaf(target))
         else:
             tokens = tape.record("matmul", z_obs, leaves["expand_obs"])
             if emb is not None:
                 tokens = tape.record("add", tokens, emb)
             q = tape.record("matmul", tape.record("matmul", z_ctx, leaves["expand_ctx"]),
                             leaves["attn1_hop2_q"])
-            out = tape.record("cross_attention", q,
-                              tape.record("matmul", tokens, leaves["attn1_hop2_k"]),
-                              tape.record("matmul", tokens, leaves["attn1_hop2_v"]))
-        grads = tape.backward(tape.record("mse", out, tape.leaf(target)))
-        return [out.value] + [grads[leaves[n]] for n in self.NAMES]
+            out, _, loss = wide_attention(tape, q,
+                                          tape.record("matmul", tokens, leaves["attn1_hop2_k"]),
+                                          tape.record("matmul", tokens, leaves["attn1_hop2_v"]),
+                                          target)
+        grads = tape.backward(loss)
+        return [out] + [grads[leaves[n]] for n in self.NAMES]
 
     @pytest.mark.parametrize("t_embed", [False, True])
     @pytest.mark.parametrize("z_scale, shifted", [(1.0, False), (500.0, True)])
@@ -371,10 +405,81 @@ class TestRankTwoFirstLayer:
         want = self.attend([x.astype(np.float64) for x in inputs],
                            None if emb is None else emb.astype(np.float64),
                            target.astype(np.float64), factored=False)
-        for name, g, w in zip(["out"] + self.NAMES, got, want):
-            assert g.shape == w.shape, name
-            np.testing.assert_allclose(g, w, rtol=1e-4, atol=1e-5 * np.abs(w).max(),
-                                       err_msg=name)
+        assert_close_to_wide(["out"] + self.NAMES, got, want)
+
+class TestSelfAttnKeyBias:
+    """The "self-attn" queries are the tokens z_obs e_obs + emb(t) projected
+    by W_q: `_self_attention` attends with z_obs against the width-1 keys
+    beta = state (W_k (e_obs W_q)^T / sqrt(d)) and the key bias gamma =
+    state (W_k (emb(t) W_q)^T / sqrt(d)). In float32 it matches the d-wide
+    composition in float64, output, row log-sum-exp and gradients, with and
+    without the timestep code, on both routes of the kernel."""
+
+    B, SEQ, D = 5, 300, 16
+    NAMES = ["z_obs", "expand_obs", "attn2_hop3_q", "attn2_hop3_k", "attn2_hop3_v", "state"]
+
+    def attend(self, inputs, emb, target, factored):
+        tape = nd.Tape()
+        leaves = {n: tape.leaf(x, trainable=True) for n, x in zip(self.NAMES, inputs)}
+        emb = None if emb is None else tape.leaf(emb)
+        z_obs, state = leaves["z_obs"], leaves["state"]
+        if factored:
+            cfg = small_config(attn_dim=self.D, variant="self-attn")
+            node = camae._self_attention(tape, leaves, cfg, 2, 3, z_obs, state, emb)
+            out, lse = node.value, node.ctx["lse"]
+            loss = tape.record("mse", node, tape.leaf(target))
+        else:
+            tokens = tape.record("matmul", z_obs, leaves["expand_obs"])
+            if emb is not None:
+                tokens = tape.record("add", tokens, emb)
+            out, lse, loss = wide_attention(
+                tape, tape.record("matmul", tokens, leaves["attn2_hop3_q"]),
+                tape.record("matmul", state, leaves["attn2_hop3_k"]),
+                tape.record("matmul", state, leaves["attn2_hop3_v"]), target)
+        grads = tape.backward(loss)
+        return [out, lse] + [grads[leaves[n]] for n in self.NAMES]
+
+    @pytest.mark.parametrize("t_embed", [False, True])
+    @pytest.mark.parametrize("z_scale, shifted", [(1.0, False), (60.0, True)])
+    def test_factored_attention_matches_the_wide_composition(self, t_embed, z_scale, shifted):
+        rng = np.random.default_rng(51)
+        d = self.D
+        bound = math.sqrt(6.0 / (2 * d))
+        inputs = [rng.uniform(-1, 1, (self.B, self.SEQ, 1)) * z_scale,
+                  rng.uniform(-1, 1, (1, d)),
+                  *(rng.uniform(-bound, bound, (d, d)) for _ in range(3)),
+                  rng.standard_normal((self.B, self.SEQ, d))]
+        inputs = [x.astype(np.float32) for x in inputs]
+        emb = nd.sinusoidal_embedding(rng.integers(1, 50, self.B), d) if t_embed else None
+        target = rng.standard_normal((self.B, self.SEQ, d)).astype(np.float32)
+        # The kernel shifts its rows exactly when max|z| max|beta| + max|gamma|
+        # passes the limit.
+        z, e_obs, w_q, w_k, _, state = (x.astype(np.float64) for x in inputs)
+        keys = state @ w_k / math.sqrt(d)
+        largest = np.abs(z).max() * np.abs(keys @ (e_obs @ w_q).T).max()
+        if t_embed:
+            largest += np.abs(keys @ (emb.astype(np.float64) @ w_q).transpose(0, 2, 1)).max()
+        assert (largest > nd._logit_limit(np.float32, self.SEQ)) == shifted
+        got = self.attend(inputs, emb, target, factored=True)
+        want = self.attend([x.astype(np.float64) for x in inputs],
+                           None if emb is None else emb.astype(np.float64),
+                           target.astype(np.float64), factored=False)
+        assert_close_to_wide(["out", "lse"] + self.NAMES, got, want)
+
+    def test_training_tape_holds_no_query_or_key(self):
+        # The query rows fold into the key weight, so W_q and W_k take part
+        # only in products with e_obs (1, d) and the timestep code (B, 1, d),
+        # and in their folds, (d, 1) and (B, d, 1): no (B, seq, d) query or
+        # key waits on the tape, with its gradient.
+        cfg = small_config(variant="self-attn", attn_dim=3)
+        params = random_params(cfg, seed=42, dtype=np.float32)
+        u_t, contexts, t = random_inputs(cfg, batch=3, seed=43)
+        tape, leaves, _ = trainable_forward(params, cfg, u_t.astype(np.float32),
+                                            {h: c.astype(np.float32)
+                                             for h, c in contexts.items()}, t)
+        projections = {leaf for name, leaf in leaves.items() if name.endswith(("_q", "_k"))}
+        shapes = {node.value.shape for node in tape.nodes if projections & set(node.inputs)}
+        assert shapes == {(1, 3), (3, 1), (3, 1, 3), (3, 3, 1)}
 
 
 class TestForwardOracle:

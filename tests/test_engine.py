@@ -118,16 +118,17 @@ class TestOpGradients:
             lambda t, ids: sum_of_squares(t, t.record("scale", ids[0], factor=col)), [a])
 
     def test_row_softmax(self):
-        # Identity values read the row softmax of q k^T / sqrt(d) out of
+        # Identity values read the row softmax of a b^T + c^T out of
         # cross_attention, so only its softmax Jacobian is exercised.
         rng = np.random.default_rng(7)
-        q, k = rng.standard_normal((2, 3, 4)), rng.standard_normal((2, 5, 4))
+        a, b, c = rng.standard_normal((2, 3, 1)), *rng.standard_normal((2, 2, 5, 1))
 
         def build(t, ids):
             eye = t.leaf(np.tile(np.eye(5), (2, 1, 1)))
-            return sum_of_squares(t, t.record("cross_attention", *ids, eye))
+            return sum_of_squares(t, t.record("cross_attention", ids[0], ids[1], eye, *ids[2:]))
 
-        check_op_gradients(build, [q, k])
+        check_op_gradients(build, [a, b])
+        check_op_gradients(build, [a, b, c])
 
     def test_feedforward_away_from_kink(self, monkeypatch):
         # Blocks of 2 rows over 3 x 3 rows: the last block is short, and the
@@ -154,12 +155,12 @@ class TestOpGradients:
 
     def test_cross_attention(self):
         rng = np.random.default_rng(12)
-        q = rng.standard_normal((2, 3, 4))
-        k = rng.standard_normal((2, 5, 4))
+        a = rng.standard_normal((2, 3, 1))
+        b, c = rng.standard_normal((2, 2, 5, 1))
         v = rng.standard_normal((2, 5, 2))
-        check_op_gradients(
-            lambda t, ids: sum_of_squares(t, t.record("cross_attention", *ids)),
-            [q, k, v])
+        for operands in ([a, b, v], [a, b, v, c]):
+            check_op_gradients(
+                lambda t, ids: sum_of_squares(t, t.record("cross_attention", *ids)), operands)
 
     def test_reshape(self):
         rng = np.random.default_rng(14)
@@ -197,30 +198,35 @@ class TestOpValues:
     """Forward semantics on hand-computable cases."""
 
     @staticmethod
-    def attention_softmax(q, k):
+    def attention_softmax(a, b, c):
         """The row softmax inside cross_attention, read out with identity values."""
         tape = nd.Tape()
-        eye = np.tile(np.eye(k.shape[-2], dtype=q.dtype), (len(k), 1, 1))
-        return tape.record("cross_attention", tape.leaf(q), tape.leaf(k),
-                           tape.leaf(eye)).value
+        eye = np.tile(np.eye(b.shape[-2], dtype=a.dtype), (len(b), 1, 1))
+        return tape.record("cross_attention", tape.leaf(a), tape.leaf(b), tape.leaf(eye),
+                           tape.leaf(c)).value
 
     def test_row_softmax_hand_case(self):
-        s = self.attention_softmax(np.array([[[1.0]]]), np.array([[[0.0], [math.log(2.0)]]]))
+        s = self.attention_softmax(np.array([[[1.0]]]), np.array([[[0.0], [math.log(2.0)]]]),
+                                   np.zeros((1, 2, 1)))
         np.testing.assert_allclose(s, [[[1 / 3, 2 / 3]]], rtol=1e-12)
 
     def test_row_softmax_shift_invariant(self):
-        # Moving every key by one vector u shifts query i's logits by the
-        # constant q_i . u / sqrt(d), which must not change its distribution;
-        # the max subtraction keeps this stable even for shifts in the hundreds.
+        # Moving every key bias c_j by one constant, or every key b_j by one
+        # u, shifts each query's logits by a constant (u times a_i), which
+        # must not change its distribution; the max subtraction keeps this
+        # stable even for shifts in the hundreds.
         rng = np.random.default_rng(20)
-        q, k = rng.uniform(0.5, 1.0, (1, 4, 3)), rng.standard_normal((1, 6, 3))
-        np.testing.assert_allclose(self.attention_softmax(q, k),
-                                   self.attention_softmax(q, k + 200.0), atol=1e-10)
+        a = rng.uniform(0.5, 1.0, (1, 4, 1))
+        b, c = rng.standard_normal((2, 1, 6, 1))
+        s = self.attention_softmax(a, b, c)
+        np.testing.assert_allclose(self.attention_softmax(a, b, c + 200.0), s, atol=1e-10)
+        np.testing.assert_allclose(self.attention_softmax(a, b + 200.0, c), s, atol=1e-10)
 
     def test_row_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(21)
-        q, k = rng.standard_normal((1, 5, 2)) * 10, rng.standard_normal((1, 7, 2))
-        s = self.attention_softmax(q, k)
+        a = rng.standard_normal((1, 5, 1)) * 10
+        b, c = rng.standard_normal((2, 1, 7, 1))
+        s = self.attention_softmax(a, b, c)
         np.testing.assert_allclose(s.sum(axis=-1), 1.0, atol=1e-12)
         assert (s > 0).all()
 
@@ -249,78 +255,84 @@ class TestOpValues:
 
     def test_cross_attention_matches_primitive_composition(self):
         rng = np.random.default_rng(22)
-        q = rng.standard_normal((2, 3, 4))
-        k = rng.standard_normal((2, 5, 4))
+        a = rng.standard_normal((2, 3, 1))
+        b, c = rng.standard_normal((2, 2, 5, 1))
         v = rng.standard_normal((2, 5, 4))
 
         tape = nd.Tape()
-        fused = tape.record("cross_attention", tape.leaf(q), tape.leaf(k), tape.leaf(v))
-        logits = q @ k.transpose(0, 2, 1) / math.sqrt(4)
+        fused = tape.record("cross_attention", *(tape.leaf(x) for x in (a, b, v, c)))
+        logits = a @ b.transpose(0, 2, 1) + c.transpose(0, 2, 1)
         e = np.exp(logits - logits.max(axis=-1, keepdims=True))
         composed = (e / e.sum(axis=-1, keepdims=True)) @ v
         np.testing.assert_allclose(fused.value, composed, atol=1e-12)
 
     def test_cross_attention_gradient_matches_composition(self):
         rng = np.random.default_rng(23)
-        q = rng.standard_normal((2, 3, 4))
-        k = rng.standard_normal((2, 5, 4))
+        a = rng.standard_normal((2, 3, 1))
+        b, c = rng.standard_normal((2, 2, 5, 1))
         v = rng.standard_normal((2, 5, 4))
 
         def fused(t, ids):
             return sum_of_squares(t, t.record("cross_attention", *ids))
 
-        # The chain rule through matmul, scale, softmax and matmul, by hand.
-        logits = q @ k.transpose(0, 2, 1) / math.sqrt(4)
+        # The chain rule through matmul, add, softmax and matmul, by hand.
+        logits = a @ b.transpose(0, 2, 1) + c.transpose(0, 2, 1)
         e = np.exp(logits - logits.max(axis=-1, keepdims=True))
         s = e / e.sum(axis=-1, keepdims=True)
         g_out = 2.0 * (s @ v)
         g_s = g_out @ v.transpose(0, 2, 1)
-        g_logits = s * (g_s - (g_s * s).sum(axis=-1, keepdims=True)) / math.sqrt(4)
-        composed = (g_logits @ k, g_logits.transpose(0, 2, 1) @ q,
-                    s.transpose(0, 2, 1) @ g_out)
-        for a, b in zip(analytic_gradients(fused, [q, k, v]), composed):
-            np.testing.assert_allclose(a, b, atol=1e-10)
+        g_logits = s * (g_s - (g_s * s).sum(axis=-1, keepdims=True))
+        composed = (g_logits @ b, g_logits.transpose(0, 2, 1) @ a,
+                    s.transpose(0, 2, 1) @ g_out, g_logits.sum(axis=1)[..., None])
+        for got, want in zip(analytic_gradients(fused, [a, b, v, c]), composed):
+            np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_float32_preserved_through_ops(self):
         tape = nd.Tape()
         a = tape.leaf(np.ones((2, 3), dtype=np.float32))
         b = tape.leaf(np.ones((3, 2), dtype=np.float32))
         c = tape.leaf(np.ones((1, 2, 3), dtype=np.float32))
+        col = tape.leaf(np.ones((1, 2, 1), dtype=np.float32))
         for node in (tape.record("matmul", a, b),
-                     tape.record("cross_attention", c, c, c),
+                     tape.record("cross_attention", col, col, c, col),
                      tape.record("feedforward", c, b, a)):
             assert node.value.dtype == np.float32
 
 
-def whole_batch_attention(q, k, v):
+def whole_batch_logits(a, b, c=None, dtype=None):
+    """The scores a b^T + c^T of scalar queries a against keys b with the
+    key bias c, every (B, m, n) block at once."""
+    logits = np.matmul(a, np.swapaxes(b, -1, -2), dtype=dtype)
+    return logits if c is None else logits + np.swapaxes(c, -1, -2).astype(logits.dtype)
+
+
+def whole_batch_attention(a, b, v, c=None):
     """The cross-attention forward as it was before the chunked kernel:
     every (B, m, n) temporary materialised at once. Returns (out, softmax)."""
-    inv = 1.0 / math.sqrt(q.shape[-1])
-    logits = np.matmul(q, np.swapaxes(k, -1, -2)) * np.asarray(inv, dtype=q.dtype)
+    logits = whole_batch_logits(a, b, c)
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     denom = e.sum(axis=-1, keepdims=True, dtype=np.float64)
-    s = (e / denom).astype(q.dtype)
+    s = (e / denom).astype(a.dtype)
     return np.matmul(s, v), s
 
 
-def whole_batch_lse(q, k):
-    """Row log-sum-exp of the scaled scores, in float64."""
-    logits = np.matmul(q, np.swapaxes(k, -1, -2), dtype=np.float64) / math.sqrt(q.shape[-1])
+def whole_batch_lse(a, b, c=None):
+    """Row log-sum-exp of the scores, in float64."""
+    logits = whole_batch_logits(a, b, c, dtype=np.float64)
     top = logits.max(axis=-1)
     return top + np.log(np.exp(logits - top[..., None]).sum(axis=-1))
 
 
-def whole_batch_attention_vjp(q, k, v, s, g):
-    """The whole-batch backward matching `whole_batch_attention`."""
-    inv = 1.0 / math.sqrt(q.shape[-1])
+def whole_batch_attention_vjp(a, b, v, s, g, c=None):
+    """The whole-batch backward matching `whole_batch_attention`: the
+    gradients of a, b, v and, when given, c."""
     gv = np.matmul(np.swapaxes(s, -1, -2), g)
     gs = np.matmul(g, np.swapaxes(v, -1, -2))
     inner = (gs * s).sum(axis=-1, keepdims=True, dtype=np.float64).astype(s.dtype)
-    gl = (s * (gs - inner)) * np.asarray(inv, dtype=s.dtype)
-    gq = np.matmul(gl, k)
-    gk = np.matmul(np.swapaxes(gl, -1, -2), q)
-    return gq, gk, gv
+    gl = s * (gs - inner)
+    grads = [np.matmul(gl, b), np.matmul(np.swapaxes(gl, -1, -2), a), gv]
+    return grads if c is None else grads + [gl.sum(axis=-2)[..., None]]
 
 
 # Float32 rounding for values of order 1; float64 to ~1e-13.
@@ -331,11 +343,17 @@ def chunk_len(m, n, dtype):
     return max(1, nd.ATTN_CHUNK_BYTES // (m * n * np.dtype(dtype).itemsize))
 
 
-def logit_bound(q, k):
-    """Cauchy-Schwarz bound on every logit of q k^T / sqrt(d): the longest
-    query row times the longest key row."""
-    longest = [np.linalg.norm(x.astype(np.float64), axis=-1).max() for x in (q, k)]
-    return longest[0] * longest[1] / math.sqrt(q.shape[-1])
+def logit_bound(a, b, c=None):
+    """The kernel's bound on every logit a_i b_j + c_j: max|a| max|b| + max|c|."""
+    bound = np.abs(a).max() * float(np.abs(b).max())
+    return bound if c is None else bound + float(np.abs(c).max())
+
+
+def attention_operands(rng, batch, m, n, e, dtype, bias):
+    """Standard normal queries (batch, m, 1), keys (batch, n, 1), values
+    (batch, n, e) and, with `bias`, a key bias (batch, n, 1)."""
+    shapes = [(batch, m, 1), (batch, n, 1), (batch, n, e)] + [(batch, n, 1)] * bias
+    return [rng.standard_normal(s).astype(dtype) for s in shapes]
 
 
 class TestChunkedAttention:
@@ -345,21 +363,24 @@ class TestChunkedAttention:
     in another order than the oracle's."""
 
     # Large enough that a handful of users fill a chunk of the budget.
-    M, N, D, DV = 384, 512, 8, 5
+    M, N, DV = 384, 512, 5
 
-    def assert_matches_oracle(self, q, k, v, seed):
+    def assert_matches_oracle(self, operands, seed):
         tape = nd.Tape()
-        ids = [tape.leaf(x, trainable=True) for x in (q, k, v)]
+        ids = [tape.leaf(x, trainable=True) for x in operands]
         node = tape.record("cross_attention", *ids)
-        want, want_s = whole_batch_attention(q, k, v)
+        a, b, v, *c = operands
+        want, want_s = whole_batch_attention(*operands)
         tol = TOLERANCE[want.dtype.type]
         assert node.value.shape == want.shape and node.value.dtype == want.dtype
         np.testing.assert_allclose(node.value, want, **tol)
         assert node.ctx["lse"].dtype == np.float64
-        np.testing.assert_allclose(node.ctx["lse"], whole_batch_lse(q, k), **tol)
+        np.testing.assert_allclose(node.ctx["lse"], whole_batch_lse(a, b, *c), **tol)
         g = np.random.default_rng(seed).standard_normal(want.shape).astype(want.dtype)
         got = dict(tape._vjp(node, g))
-        for leaf, x, gx in zip(ids, (q, k, v), whole_batch_attention_vjp(q, k, v, want_s, g)):
+        wanted = whole_batch_attention_vjp(a, b, v, want_s, g, *c)
+        assert len(wanted) == len(ids)
+        for leaf, x, gx in zip(ids, operands, wanted):
             assert got[leaf].shape == x.shape and got[leaf].dtype == gx.dtype
             np.testing.assert_allclose(got[leaf], gx, **tol)
 
@@ -368,32 +389,26 @@ class TestChunkedAttention:
         chunk = chunk_len(self.M, self.N, dtype)
         assert 2 <= chunk < 16, "operands must span several chunks"
         rng = np.random.default_rng(40)
-        for batch in sorted({1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1}):
-            q = rng.standard_normal((batch, self.M, self.D)).astype(dtype)
-            k = rng.standard_normal((batch, self.N, self.D)).astype(dtype)
-            v = rng.standard_normal((batch, self.N, self.DV)).astype(dtype)
+        for batch, bias in itertools.product(sorted({1, chunk - 1, chunk, chunk + 1,
+                                                     2 * chunk + 1}), (False, True)):
+            operands = attention_operands(rng, batch, self.M, self.N, self.DV, dtype, bias)
             # Bounded logits: every chunk exponentiates without the row max.
-            assert logit_bound(q, k) < nd._logit_limit(dtype, self.N)
-            self.assert_matches_oracle(q, k, v, seed=batch)
+            assert logit_bound(*operands[:2], *operands[3:]) < nd._logit_limit(dtype, self.N)
+            self.assert_matches_oracle(operands, seed=batch)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_row_max_route_matches_oracle(self, dtype):
-        # Each user's first query row is far longer than the rest and
-        # orthogonal to every key: the bound passes the limit in every
-        # chunk, which then shifts by its row max, while the logits stay
-        # ordinary.
+        # Every key bias is offset by twice the limit: the bound passes the
+        # limit in every chunk, which then shifts by its row max, while the
+        # softmax, which the offset does not change, stays ordinary.
         chunk = chunk_len(self.M, self.N, dtype)
+        limit = nd._logit_limit(dtype, self.N)
         rng = np.random.default_rng(48)
         for batch in sorted({1, chunk + 1}):
-            q = rng.standard_normal((batch, self.M, self.D)).astype(dtype)
-            k = rng.standard_normal((batch, self.N, self.D)).astype(dtype)
-            v = rng.standard_normal((batch, self.N, self.DV)).astype(dtype)
-            k[..., 0] = 0
-            q[:, 0] = 0
-            q[:, 0, 0] = 1e4
-            assert min(logit_bound(q[b], k[b]) for b in range(batch)) \
-                > nd._logit_limit(dtype, self.N)
-            self.assert_matches_oracle(q, k, v, seed=batch)
+            a, b, v, c = attention_operands(rng, batch, self.M, self.N, self.DV, dtype, True)
+            c += dtype(2 * limit)
+            assert min(logit_bound(a[i], b[i], c[i]) for i in range(batch)) > limit
+            self.assert_matches_oracle([a, b, v, c], seed=batch)
 
     @pytest.mark.parametrize("dtype, scale", [(np.float32, 6.0), (np.float64, 16.0)])
     def test_logits_beyond_the_range_of_exp(self, dtype, scale):
@@ -402,29 +417,27 @@ class TestChunkedAttention:
         # give finite values. A logit of order 250 (float32) or 1800
         # (float64) carries a rounding of eps times that, so each result is
         # held to the dtype's tolerance relative to its largest entry.
-        # At width 1, the width of the model's hop attention, the bound is
-        # the largest logit magnitude itself.
         rng = np.random.default_rng(46)
-        for d in (self.D, 1):
-            q = (rng.standard_normal((3, self.M, d)) * scale).astype(dtype)
-            k = (rng.standard_normal((3, self.N, d)) * scale).astype(dtype)
-            v = rng.standard_normal((3, self.N, self.DV)).astype(dtype)
-            logits = np.matmul(q, np.swapaxes(k, -1, -2), dtype=np.float64) / math.sqrt(d)
-            assert logits.max() > 2 * math.log(float(np.finfo(dtype).max))
+        for bias in (False, True):
+            a, b, v, *c = attention_operands(rng, 3, self.M, self.N, self.DV, dtype, bias)
+            a, b, *c = (x * dtype(scale) for x in (a, b, *c))
+            operands = [a, b, v, *c]
+            assert whole_batch_logits(a, b, *c, dtype=np.float64).max() \
+                > 2 * math.log(float(np.finfo(dtype).max))
             tape = nd.Tape()
-            ids = [tape.leaf(x, trainable=True) for x in (q, k, v)]
+            ids = [tape.leaf(x, trainable=True) for x in operands]
             node = tape.record("cross_attention", *ids)
-            want, want_s = whole_batch_attention(q, k, v)
+            want, want_s = whole_batch_attention(*operands)
             g = rng.standard_normal(want.shape).astype(dtype)
             got = dict(tape._vjp(node, g))
             rtol = TOLERANCE[dtype]["rtol"]
-            pairs = [(node.value, want), (node.ctx["lse"], whole_batch_lse(q, k))]
+            pairs = [(node.value, want), (node.ctx["lse"], whole_batch_lse(a, b, *c))]
             pairs += [(got[leaf], gx) for leaf, gx in
-                      zip(ids, whole_batch_attention_vjp(q, k, v, want_s, g))]
+                      zip(ids, whole_batch_attention_vjp(a, b, v, want_s, g, *c))]
             for value, oracle in pairs:
                 assert np.isfinite(value).all()
                 np.testing.assert_allclose(value, oracle, rtol=0,
-                                           atol=rtol * np.abs(oracle).max(), err_msg=f"d={d}")
+                                           atol=rtol * np.abs(oracle).max(), err_msg=f"{bias=}")
 
     @staticmethod
     def assert_rejected(shapes, dtype):
@@ -434,27 +447,41 @@ class TestChunkedAttention:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_two_dimensional_operands(self, dtype):
-        # The op takes (B, m, d), (B, n, d), (B, n, e) only.
-        M, N, D, DV = 4, 6, 3, 2
-        self.assert_rejected([(M, D), (N, D), (N, DV)], dtype)
-        self.assert_rejected([(1, M, D), (N, D), (1, N, DV)], dtype)
+        # The op takes (B, m, 1), (B, n, 1), (B, n, e) and (B, n, 1) only.
+        M, N, DV = 4, 6, 2
+        self.assert_rejected([(M, 1), (N, 1), (N, DV)], dtype)
+        self.assert_rejected([(1, M, 1), (N, 1), (1, N, DV)], dtype)
+        self.assert_rejected([(1, M, 1), (1, N, 1), (1, N, DV), (N, 1)], dtype)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_broadcast_batch_dimensions(self, dtype):
         # Batch axes must be equal: none is broadcast.
+        M, N, DV = 4, 6, 2
+        self.assert_rejected([(3, M, 1), (1, N, 1), (3, N, DV)], dtype)
+        self.assert_rejected([(3, M, 1), (3, N, 1), (1, N, DV)], dtype)
+        self.assert_rejected([(3, M, 1), (3, N, 1), (3, N, DV), (1, N, 1)], dtype)
+        self.assert_rejected([(2, 1, M, 1), (2, 3, N, 1), (2, 3, N, DV)], dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_d_wide_operands(self, dtype):
+        # Every query and key is one scalar, and the key bias one per key:
+        # d-wide operands, a bias of another length and a fifth operand are
+        # refused.
         M, N, D, DV = 4, 6, 3, 2
-        self.assert_rejected([(3, M, D), (1, N, D), (3, N, DV)], dtype)
-        self.assert_rejected([(3, M, D), (3, N, D), (1, N, DV)], dtype)
-        self.assert_rejected([(2, 1, M, D), (2, 3, N, D), (2, 3, N, DV)], dtype)
+        self.assert_rejected([(2, M, D), (2, N, D), (2, N, DV)], dtype)
+        self.assert_rejected([(2, M, 1), (2, N, D), (2, N, DV)], dtype)
+        self.assert_rejected([(2, M, D), (2, N, 1), (2, N, DV)], dtype)
+        self.assert_rejected([(2, M, 1), (2, N, 1), (2, N, DV), (2, N, D)], dtype)
+        self.assert_rejected([(2, M, 1), (2, N, 1), (2, N, DV), (2, N + 1, 1)], dtype)
+        self.assert_rejected([(2, M, 1), (2, N, 1), (2, N, DV)] + [(2, N, 1)] * 2, dtype)
 
     def test_only_row_statistics_kept_for_gradients(self):
         rng = np.random.default_rng(43)
-        q = rng.standard_normal((3, 6, 4)).astype(np.float32)
-        k, v = (rng.standard_normal((3, 7, 4)).astype(np.float32) for _ in range(2))
+        operands = attention_operands(rng, 3, 6, 7, 4, np.float32, True)
         tape = nd.Tape()
-        plain = tape.record("cross_attention", *(tape.leaf(x) for x in (q, k, v)))
+        plain = tape.record("cross_attention", *(tape.leaf(x) for x in operands))
         assert not plain.ctx and not plain.requires_grad
-        ids = [tape.leaf(q, trainable=True), tape.leaf(k), tape.leaf(v)]
+        ids = [tape.leaf(operands[0], trainable=True)] + [tape.leaf(x) for x in operands[1:]]
         kept = tape.record("cross_attention", *ids)
         # One float64 log-sum-exp per query row; no (6, 7) score block.
         assert {name: a.shape for name, a in kept.ctx.items()} == {"lse": (3, 6)}
@@ -462,13 +489,15 @@ class TestChunkedAttention:
 
     def test_rejects_mixed_dtypes_and_unbroadcastable_batches(self):
         tape = nd.Tape()
-        q = tape.leaf(np.ones((2, 3, 4), np.float32))
+        a, b = (tape.leaf(np.ones((2, n, 1), np.float32)) for n in (3, 5))
+        v = tape.leaf(np.ones((2, 5, 4), np.float32))
         with pytest.raises(ContractError):
-            tape.record("cross_attention", q, tape.leaf(np.ones((2, 5, 4))),
-                        tape.leaf(np.ones((2, 5, 4), np.float32)))
-        kv = tape.leaf(np.ones((3, 5, 4), np.float32))
+            tape.record("cross_attention", a, tape.leaf(np.ones((2, 5, 1))), v)
+        with pytest.raises(ContractError):
+            tape.record("cross_attention", a, b, v, tape.leaf(np.ones((2, 5, 1))))
         with pytest.raises(ShapeError):
-            tape.record("cross_attention", q, kv, kv)
+            tape.record("cross_attention", a, *(tape.leaf(np.ones((3, 5, e), np.float32))
+                                                for e in (1, 4)))
 
 
 class CountingPool(ThreadPoolExecutor):
@@ -505,18 +534,18 @@ class TestAttentionWorkers:
     thread pool; the worker count must not change a bit of the output, the
     kept row log-sum-exp or the gradients."""
 
-    M, N, D, DV = TestChunkedAttention.M, TestChunkedAttention.N, 8, 5
+    M, N, DV = TestChunkedAttention.M, TestChunkedAttention.N, 5
 
     def test_one_worker_per_usable_cpu(self):
         assert nd._WORKERS == len(os.sched_getaffinity(0))
         assert nd._POOL._max_workers == nd._WORKERS
 
     @staticmethod
-    def run(q, k, v, g):
+    def run(g, *operands):
         tape = nd.Tape()
-        ids = [tape.leaf(x, trainable=True) for x in (q, k, v)]
+        ids = [tape.leaf(x, trainable=True) for x in operands]
         node = tape.record("cross_attention", *ids)
-        plain = tape.record("cross_attention", *(tape.leaf(x) for x in (q, k, v)))
+        plain = tape.record("cross_attention", *(tape.leaf(x) for x in operands))
         grads = dict(tape._vjp(node, g))
         return [node.value, plain.value, node.ctx["lse"]] + [grads[i] for i in ids]
 
@@ -563,17 +592,16 @@ class TestAttentionWorkers:
         chunk = chunk_len(self.M, self.N, dtype)
         rng = np.random.default_rng(44)
         # 6 chunks + 1 give every count here at least two chunks per worker.
-        # The model's hop attention has width-1 queries, and in its first
-        # layer width-1 values too.
-        for (d, e), batch in itertools.product(((self.D, self.DV), (1, self.DV), (1, 1)),
-                                               sorted({1, chunk, 2 * chunk + 1, 6 * chunk + 1})):
-            q = rng.standard_normal((batch, self.M, d)).astype(dtype)
-            k = rng.standard_normal((batch, self.N, d)).astype(dtype)
-            v = rng.standard_normal((batch, self.N, e)).astype(dtype)
+        # The model's hop attention has no key bias, and in its first layer
+        # width-1 values; "self-attn" has a key bias.
+        for (bias, e), batch in itertools.product(((True, self.DV), (False, self.DV), (False, 1)),
+                                                  sorted({1, chunk, 2 * chunk + 1,
+                                                          6 * chunk + 1})):
+            operands = attention_operands(rng, batch, self.M, self.N, e, dtype, bias)
             g = rng.standard_normal((batch, self.M, e)).astype(dtype)
-            self.same_bits_on_every_worker_count(self.run, (q, k, v, g),
+            self.same_bits_on_every_worker_count(self.run, (g, *operands),
                                                  self.chunked_jobs(-(-batch // chunk)),
-                                                 attention_workers, (d, e, batch))
+                                                 attention_workers, (bias, e, batch))
         # The feedforward at the model's default widths, in blocks of
         # _FF_ROWS rows; 6 blocks and a short one give every count here at
         # least two blocks per worker, and the weight gradients 7 slots.
@@ -625,18 +653,22 @@ class TestAttentionWorkers:
         # At k=500 the products run in row blocks, which BLAS may sum in
         # another order than one whole product, and the softmax is
         # normalised after the product: equal to float32 rounding. The
-        # model's hop attention is width 1 ("self-attn" is d=16 wide); the
-        # values are d=16 wide in both.
+        # model's values are d=16 wide, and 1 wide in the first layer of
+        # "full"; "self-attn" has a key bias.
         rng = np.random.default_rng(45)
-        for d, e in ((16, 16), (1, 16), (1, 1)):
-            q, k = (rng.standard_normal((9, 500, d)).astype(np.float32) for _ in range(2))
-            v, g = (rng.standard_normal((9, 500, e)).astype(np.float32) for _ in range(2))
-            out, _, lse, gq, gk, gv = self.run(q, k, v, g)
-            want, want_s = whole_batch_attention(q, k, v)
-            np.testing.assert_allclose(out, want, rtol=1e-5, atol=1e-6, err_msg=f"d={d}")
-            np.testing.assert_allclose(lse, whole_batch_lse(q, k), rtol=1e-6, err_msg=f"d={d}")
-            for got, gx in zip((gq, gk, gv), whole_batch_attention_vjp(q, k, v, want_s, g)):
-                np.testing.assert_allclose(got, gx, rtol=1e-4, atol=1e-5, err_msg=f"d={d}")
+        for bias, e in ((True, 16), (False, 16), (False, 1)):
+            operands = attention_operands(rng, 9, 500, 500, e, np.float32, bias)
+            a, b, v, *c = operands
+            g = rng.standard_normal((9, 500, e)).astype(np.float32)
+            out, _, lse, *grads = self.run(g, *operands)
+            want, want_s = whole_batch_attention(*operands)
+            np.testing.assert_allclose(out, want, rtol=1e-5, atol=1e-6, err_msg=f"{bias=}")
+            np.testing.assert_allclose(lse, whole_batch_lse(a, b, *c), rtol=1e-6,
+                                       err_msg=f"{bias=}")
+            wanted = whole_batch_attention_vjp(a, b, v, want_s, g, *c)
+            assert len(grads) == len(wanted)
+            for got, gx in zip(grads, wanted):
+                np.testing.assert_allclose(got, gx, rtol=1e-4, atol=1e-5, err_msg=f"{bias=}")
 
     def test_values_do_not_depend_on_the_blas_thread_count(self):
         # numpy's OpenBLAS is held to one thread however many it was
@@ -677,10 +709,9 @@ from diffcf.schedule import build_schedule
 rng = np.random.default_rng(47)
 digest = hashlib.sha256()
 w_in, w_out = (rng.standard_normal(s).astype(np.float32) / 4 for s in ((16, 64), (64, 16)))
-cases = [("cross_attention", (rng.standard_normal((9, 500, d)).astype(np.float32),
-                              rng.standard_normal((9, 500, d)).astype(np.float32),
-                              rng.standard_normal((9, 500, e)).astype(np.float32)), e)
-         for d, e in ((16, 16), (1, 16), (1, 1))]
+cases = [("cross_attention", [rng.standard_normal(s).astype(np.float32) for s in
+                              [(9, 500, 1), (9, 500, 1), (9, 500, e)] + [(9, 500, 1)] * bias], e)
+         for bias, e in ((True, 16), (False, 16), (False, 1))]
 cases.append(("feedforward", (rng.standard_normal((9, 500, 16)).astype(np.float32),
                               w_in, w_out), 16))
 for op, inputs, e in cases:

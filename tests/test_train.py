@@ -201,11 +201,14 @@ class TestTrainConfig:
 
 
 class TestGradcheckCase:
+    # Every variant: "self-attn" takes its gradients through its own folds
+    # and key bias, which "full" does not record.
+    @pytest.mark.parametrize("variant", camae.VARIANTS)
     @pytest.mark.parametrize("t_embed", [False, True])
-    def test_full_loss_gradients_verify(self, t_embed):
+    def test_full_loss_gradients_verify(self, t_embed, variant):
         cfg = CamAeConfig(num_users=6, num_items=8, latent_dim=4, attn_dim=2,
                           layers=1, hops=3, hop_weights=(0.6, 0.4),
-                          t_embed=t_embed)
+                          t_embed=t_embed, variant=variant)
         report = train.gradcheck_case(cfg, build_schedule(20),
                                       max_entries=150)
         assert report.checked > 0
