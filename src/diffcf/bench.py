@@ -241,8 +241,8 @@ class ProbeResult:
 def projection_bound_k(n: int, eps: float) -> int:
     """Projection size at which a (1 +- eps) contraction guarantee kicks in:
     5 ln(n) / (eps^2 - eps^3)."""
-    if not 0 < eps < 1:
-        raise ContractError(f"eps must lie in (0, 1), got {eps}")
+    if n < 2 or not 0 < eps < 1:
+        raise ContractError(f"need n >= 2 and eps in (0, 1), got n={n}, eps={eps}")
     return math.ceil(5.0 * math.log(n) / (eps * eps - eps ** 3))
 
 

@@ -14,13 +14,15 @@ the residual flag adds each layer's input back to its blended output.
 A learned d -> 1 collapse and a decoder map the final state back to
 item space.
 
-A hop's tokens are its latent scalars times the row `expand_ctx`, so its
-queries are rank one. The model attends with the hop latents themselves
-and folds `expand_ctx` and the query projection into the key weight, so
-the attention of "full" and "no-ae" is width 1 (see `denoise`). In the
-first layer the interaction tokens are rank two (latents times
-`expand_obs`, plus the timestep code), so its keys and values are width 1
-as well; the parameters are still those of the d-wide tokens.
+Every query token is a latent scalar times a row: `expand_ctx` for a hop,
+or `expand_obs` plus the timestep code for "self-attn". The model attends
+with the scalars themselves and folds the rows and the query projection
+into the key weight, so every attention is width 1 (see `_attention`). In
+the first layer the interaction tokens are rank two (latents times
+`expand_obs`, plus the timestep code), so in every variant that attends
+its keys and values are width 1 as well, and the (B, seq, d) tokens are
+recorded only for the residual add and "no-cross-attn". The parameters
+are still those of the d-wide tokens.
 
 The forward is recorded in two parts. `condition` reads only the hop
 vectors (the hop encoders); `denoise` reads u_t and t and runs the rest.
@@ -219,42 +221,38 @@ def _folded_key_weight(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeC
                        factor=1.0 / math.sqrt(config.attn_dim))
 
 
-def _first_layer_attention(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig,
-                           h: int, latent: nd.Node, z_obs: nd.Node,
-                           emb: nd.Node | None) -> nd.Node:
-    """Hop h's attention in layer 1 of "full"/"no-ae", at width 1 throughout.
+def _attention(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig,
+               layer: int, h: int, query: nd.Node, rows: tuple[nd.Node | None, ...],
+               z_obs: nd.Node, emb: nd.Node | None, state: nd.Node | None) -> nd.Node:
+    """Hop h's attention in `layer`, with scalar queries throughout.
 
-    There the state is the tokens z_obs e_obs + emb(t), rank two. Their
-    keys against the folded weight w are z_obs (e_obs w) + emb(t) w, and the
-    second term adds one constant to every logit of a query row, which
-    softmax cancels: the keys are z_obs (e_obs w). The rows of the softmax P
-    sum to one, so P (tokens W_v) = (P z_obs)(e_obs W_v) + emb(t) W_v: the
-    values are z_obs. Returns the attended (B, seq, d)."""
-    e_obs, w_v = leaves["expand_obs"], leaves[f"attn1_hop{h}_v"]
-    w_k = tape.record("matmul", e_obs,
-                      _folded_key_weight(tape, leaves, config, 1, h, leaves["expand_ctx"]))
-    key = tape.record("matmul", z_obs, w_k)
-    attended = tape.record("matmul", tape.record("cross_attention", latent, key, z_obs),
+    The query tokens are the scalars `query` (B, seq, 1) times rows[0], plus
+    rows[1] when it is given (the timestep code of "self-attn"). Projected
+    by W_q, their logits against the keys state W_k / sqrt(d) are
+    query_i b_j + c_j, with the width-1 key b and key bias c the state
+    times each row's folded key weight w (see `_folded_key_weight`).
+
+    In layer 1 the state is the rank-two tokens z_obs e_obs + emb(t), whose
+    product with w is z_obs (e_obs w) + emb(t) w. The second term adds one
+    constant to every logit of a query row, which softmax cancels: the keys
+    are z_obs (e_obs w). The rows of the softmax P sum to one, so
+    P (tokens W_v) = (P z_obs)(e_obs W_v) + emb(t) W_v: the values are
+    z_obs. Later layers read the dense `state` (B, seq, d). Returns the
+    attended (B, seq, d)."""
+    e_obs, w_v = leaves["expand_obs"], leaves[f"attn{layer}_hop{h}_v"]
+    folded = (_folded_key_weight(tape, leaves, config, layer, h, row)
+              for row in rows if row is not None)
+    if layer > 1:
+        keys = [tape.record("matmul", state, w) for w in folded]
+        return tape.record("cross_attention", query, keys[0],
+                           tape.record("matmul", state, w_v), *keys[1:])
+    keys = [tape.record("matmul", z_obs, tape.record("matmul", e_obs, w)) for w in folded]
+    attended = tape.record("matmul", tape.record("cross_attention", query, keys[0], z_obs,
+                                                 *keys[1:]),
                            tape.record("matmul", e_obs, w_v))
     if emb is None:
         return attended
     return tape.record("add", attended, tape.record("matmul", emb, w_v))
-
-
-def _self_attention(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig,
-                    layer: int, h: int, z_obs: nd.Node, state: nd.Node,
-                    emb: nd.Node | None) -> nd.Node:
-    """Hop h's attention in `layer` of "self-attn". Its queries, in every
-    layer, are the tokens z_obs e_obs + emb(t) projected by W_q, so their
-    logits against the keys state W_k are z_i beta_j + gamma_j, with the
-    width-1 keys beta = state (W_k (e_obs W_q)^T / sqrt(d)) and the key bias
-    gamma = state (W_k (emb(t) W_q)^T / sqrt(d)), which is left out without
-    the timestep code. Returns the attended (B, seq, d)."""
-    beta, *gamma = [tape.record("matmul", state, _folded_key_weight(tape, leaves, config, layer,
-                                                                    h, row))
-                    for row in (leaves["expand_obs"], emb) if row is not None]
-    values = tape.record("matmul", state, leaves[f"attn{layer}_hop{h}_v"])
-    return tape.record("cross_attention", z_obs, beta, values, *gamma)
 
 
 def denoise(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig,
@@ -264,17 +262,16 @@ def denoise(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig,
     `latents` that `condition` recorded; returns the node of the
     reconstructed interaction rows (B, |items|).
 
-    A hop's queries, its latent z (B, seq, 1) expanded to tokens by
-    `expand_ctx` (e) and projected by W_q, are z (e W_q): rank one. So
-    their logits against the keys state W_k, scaled by 1/sqrt(d), are those
-    of z against the width-1 keys state (W_k (e W_q)^T / sqrt(d)), and the
-    attention of "full" and "no-ae" runs on the latents and that folded key
-    weight. No (B, seq, d) query is made, and W_q and e get their gradients
-    through the fold. In layer 1 the state is the rank-two tokens, so the
-    keys and values are width 1 as well (see `_first_layer_attention`), and
-    the (B, seq, d) tokens are recorded only where something reads them:
-    the residual add, and the "self-attn" and "no-cross-attn" layers. The
-    "self-attn" queries are scalar as well (see `_self_attention`)."""
+    Every variant but "no-cross-attn" attends through `_attention`. A
+    hop's queries, its latent z (B, seq, 1) expanded to tokens by
+    `expand_ctx` (e) and projected by W_q, are z (e W_q): rank one. So their
+    logits against the keys state W_k, scaled by 1/sqrt(d), are those of z
+    against the width-1 keys state (W_k (e W_q)^T / sqrt(d)). The
+    "self-attn" queries are z_obs in the same way, with a key bias for the
+    timestep code. No (B, seq, d) query is made, and W_q and the rows get
+    their gradients through the fold. In layer 1 every variant attends at
+    width 1 over the rank-two tokens, so they are recorded only where
+    something reads them: the residual add and the "no-cross-attn" layers."""
     u_t = np.asarray(u_t)
     if u_t.ndim != 2 or u_t.shape[1] != config.num_items:
         raise ShapeError(f"u_t must be (B, {config.num_items}), got {u_t.shape}")
@@ -290,26 +287,21 @@ def denoise(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig,
                         shape=(batch, seq, 1))
     emb = tape.leaf(nd.sinusoidal_embedding(t, config.attn_dim, dtype)) if config.t_embed else None
     tokens = None
-    if config.residual or config.variant in ("self-attn", "no-cross-attn"):
+    if config.residual or config.variant == "no-cross-attn":
         tokens = tape.record("matmul", z_obs, leaves["expand_obs"])
         if emb is not None:
             tokens = tape.record("add", tokens, emb)
 
+    if config.variant == "self-attn":
+        queries, rows = dict.fromkeys(config.hop_list, z_obs), (leaves["expand_obs"], emb)
+    else:
+        queries, rows = latents, (leaves["expand_ctx"],)
     state = tokens
     for layer in range(1, config.layers + 1):
         hop_outs = []
         for h in config.hop_list:
-            if config.variant == "no-cross-attn":
-                attended = state
-            elif config.variant == "self-attn":
-                attended = _self_attention(tape, leaves, config, layer, h, z_obs, state, emb)
-            elif layer == 1:
-                attended = _first_layer_attention(tape, leaves, config, h, latents[h], z_obs, emb)
-            else:
-                key = tape.record("matmul", state, _folded_key_weight(tape, leaves, config, layer,
-                                                                      h, leaves["expand_ctx"]))
-                attended = tape.record("cross_attention", latents[h], key, tape.record(
-                    "matmul", state, leaves[f"attn{layer}_hop{h}_v"]))
+            attended = state if config.variant == "no-cross-attn" else _attention(
+                tape, leaves, config, layer, h, queries[h], rows, z_obs, emb, state)
             hop_outs.append(tape.record("feedforward", attended, leaves[f"ff_hop{h}_in"],
                                         leaves[f"ff_hop{h}_out"]))
         blended = tape.record("weighted_sum", *hop_outs, weights=config.hop_weights)

@@ -53,6 +53,10 @@ def _add_config_flags(parser: argparse.ArgumentParser, keys) -> None:
                                 help=f"{help_text} (default {default})")
 
 
+def _int_list(raw: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in raw.split(","))
+
+
 def _apply_flags(cfg: dict, args: argparse.Namespace) -> None:
     for name, value in vars(args).items():
         if not name.startswith("cfg_") or value is None:
@@ -259,8 +263,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_bench_scaling(args) -> int:
-    sizes = tuple(int(s) for s in args.sizes.split(","))
-    run = bench.time_scaling(axis=args.axis, sizes=sizes, fixed_dim=args.fixed,
+    run = bench.time_scaling(axis=args.axis, sizes=args.sizes, fixed_dim=args.fixed,
                              sparsity=args.sparsity, iters=args.iters,
                              warmup=args.warmup, batch_size=args.batch_size,
                              seed=args.seed)
@@ -274,8 +277,7 @@ def cmd_bench_scaling(args) -> int:
 
 
 def cmd_bench_attn(args) -> int:
-    ks = tuple(int(k) for k in args.ks.split(","))
-    result = bench.attention_approx_probe(n=args.n, d=args.d, ks=ks,
+    result = bench.attention_approx_probe(n=args.n, d=args.d, ks=args.ks,
                                           trials=args.trials, eps=args.eps,
                                           seed=args.seed)
     csv = result.to_csv()
@@ -339,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench-scaling", help="time optimization steps across sizes")
     p.add_argument("--axis", required=True, choices=("users", "items"))
-    p.add_argument("--sizes", required=True, help="comma-separated sweep sizes")
+    p.add_argument("--sizes", required=True, type=_int_list,
+                   help="comma-separated sweep sizes")
     p.add_argument("--fixed", type=int, default=2048, help="size of the other axis")
     p.add_argument("--sparsity", type=float, default=0.99)
     p.add_argument("--iters", type=int, default=20)
@@ -352,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench-attn", help="probe low-rank attention compression")
     p.add_argument("--n", type=int, default=2048)
     p.add_argument("--d", type=int, default=16)
-    p.add_argument("--ks", default="32,64,128,256")
+    p.add_argument("--ks", type=_int_list, default="32,64,128,256")
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--eps", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)

@@ -167,6 +167,8 @@ def evaluate_scores(score_fn, matrix: InteractionMatrix, split: str,
         raise ContractError(f"split must be val or test, got {split!r}")
     if not ks or min(ks) < 1:
         raise ContractError(f"cutoffs must be positive: {ks}")
+    if batch_size < 1:
+        raise ContractError(f"batch_size must be >= 1, got {batch_size}")
     target = _SPLIT_TAGS[split]
     tags_in = _input_tags(split, include_val)
     users = users_with_tag(matrix, target)

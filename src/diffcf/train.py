@@ -59,8 +59,8 @@ class TrainConfig:
     monitor_k: int = 10
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.epochs < 1 or self.patience < 1:
-            raise ContractError("batch_size, epochs, patience must be >= 1")
+        if min(self.batch_size, self.epochs, self.patience, self.eval_batch) < 1:
+            raise ContractError("batch_size, epochs, patience, eval_batch must be >= 1")
         if self.lr <= 0:
             raise ContractError(f"lr must be positive, got {self.lr}")
         if self.weighting not in WEIGHTINGS:

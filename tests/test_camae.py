@@ -244,57 +244,95 @@ def assert_close_to_wide(names, got, want):
         np.testing.assert_allclose(g, w, rtol=1e-4, atol=1e-5 * np.abs(w).max(), err_msg=name)
 
 
-class TestRankOneQueries:
-    """A hop's queries z (e W_q), its latent z (B, seq, 1) expanded by
-    `expand_ctx` (e) and projected by W_q, are rank one: `denoise` attends
-    with z at width 1 against the keys state (W_k (e W_q)^T / sqrt(d)). In
-    float32 the factored attention matches the d-wide composition in
-    float64, values, row log-sum-exp and gradients, on both routes of the
+class TestAttention:
+    """`_attention` attends with scalar queries: a hop latent z_ctx with the
+    row `expand_ctx` ("full"/"no-ae"), or z_obs with `expand_obs` plus the
+    timestep code ("self-attn"). Their query tokens z r W_q fold into the
+    width-1 keys and key bias state (W_k (r W_q)^T / sqrt(d)). In layer 1
+    the state is the rank-two tokens z_obs e_obs + emb(t), read through
+    z_obs alone; later layers read a dense state. In float32 the helper
+    matches the d-wide composition in float64, output, row log-sum-exp and
+    gradients, with and without the timestep code, on both routes of the
     kernel."""
 
     B, SEQ, D = 5, 300, 16
-    NAMES = ["z", "expand_ctx", "attn2_hop2_q", "attn2_hop2_k", "state", "v"]
 
-    def attend(self, inputs, target, folded):
+    def attend(self, inputs, emb, target, variant, layer, factored):
         tape = nd.Tape()
-        leaves = {n: tape.leaf(x, trainable=True) for n, x in zip(self.NAMES, inputs)}
-        z, state, v = leaves["z"], leaves["state"], leaves["v"]
-        if folded:
-            w = camae._folded_key_weight(tape, leaves, small_config(attn_dim=self.D), 2, 2,
-                                         leaves["expand_ctx"])
-            node = tape.record("cross_attention", z, tape.record("matmul", state, w), v)
-            out, lse = node.value, node.ctx["lse"]
+        leaves = {n: tape.leaf(x, trainable=True) for n, x in inputs.items()}
+        emb = None if emb is None else tape.leaf(emb)
+        z_obs, e_obs, state = leaves["z_obs"], leaves["expand_obs"], leaves.get("state")
+        if variant == "self-attn":
+            query, rows = z_obs, (e_obs, emb)
+        else:
+            query, rows = leaves["z_ctx"], (leaves["expand_ctx"], None)
+        if factored:
+            cfg = small_config(attn_dim=self.D, variant=variant)
+            node = camae._attention(tape, leaves, cfg, layer, 2, query, rows, z_obs, emb, state)
+            out = node.value
+            lse = next(x for x in tape.nodes if x.op == "cross_attention").ctx["lse"]
             loss = tape.record("mse", node, tape.leaf(target))
         else:
-            q = tape.record("matmul", tape.record("matmul", z, leaves["expand_ctx"]),
-                            leaves["attn2_hop2_q"])
-            out, lse, loss = wide_attention(
-                tape, q, tape.record("matmul", state, leaves["attn2_hop2_k"]), v, target)
-        grads = tape.backward(loss)
-        return [out, lse] + [grads[leaves[n]] for n in self.NAMES]
+            def tokens(z, row, code):
+                grid = tape.record("matmul", z, row)
+                return grid if code is None else tape.record("add", grid, code)
 
-    @pytest.mark.parametrize("z_scale, shifted", [(1.0, False), (60.0, True)])
-    def test_factored_attention_matches_the_wide_composition(self, z_scale, shifted):
+            if layer == 1:
+                state = tokens(z_obs, e_obs, emb)
+            w_q, w_k, w_v = (leaves[f"attn{layer}_hop2_{role}"] for role in "qkv")
+            out, lse, loss = wide_attention(tape, tape.record("matmul", tokens(query, *rows), w_q),
+                                            tape.record("matmul", state, w_k),
+                                            tape.record("matmul", state, w_v), target)
+        grads = tape.backward(loss)
+        return {"out": out, "lse": lse, **{n: grads[leaves[n]] for n in inputs}}
+
+    @pytest.mark.parametrize("variant", ["full", "self-attn"])
+    @pytest.mark.parametrize("t_embed", [False, True])
+    @pytest.mark.parametrize("layer", [1, 2])
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_matches_the_wide_composition(self, variant, t_embed, layer, shifted):
         rng = np.random.default_rng(49)
         d = self.D
         bound = math.sqrt(6.0 / (2 * d))
-        inputs = [rng.uniform(-1, 1, (self.B, self.SEQ, 1)) * z_scale,
-                  rng.uniform(-1, 1, (1, d)),
-                  rng.uniform(-bound, bound, (d, d)),
-                  rng.uniform(-bound, bound, (d, d)),
-                  rng.standard_normal((self.B, self.SEQ, d)),
-                  rng.standard_normal((self.B, self.SEQ, d))]
-        inputs = [x.astype(np.float32) for x in inputs]
+        inputs = {"z_obs": rng.uniform(-1, 1, (self.B, self.SEQ, 1)),
+                  "expand_obs": rng.uniform(-1, 1, (1, d))}
+        if variant == "full":
+            inputs["z_ctx"] = rng.uniform(-1, 1, (self.B, self.SEQ, 1))
+            inputs["expand_ctx"] = rng.uniform(-1, 1, (1, d))
+        for role in "qkv":
+            inputs[f"attn{layer}_hop2_{role}"] = rng.uniform(-bound, bound, (d, d))
+        if layer > 1:
+            inputs["state"] = rng.standard_normal((self.B, self.SEQ, d))
+        emb = nd.sinusoidal_embedding(rng.integers(1, 50, self.B), d) if t_embed else None
         target = rng.standard_normal((self.B, self.SEQ, d)).astype(np.float32)
-        # The kernel shifts its rows exactly when its logit bound, the
-        # largest latent times the largest key, passes the limit.
-        z, e, w_q, w_k, state, _ = (x.astype(np.float64) for x in inputs)
-        largest = np.abs(z).max() * np.abs(state @ w_k @ (e @ w_q).T).max() / math.sqrt(d)
-        assert (largest > nd._logit_limit(np.float32, self.SEQ)) == shifted
-        got = self.attend(inputs, target, folded=True)
-        want = self.attend([x.astype(np.float64) for x in inputs], target.astype(np.float64),
-                           folded=False)
-        assert_close_to_wide(["out", "lse"] + self.NAMES, got, want)
+        # The kernel shifts its rows exactly when max|z| max|key| +
+        # max|key bias| passes the limit. The bound grows with W_q, so the
+        # shifted route scales W_q until it is three times the limit.
+        w_q, w_k = inputs[f"attn{layer}_hop2_q"], inputs[f"attn{layer}_hop2_k"]
+        if variant == "self-attn":
+            query, rows = inputs["z_obs"], [inputs["expand_obs"]] + ([] if emb is None else [emb])
+        else:
+            query, rows = inputs["z_ctx"], [inputs["expand_ctx"]]
+        folded = (w_k @ np.swapaxes(r @ w_q, -1, -2) / math.sqrt(d) for r in rows)
+        keys = [inputs["z_obs"] * (inputs["expand_obs"] @ w) if layer == 1 else inputs["state"] @ w
+                for w in folded]
+        largest = np.abs(query).max() * np.abs(keys[0]).max() + sum(np.abs(c).max()
+                                                                     for c in keys[1:])
+        limit = nd._logit_limit(np.float32, self.SEQ)
+        assert largest < limit
+        if shifted:
+            w_q *= 3 * limit / largest
+        inputs = {n: x.astype(np.float32) for n, x in inputs.items()}
+        got = self.attend(inputs, emb, target, variant, layer, factored=True)
+        want = self.attend({n: x.astype(np.float64) for n, x in inputs.items()},
+                           None if emb is None else emb.astype(np.float64),
+                           target.astype(np.float64), variant, layer, factored=False)
+        if layer == 1 and t_embed:
+            # The wide logits carry the timestep term, one constant per
+            # row, which the factored ones leave out: only the row
+            # log-sum-exp differs.
+            del got["lse"], want["lse"]
+        assert_close_to_wide(list(want), [got[n] for n in want], list(want.values()))
 
     def test_training_tape_holds_no_hop_query(self):
         # The nodes that read a hop context but not u_t are its encoder
@@ -319,11 +357,12 @@ class TestRankOneQueries:
                     if sources(node) and "u_t" not in sources(node)}
         assert hop_only == {(3, cfg.seq_len), (3, cfg.seq_len, 1)}
 
-    def test_training_tape_holds_no_hidden_activation_or_first_layer_token(self):
+    @pytest.mark.parametrize("variant", ["full", "self-attn"])
+    def test_training_tape_holds_no_hidden_activation_or_first_layer_token(self, variant):
         # The feedforward keeps only its inputs; layer 1 attends over the
         # (B, seq, 1) latents, so no (B, seq, d) token, key or value of it
         # waits on the tape for the backward pass.
-        cfg = small_config(attn_dim=3)
+        cfg = small_config(attn_dim=3, variant=variant)
         params = random_params(cfg, seed=40, dtype=np.float32)
         u_t, contexts, t = random_inputs(cfg, batch=3, seed=41)
         tape, leaves, _ = trainable_forward(params, cfg, u_t.astype(np.float32),
@@ -339,132 +378,7 @@ class TestRankOneQueries:
                        if node.op == "cross_attention"][:len(cfg.hop_list)]
         assert first_layer
         for node in first_layer:
-            assert [x.value.shape for x in node.inputs] == [(3, cfg.seq_len, 1)] * 3
-
-
-class TestRankTwoFirstLayer:
-    """In layer 1 of "full"/"no-ae" the state is the tokens z_obs e_obs +
-    emb(t), rank two: `_first_layer_attention` attends with the width-1
-    keys z_obs (e_obs w), w the folded key weight, against the values
-    z_obs, and adds emb(t) W_v after the attention. In float32 it matches
-    the d-wide composition of layer 1 in float64, output and gradients,
-    with and without the timestep code, on both routes of the kernel."""
-
-    B, SEQ, D = 5, 300, 16
-    NAMES = ["z_ctx", "z_obs", "expand_obs", "expand_ctx",
-             "attn1_hop2_q", "attn1_hop2_k", "attn1_hop2_v"]
-
-    def attend(self, inputs, emb, target, factored):
-        tape = nd.Tape()
-        leaves = {n: tape.leaf(x, trainable=True) for n, x in zip(self.NAMES, inputs)}
-        emb = None if emb is None else tape.leaf(emb)
-        z_ctx, z_obs = leaves["z_ctx"], leaves["z_obs"]
-        if factored:
-            node = camae._first_layer_attention(tape, leaves, small_config(attn_dim=self.D), 2,
-                                                z_ctx, z_obs, emb)
-            out, loss = node.value, tape.record("mse", node, tape.leaf(target))
-        else:
-            tokens = tape.record("matmul", z_obs, leaves["expand_obs"])
-            if emb is not None:
-                tokens = tape.record("add", tokens, emb)
-            q = tape.record("matmul", tape.record("matmul", z_ctx, leaves["expand_ctx"]),
-                            leaves["attn1_hop2_q"])
-            out, _, loss = wide_attention(tape, q,
-                                          tape.record("matmul", tokens, leaves["attn1_hop2_k"]),
-                                          tape.record("matmul", tokens, leaves["attn1_hop2_v"]),
-                                          target)
-        grads = tape.backward(loss)
-        return [out] + [grads[leaves[n]] for n in self.NAMES]
-
-    @pytest.mark.parametrize("t_embed", [False, True])
-    @pytest.mark.parametrize("z_scale, shifted", [(1.0, False), (500.0, True)])
-    def test_factored_first_layer_matches_the_wide_composition(self, t_embed, z_scale,
-                                                                shifted):
-        rng = np.random.default_rng(50)
-        d = self.D
-        bound = math.sqrt(6.0 / (2 * d))
-        inputs = [rng.uniform(-1, 1, (self.B, self.SEQ, 1)) * z_scale,
-                  rng.standard_normal((self.B, self.SEQ, 1)),
-                  rng.uniform(-1, 1, (1, d)),
-                  rng.uniform(-1, 1, (1, d)),
-                  *(rng.uniform(-bound, bound, (d, d)) for _ in range(3))]
-        inputs = [x.astype(np.float32) for x in inputs]
-        emb = nd.sinusoidal_embedding(rng.integers(1, 50, self.B), d) if t_embed else None
-        target = rng.standard_normal((self.B, self.SEQ, d)).astype(np.float32)
-        # The factored kernel's logits are the latents times the keys, and it
-        # shifts its rows exactly when the largest of them passes the limit.
-        z_ctx, z_obs, e_obs, e_ctx, w_q, w_k, _ = (x.astype(np.float64) for x in inputs)
-        folded = e_obs @ w_k @ (e_ctx @ w_q).T / math.sqrt(d)
-        largest = np.abs(z_ctx).max() * np.abs(z_obs * folded).max()
-        assert (largest > nd._logit_limit(np.float32, self.SEQ)) == shifted
-        # The reference is float64: in float32 the d-wide composition errs
-        # several times more than the factored one, since its keys carry
-        # the timestep term, whose logit gradient sums to zero only in
-        # exact arithmetic.
-        got = self.attend(inputs, emb, target, factored=True)
-        want = self.attend([x.astype(np.float64) for x in inputs],
-                           None if emb is None else emb.astype(np.float64),
-                           target.astype(np.float64), factored=False)
-        assert_close_to_wide(["out"] + self.NAMES, got, want)
-
-class TestSelfAttnKeyBias:
-    """The "self-attn" queries are the tokens z_obs e_obs + emb(t) projected
-    by W_q: `_self_attention` attends with z_obs against the width-1 keys
-    beta = state (W_k (e_obs W_q)^T / sqrt(d)) and the key bias gamma =
-    state (W_k (emb(t) W_q)^T / sqrt(d)). In float32 it matches the d-wide
-    composition in float64, output, row log-sum-exp and gradients, with and
-    without the timestep code, on both routes of the kernel."""
-
-    B, SEQ, D = 5, 300, 16
-    NAMES = ["z_obs", "expand_obs", "attn2_hop3_q", "attn2_hop3_k", "attn2_hop3_v", "state"]
-
-    def attend(self, inputs, emb, target, factored):
-        tape = nd.Tape()
-        leaves = {n: tape.leaf(x, trainable=True) for n, x in zip(self.NAMES, inputs)}
-        emb = None if emb is None else tape.leaf(emb)
-        z_obs, state = leaves["z_obs"], leaves["state"]
-        if factored:
-            cfg = small_config(attn_dim=self.D, variant="self-attn")
-            node = camae._self_attention(tape, leaves, cfg, 2, 3, z_obs, state, emb)
-            out, lse = node.value, node.ctx["lse"]
-            loss = tape.record("mse", node, tape.leaf(target))
-        else:
-            tokens = tape.record("matmul", z_obs, leaves["expand_obs"])
-            if emb is not None:
-                tokens = tape.record("add", tokens, emb)
-            out, lse, loss = wide_attention(
-                tape, tape.record("matmul", tokens, leaves["attn2_hop3_q"]),
-                tape.record("matmul", state, leaves["attn2_hop3_k"]),
-                tape.record("matmul", state, leaves["attn2_hop3_v"]), target)
-        grads = tape.backward(loss)
-        return [out, lse] + [grads[leaves[n]] for n in self.NAMES]
-
-    @pytest.mark.parametrize("t_embed", [False, True])
-    @pytest.mark.parametrize("z_scale, shifted", [(1.0, False), (60.0, True)])
-    def test_factored_attention_matches_the_wide_composition(self, t_embed, z_scale, shifted):
-        rng = np.random.default_rng(51)
-        d = self.D
-        bound = math.sqrt(6.0 / (2 * d))
-        inputs = [rng.uniform(-1, 1, (self.B, self.SEQ, 1)) * z_scale,
-                  rng.uniform(-1, 1, (1, d)),
-                  *(rng.uniform(-bound, bound, (d, d)) for _ in range(3)),
-                  rng.standard_normal((self.B, self.SEQ, d))]
-        inputs = [x.astype(np.float32) for x in inputs]
-        emb = nd.sinusoidal_embedding(rng.integers(1, 50, self.B), d) if t_embed else None
-        target = rng.standard_normal((self.B, self.SEQ, d)).astype(np.float32)
-        # The kernel shifts its rows exactly when max|z| max|beta| + max|gamma|
-        # passes the limit.
-        z, e_obs, w_q, w_k, _, state = (x.astype(np.float64) for x in inputs)
-        keys = state @ w_k / math.sqrt(d)
-        largest = np.abs(z).max() * np.abs(keys @ (e_obs @ w_q).T).max()
-        if t_embed:
-            largest += np.abs(keys @ (emb.astype(np.float64) @ w_q).transpose(0, 2, 1)).max()
-        assert (largest > nd._logit_limit(np.float32, self.SEQ)) == shifted
-        got = self.attend(inputs, emb, target, factored=True)
-        want = self.attend([x.astype(np.float64) for x in inputs],
-                           None if emb is None else emb.astype(np.float64),
-                           target.astype(np.float64), factored=False)
-        assert_close_to_wide(["out", "lse"] + self.NAMES, got, want)
+            assert {x.value.shape for x in node.inputs} == {(3, cfg.seq_len, 1)}
 
     def test_training_tape_holds_no_query_or_key(self):
         # The query rows fold into the key weight, so W_q and W_k take part

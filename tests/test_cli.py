@@ -400,6 +400,27 @@ class TestErrorMapping:
         assert rc == 1
         assert "diffcf: error: contract:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, value", [("train", "0"), ("train", "-3"),
+                                                ("evaluate", "0")])
+    def test_eval_batch_below_one_is_contract(self, trained, tmp_path, capsys, command,
+                                              value):
+        where = (["--out-dir", str(tmp_path)] + TINY_TRAIN if command == "train"
+                 else ["--checkpoint", str(trained["checkpoint"])])
+        rc = cli.main([command, "--data", str(trained["data"])] + where
+                      + ["--eval-batch", value])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("diffcf: error: contract:")
+        assert not (tmp_path / "checkpoint.cfck").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["bench-scaling", "--axis", "users", "--sizes", ""],
+        ["bench-scaling", "--axis", "users", "--sizes", "a,b"],
+        ["bench-attn", "--ks", ""],
+        ["bench-attn", "--ks", "4,,8"]])
+    def test_malformed_list_flag_exits_2(self, argv, capsys):
+        assert cli.main(argv) == 2
+        assert f"error: argument {argv[-2]}: invalid" in capsys.readouterr().err
+
     def test_config_file_with_the_schedule_key_is_refused(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("schedule = linear\n")

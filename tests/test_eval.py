@@ -216,6 +216,14 @@ class TestEvaluateScores:
         with pytest.raises(ContractError):
             evaluation.evaluate_scores(fn, all_train, "test", (5,))
 
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_batch_size_must_be_positive(self, tagged_matrix, batch_size):
+        # 0 used to stop range() with a ValueError, and a negative size
+        # ranked no user and reported NaN metrics.
+        fn = lambda users, u_obs: np.ones((len(users), tagged_matrix.num_items))
+        with pytest.raises(ContractError, match="batch_size"):
+            evaluation.evaluate_scores(fn, tagged_matrix, "test", (5,), batch_size=batch_size)
+
 
 def row_rngs(seed: int, rows: int) -> list[np.random.Generator]:
     return [np.random.default_rng([seed, i]) for i in range(rows)]

@@ -195,7 +195,7 @@ class TestTrainConfig:
     def test_contracts(self):
         for kwargs in (dict(batch_size=0), dict(lr=0.0), dict(epochs=0),
                        dict(weighting="huber"), dict(eval_every=0),
-                       dict(patience=0)):
+                       dict(patience=0), dict(eval_batch=0), dict(eval_batch=-3)):
             with pytest.raises(ContractError):
                 train.TrainConfig(**kwargs)
 
