@@ -255,6 +255,8 @@ def attention_approx_probe(n: int = 2048, d: int = 16,
     Gaussian projections G of each requested size plus the bound size."""
     if min(ks) < 1 or trials < 1:
         raise ContractError("ks must be positive and trials >= 1")
+    if d < 1:
+        raise ContractError(f"need d >= 1, got d={d}")
     bound_k = projection_bound_k(n, eps)
     all_ks = tuple(sorted(set(ks)))
     kmax = max(max(all_ks), bound_k)

@@ -57,6 +57,13 @@ def _int_list(raw: str) -> tuple[int, ...]:
     return tuple(int(part) for part in raw.split(","))
 
 
+def _seed(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _apply_flags(cfg: dict, args: argparse.Namespace) -> None:
     for name, value in vars(args).items():
         if not name.startswith("cfg_") or value is None:
@@ -348,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=20)
     p.add_argument("--warmup", type=int, default=3)
     p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", help="write CSV here")
     p.set_defaults(fn=cmd_bench_scaling)
 
@@ -358,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ks", type=_int_list, default="32,64,128,256")
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", help="write CSV here")
     p.set_defaults(fn=cmd_bench_attn)
 
@@ -369,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=1e-3)
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--max-entries", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--config", help="key = value config file")
     _add_config_flags(p, MODEL_KEYS + SCHED_KEYS + ("weighting",))
     p.set_defaults(fn=cmd_gradcheck)

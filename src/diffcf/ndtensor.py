@@ -34,6 +34,7 @@ parameters, Adam's state, the schedule, the fit state and the config text.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import os
 import threading
@@ -188,34 +189,72 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # Every attention of the model takes one scalar per query: (B, m, 1)
 # queries a, (B, n, 1) keys b, (B, n, e) values v and an optional (B, n, 1)
 # key bias c, over one shared batch axis, give softmax_j(a_i b_j + c_j) v.
-# The op walks the batch axis in chunks, so that its (chunk, m, n) score
-# blocks stay within ATTN_CHUNK_BYTES each.
+# So a user's output row i is f(a_i), one smooth function of a scalar:
+# f(x) = sum_j e^(x b_j + c_j) v_j / sum_j e^(x b_j + c_j). Its poles lie
+# at least pi / (2 max|b|) off the real axis, whatever b, c and v are.
 #
-# The forward normalises after the product, as FlashAttention does. A
-# chunk's scores are one product over K = 2, [a, 1] [b, c]^T (c = 0 when
+# Nodes. For each user, A is the power of two at or above max|a_i|, and
+# the user's logit bound R = A max|b| picks the node count M from
+# _NODE_TABLE. The op evaluates f exactly at the M Chebyshev points of
+# [-A, A], in float64, and interpolates: with t = a / A and the values'
+# coefficients in T_0..T_{M-1} (`_chebyshev`), the output is one product of
+# the node-major basis T_j(t_i) (`_basis`, (M, m) per user) with them.
+# That is M n + m M score and basis cells per user in place of m n. When
+# M would pass m / 4, or R passes the table, the nodes are the queries
+# themselves and the interpolation is the identity: the exact kernel, in
+# the operands' dtype. A, M and the route depend only on the user's own
+# row, so a user's output does not depend on its batch mates.
+#
+# The exact kernel normalises after the product, as FlashAttention does.
+# A score block is one product over K = 2, [x, 1] [b, c]^T (c = 0 when
 # there is no bias), which also keeps it off BLAS's slow K=1 route: one
 # (4, 500, 500) score block takes 2.9 ms at K=1 and 0.35 ms at K=2 on a
-# 2-CPU x86 VM. No logit exceeds max|a| max|b| + max|c| in magnitude, and
+# 2-CPU x86 VM. No logit exceeds max|x| max|b| + max|c| in magnitude, and
 # only when that bound passes `_logit_limit` is each row shifted by its
 # max first. So a score block sees three passes: the product, exp in
 # place, and one product with [v | 1] that gives the unnormalised output
 # and the row sums together.
-# The backward keeps only the row log-sum-exp (B, m) of the forward and
-# rebuilds the softmax chunk by chunk with the shift inside the product,
-# P = exp([a, 1, -lse] [b, c, 1]^T). It forms dP - rowsum(dO * O) as
-# [dO, -rowsum(dO * O)] [v, 1]^T, using rowsum(dO * O) in place of
-# rowsum(dP * P), and multiplies by P in place to get dS. Then da = dS b,
-# and [db, dc] = dS^T [a, 1] is one product (db = dS^T a without a bias).
-# That is two elementwise passes over a score block, and no (B, m, n)
-# array lives between the two passes.
 #
-# Both passes run their chunks on the pool, each worker in score buffers
-# of its own, and each of a chunk's products is one numpy call. Chunk
-# boundaries depend only on the operand shapes, and a chunk's route only
-# on its values, so the results do not depend on the worker count, and
-# match a whole-batch computation up to rounding.
+# The backward keeps the float64 log-sum-exp of every node row, and the
+# float64 node outputs of the interpolated users. It sends dO through the
+# transposed basis and coefficient matrix to the nodes and runs the exact
+# backward there: it rebuilds the softmax with the shift inside the
+# product, P = exp([x, 1, -lse] [b, c, 1]^T), forms dP - rowsum(dO * O) as
+# [dO, -rowsum(dO * O)] [v, 1]^T, using rowsum(dO * O) in place of
+# rowsum(dP * P), and multiplies by P in place to get dS. Then dv = P^T dO
+# and [db, dc] = dS^T [x, 1] (db = dS^T x without a bias); on the exact
+# route da = dS b. A is piecewise constant in a, so on the interpolated
+# route these are the exact gradients of the interpolated output. There
+# da_i interpolates, over the same basis, f's slope at the nodes,
+# f' = sum_j s_j b_j v_j - (sum_j s_j b_j) f, which one more node pass
+# gives exactly. The interpolant's own derivative would amplify the node
+# values' rounding about M^2 / A-fold, past the float64 tolerance of the
+# kernel tests at small A; the two differ by the interpolation error that
+# _NODE_TABLE bounds.
+#
+# Both passes walk the batch in chunks of users whose (m, n) exact score
+# blocks stay within ATTN_CHUNK_BYTES together. The chunks run on the
+# pool, and within a chunk each run of users that share M and the shift
+# is one set of numpy calls, which BLAS and numpy evaluate user by user.
+# Chunk boundaries depend only on the operand shapes, so the results do
+# not depend on the worker count.
 
 ATTN_CHUNK_BYTES = 1 << 22
+
+# (largest R, M) per dtype. Measured on the hardest f for its R: two keys
+# at -max|b| and +max|b| with values -1 and +1, which make f a tanh step,
+# and a key bias that puts the step at any logit in [-8, 8]. Each R is
+# about 0.8 of the largest at which the interpolants of f and of its slope
+# f' stay within 3e-8 of the unit step and 1e-6 of max|f'| (1e-13 and
+# 1e-11 in float64). float64 starts at 6 nodes: the gradient of b carries
+# one more power of a than f, and at 4 nodes it missed the float64
+# tolerance of the kernel tests.
+_NODE_TABLE = {
+    np.dtype(np.float32): ((0.027, 0.12, 0.26, 0.58, 0.9, 1.5, 2.1, 3.2, 4.3),
+                           (4, 6, 8, 12, 16, 24, 32, 48, 64)),
+    np.dtype(np.float64): ((0.015, 0.054, 0.19, 0.37, 0.75, 1.1, 1.8, 2.5),
+                           (6, 8, 12, 16, 24, 32, 48, 64)),
+}
 
 
 def _chunk_len(a: np.ndarray, b: np.ndarray) -> int:
@@ -232,81 +271,165 @@ def _logit_limit(dtype, n: int) -> float:
     return 0.5 * min(math.log(float(fi.max) / n), -math.log(float(fi.tiny)))
 
 
-def _attention_forward(a: np.ndarray, b: np.ndarray, v: np.ndarray,
-                       c: np.ndarray | None = None, *, keep_lse: bool):
-    """Returns (output, float64 row log-sum-exp (B, m) or None)."""
-    batch, chunk = len(a), _chunk_len(a, b)
-    m, n, e = a.shape[1], b.shape[1], v.shape[-1]
-    limit = _logit_limit(a.dtype, n)
-    qa = np.concatenate([a, np.ones_like(a)], axis=-1)                       # [a, 1]
-    kb = np.concatenate([b, np.zeros_like(b) if c is None else c], axis=-1)  # [b, c]
-    out = np.empty((batch, m, e), a.dtype)
-    lse = np.empty((batch, m), np.float64) if keep_lse else None
+def _plan(a: np.ndarray, b: np.ndarray, c: np.ndarray | None = None):
+    """Per user: the node interval's half-width A, the node count M (0 when
+    the queries are the nodes) and whether its score rows shift by their
+    max, as three arrays over the batch."""
+    top_a, top_b = (np.abs(x).max(axis=(1, 2)).astype(np.float64) for x in (a, b))
+    top_c = 0.0 if c is None else np.abs(c).max(axis=(1, 2)).astype(np.float64)
+    mantissa, exponent = np.frexp(top_a)
+    scale = np.ldexp(1.0, exponent - (mantissa == 0.5))  # frexp(0) = (0, 0): A = 1
+    bounds, counts = _NODE_TABLE[a.dtype]
+    nodes = np.array(counts + (0,))[np.searchsorted(bounds, scale * top_b)]
+    nodes[4 * nodes > a.shape[1]] = 0
+    n = b.shape[1]
+    shift = np.where(nodes > 0, scale * top_b + top_c > _logit_limit(np.float64, n),
+                     top_a * top_b + top_c > _logit_limit(a.dtype, n))
+    return scale, nodes, shift
 
-    def run(starts):
-        width = min(chunk, batch)
-        s = np.empty((width, m, n), a.dtype)
-        v1 = np.ones((width, n, e + 1), a.dtype)
-        acc = np.empty((width, m, e + 1), a.dtype)
-        for lo in starts:
-            part = slice(lo, lo + chunk)
-            w = len(a[part])
-            sc = np.matmul(qa[part], _swap(kb[part]), out=s[:w])
-            shift = None
-            if (float(np.abs(a[part]).max()) * float(np.abs(kb[part, :, 0]).max())
-                    + float(np.abs(kb[part, :, 1]).max()) > limit):
-                shift = sc.max(axis=-1, keepdims=True)
-                sc -= shift
-            np.exp(sc, out=sc)
-            v1[:w, :, :e] = v[part]
-            np.matmul(sc, v1[:w], out=acc[:w])
-            np.divide(acc[:w, :, :e], acc[:w, :, e:], out=out[part])
-            if keep_lse:
-                np.log(acc[:w, :, e], out=lse[part], dtype=np.float64)
-                if shift is not None:
-                    lse[part] += shift[..., 0]
 
-    _map_chunks(batch, chunk, run)
+def _runs(key: np.ndarray, lo: int, hi: int):
+    """(start, stop) of each run of equal entries of key[lo:hi]."""
+    cuts = (np.flatnonzero(key[lo + 1:hi] != key[lo:hi - 1]) + lo + 1).tolist()
+    edges = [lo, *cuts, hi]
+    return zip(edges[:-1], edges[1:])
+
+
+@functools.lru_cache(maxsize=None)
+def _chebyshev(count: int):
+    """The Chebyshev points x_m = cos(pi (m + 1/2) / count) of [-1, 1] as a
+    (count, 1) column, and the float64 matrix that takes a function's values
+    there to the coefficients, in T_0..T_{count-1}, of its interpolant."""
+    angles = math.pi * (np.arange(count) + 0.5) / count
+    to_coef = np.cos(np.outer(np.arange(count), angles)) * (2.0 / count)
+    to_coef[0] /= 2
+    return np.cos(angles)[:, None], to_coef
+
+
+def _basis(t: np.ndarray, count: int) -> np.ndarray:
+    """T_0..T_{count-1} at the points t (r, m), node-major: (r, count, m)."""
+    basis = np.empty((len(t), count, t.shape[1]), t.dtype)
+    basis[:, 0] = 1
+    basis[:, 1] = t
+    twice = t + t
+    for j in range(2, count):
+        np.multiply(twice, basis[:, j - 1], out=basis[:, j])
+        basis[:, j] -= basis[:, j - 2]
+    return basis
+
+
+def _exact_forward(x: np.ndarray, kb: np.ndarray, v: np.ndarray, shift: bool,
+                   out: np.ndarray | None = None):
+    """softmax_j(x_i b_j + c_j) v for the queries x (r, p, 1) against
+    kb = [b, c] (r, n, 2). Returns the output and the float64 row
+    log-sum-exp (r, p)."""
+    e = v.shape[-1]
+    scores = np.matmul(np.concatenate([x, np.ones_like(x)], axis=-1), _swap(kb))
+    if shift:
+        top = scores.max(axis=-1, keepdims=True)
+        scores -= top
+    np.exp(scores, out=scores)
+    acc = np.matmul(scores, np.concatenate([v, np.ones_like(v[..., :1])], axis=-1))
+    out = np.divide(acc[..., :e], acc[..., e:], out=out)
+    lse = np.log(acc[..., e], dtype=np.float64)
+    if shift:
+        lse += top[..., 0]
     return out, lse
 
 
-def _attention_backward(out: np.ndarray, lse: np.ndarray, g: np.ndarray, a: np.ndarray,
+def _exact_backward(out: np.ndarray, lse: np.ndarray, g: np.ndarray, x: np.ndarray,
+                    kb: np.ndarray, v: np.ndarray, cols: int):
+    """Gradients for x, v and the first `cols` columns of kb, from
+    `_exact_forward`'s output and row log-sum-exp and the output grad."""
+    dtype = kb.dtype
+    qa = np.concatenate([x, np.ones_like(x), -lse[..., None]], axis=-1, dtype=dtype)
+    p = np.matmul(qa, _swap(np.concatenate([kb, np.ones_like(kb[..., :1])], axis=-1)))
+    np.exp(p, out=p)
+    gv = np.matmul(_swap(p), g)
+    go = np.concatenate([g, -np.multiply(g, out).sum(axis=-1, keepdims=True, dtype=np.float64)],
+                        axis=-1, dtype=dtype)  # [dO, -rowsum(dO * O)]
+    ds = np.matmul(go, _swap(np.concatenate([v, np.ones_like(v[..., :1])], axis=-1)))
+    ds *= p
+    return np.matmul(ds, kb[..., :1]), gv, np.matmul(_swap(ds), qa[..., :cols])
+
+
+def _attention_forward(a: np.ndarray, b: np.ndarray, v: np.ndarray,
+                       c: np.ndarray | None = None, *, keep: bool):
+    """Returns the output and, with `keep`, what the backward reads: the
+    float64 log-sum-exp of every node row, "lse" (B, nodes), and, when a
+    user interpolates, the float64 node outputs "node_out" (B, M, e)."""
+    batch, chunk = len(a), _chunk_len(a, b)
+    m, e = a.shape[1], v.shape[-1]
+    scale, nodes, shift = _plan(a, b, c)
+    key = 2 * nodes + shift
+    kb = np.concatenate([b, np.zeros_like(b) if c is None else c], axis=-1)  # [b, c]
+    out = np.empty((batch, m, e), a.dtype)
+    kept = {}
+    if keep:
+        kept["lse"] = np.zeros((batch, m if (nodes == 0).any() else nodes.max(initial=0)))
+        if nodes.any():
+            kept["node_out"] = np.zeros((batch, nodes.max(), e))
+
+    def run(starts):
+        for first in starts:
+            for lo, hi in _runs(key, first, min(first + chunk, batch)):
+                part, count = slice(lo, hi), nodes[lo]
+                if not count:
+                    _, lse = _exact_forward(a[part], kb[part], v[part], shift[lo], out=out[part])
+                else:
+                    points, to_coef = _chebyshev(count)
+                    vals, lse = _exact_forward(scale[part, None, None] * points,
+                                               kb[part].astype(np.float64),
+                                               v[part].astype(np.float64), shift[lo])
+                    t = (a[part, :, 0] / scale[part, None]).astype(a.dtype)
+                    np.matmul(_swap(_basis(t, count)), np.matmul(to_coef, vals).astype(a.dtype),
+                              out=out[part])
+                    if keep:
+                        kept["node_out"][part, :count] = vals
+                if keep:
+                    kept["lse"][part, :lse.shape[1]] = lse
+
+    _map_chunks(batch, chunk, run)
+    return out, kept
+
+
+def _attention_backward(out: np.ndarray, kept: dict, g: np.ndarray, a: np.ndarray,
                         b: np.ndarray, v: np.ndarray,
                         c: np.ndarray | None = None) -> list[np.ndarray]:
     """Gradients for (a, b, v), and c when given, from the forward's output
-    and row log-sum-exp and the output grad."""
+    and kept node statistics and the output grad."""
     batch, chunk = len(a), _chunk_len(a, b)
-    m, n, e = a.shape[1], b.shape[1], v.shape[-1]
     dtype = np.result_type(a, g)
-    qa = np.concatenate([a, np.ones_like(a), -lse[..., None]], axis=-1, dtype=dtype)
-    kb = np.concatenate([b, np.zeros_like(b) if c is None else c, np.ones_like(b)], axis=-1,
-                        dtype=dtype)
+    scale, nodes, shift = _plan(a, b, c)
+    key = 2 * nodes + shift
+    kb = np.concatenate([b, np.zeros_like(b) if c is None else c], axis=-1, dtype=dtype)
     cols = 1 if c is None else 2
     ga, gv = np.empty(a.shape, dtype), np.empty(v.shape, dtype)
-    gbc = np.empty((batch, n, cols), dtype)  # [db, dc]
+    gbc = np.empty((batch, b.shape[1], cols), dtype)  # [db, dc]
 
     def run(starts):
-        width = min(chunk, batch)
-        # The score blocks go first: allocated after the small buffers,
-        # they left 8 MB more resident in the workers' malloc arenas.
-        p = np.empty((width, m, n), dtype)
-        ds = np.empty_like(p)
-        go = np.empty((width, m, e + 1), dtype)  # [dO, -rowsum(dO * O)]
-        va = np.ones((width, n, e + 1), dtype)   # [v, 1]
-        for lo in starts:
-            part = slice(lo, lo + chunk)
-            w, gc = len(a[part]), g[part]
-            pc, dc = p[:w], ds[:w]
-            np.exp(np.matmul(qa[part], _swap(kb[part]), out=pc), out=pc)
-            np.matmul(_swap(pc), gc, out=gv[part])
-            go[:w, :, :e] = gc
-            np.negative(np.multiply(gc, out[part]).sum(axis=-1, dtype=np.float64),
-                        out=go[:w, :, e])
-            va[:w, :, :e] = v[part]
-            np.matmul(go[:w], _swap(va[:w]), out=dc)
-            dc *= pc
-            np.matmul(dc, b[part], out=ga[part])
-            np.matmul(_swap(dc), qa[part, :, :cols], out=gbc[part])
+        for first in starts:
+            for lo, hi in _runs(key, first, min(first + chunk, batch)):
+                part, count = slice(lo, hi), nodes[lo]
+                gp = g[part]
+                if not count:
+                    ga[part], gv[part], gbc[part] = _exact_backward(
+                        out[part], kept["lse"][part, :a.shape[1]], gp, a[part], kb[part],
+                        v[part], cols)
+                    continue
+                points, to_coef = _chebyshev(count)
+                basis = _basis((a[part, :, 0] / scale[part, None]).astype(dtype), count)
+                x, vals = scale[part, None, None] * points, kept["node_out"][part, :count]
+                kb64, v64 = kb[part].astype(np.float64), v[part].astype(np.float64)
+                g_nodes = np.matmul(to_coef.T, np.matmul(basis, gp).astype(np.float64))
+                _, gv[part], gbc[part] = _exact_backward(vals, kept["lse"][part, :count], g_nodes,
+                                                         x, kb64, v64, cols)
+                # f' = sum_j s_j b_j v_j - (sum_j s_j b_j) f at the nodes, interpolated.
+                moments, _ = _exact_forward(x, kb64, np.concatenate(
+                    [kb64[..., :1] * v64, kb64[..., :1]], axis=-1), shift[lo])
+                slope = moments[..., :-1] - moments[..., -1:] * vals
+                slope = np.matmul(_swap(basis), np.matmul(to_coef, slope).astype(dtype))
+                ga[part, :, 0] = np.multiply(gp, slope).sum(axis=-1, dtype=np.float64)
 
     _map_chunks(batch, chunk, run)
     return [ga, gbc[..., :1], gv] + ([] if c is None else [gbc[..., 1:]])
@@ -459,7 +582,8 @@ class Tape:
             if len({x.dtype for x in vals}) != 1:
                 raise ContractError(
                     f"cross_attention: dtypes {[str(x.dtype) for x in vals]} differ")
-            out, ctx["lse"] = _attention_forward(*vals, keep_lse=req)
+            out, kept = _attention_forward(*vals, keep=req)
+            ctx.update(kept)
         elif op == "reshape":
             (a,) = vals
             shape = tuple(const["shape"])
@@ -536,7 +660,7 @@ class Tape:
                 if wanted:
                     yield inp, w * g
         elif op == "cross_attention":
-            grads = _attention_backward(node.value, node.ctx["lse"], g, *vals)
+            grads = _attention_backward(node.value, node.ctx, g, *vals)
             yield from ((inp, gi) for inp, gi, wanted in zip(ins, grads, need) if wanted)
         elif op == "reshape":
             yield ins[0], g.reshape(node.ctx["old_shape"])

@@ -135,6 +135,8 @@ class TestAttentionProbe:
             bench.attention_approx_probe(ks=(4,), trials=0)
         with pytest.raises(ContractError, match="n >= 2"):
             bench.attention_approx_probe(n=1, ks=(4,), trials=2)
+        with pytest.raises(ContractError, match="d >= 1"):
+            bench.attention_approx_probe(n=32, d=0, ks=(4,), trials=2)
 
 
 class TestTimeScaling:

@@ -421,6 +421,18 @@ class TestErrorMapping:
         assert cli.main(argv) == 2
         assert f"error: argument {argv[-2]}: invalid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["bench-scaling", "--axis", "users", "--sizes", "24,32"],
+        ["bench-attn"],
+        ["gradcheck"]])
+    def test_negative_seed_exits_2(self, argv, capsys):
+        assert cli.main(argv + ["--seed", "-1"]) == 2
+        assert "error: argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_zero_width_attention_probe_is_contract(self, capsys):
+        assert cli.main(["bench-attn", "--n", "32", "--d", "0", "--ks", "4"]) == 1
+        assert capsys.readouterr().err.startswith("diffcf: error: contract: need d >= 1")
+
     def test_config_file_with_the_schedule_key_is_refused(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("schedule = linear\n")

@@ -3,8 +3,9 @@
 Every differentiable op is checked against central finite differences
 computed by an oracle in this file (not the engine's own checker), the
 fused attention op is cross-checked against its primitive composition
-and the whole-batch computation its chunked kernel replaced, and bit for
-bit across thread-pool sizes and BLAS thread counts (as are the blocked
+and the whole-batch computation its chunked kernel replaced, on its exact
+and its interpolated route, and bit for bit across thread-pool sizes and
+BLAS thread counts (as are the blocked
 feedforward op, the pooled 2-D products, a dense context build and a
 seeded training step), Adam is compared to an independent
 reimplementation and, bit for bit, to the plain-expression update its
@@ -674,8 +675,9 @@ class TestAttentionWorkers:
         # numpy's OpenBLAS is held to one thread however many it was
         # started with, so a seeded training step at a shape whose encoder
         # products OpenBLAS would split over its threads, a dense context
-        # build and every attention and feedforward product give the same
-        # bits under one and two BLAS threads.
+        # build and every attention (exact and interpolated) and
+        # feedforward product give the same bits under one and two BLAS
+        # threads.
         src = str(Path(nd.__file__).resolve().parents[1])
         digests = []
         for threads in ("1", "2"):
@@ -712,6 +714,9 @@ w_in, w_out = (rng.standard_normal(s).astype(np.float32) / 4 for s in ((16, 64),
 cases = [("cross_attention", [rng.standard_normal(s).astype(np.float32) for s in
                               [(9, 500, 1), (9, 500, 1), (9, 500, e)] + [(9, 500, 1)] * bias], e)
          for bias, e in ((True, 16), (False, 16), (False, 1))]
+# Queries of at most 1/64: these users interpolate.
+cases += [("cross_attention", [x / np.float32(64 * np.abs(x).max()) if i == 0 else x
+                               for i, x in enumerate(inputs)], e) for _, inputs, e in cases[:2]]
 cases.append(("feedforward", (rng.standard_normal((9, 500, 16)).astype(np.float32),
                               w_in, w_out), 16))
 for op, inputs, e in cases:
@@ -740,6 +745,145 @@ for name in sorted(params):
     digest.update(params[name].tobytes())
 print(digest.hexdigest())
 """
+
+
+def interpolating_operands(rng, reaches, m, n, e, dtype, bias):
+    """Operands with one user per entry of `reaches`: its queries peak at
+    |a| = 0.75, so its node interval is [-1, 1], and its keys at |b| =
+    reach, which is then its logit bound R; values and key bias are
+    standard normal."""
+    batch = len(reaches)
+    a = rng.uniform(-1, 1, (batch, m, 1))
+    a *= 0.75 / np.abs(a).max(axis=(1, 2), keepdims=True)
+    b = rng.uniform(-1, 1, (batch, n, 1))
+    b *= np.asarray(reaches, np.float64)[:, None, None] / np.abs(b).max(axis=(1, 2), keepdims=True)
+    rest = [rng.standard_normal((batch, n, e))] + [rng.standard_normal((batch, n, 1))] * bias
+    return [x.astype(dtype) for x in (a, b, *rest)]
+
+
+def node_counts(dtype, m):
+    """Each logit bound the table serves, halfway into its band, with its
+    node count, then R = 0 and a bound past the table, where the queries
+    are the nodes (count 0)."""
+    bounds, counts = nd._NODE_TABLE[np.dtype(dtype)]
+    cases = [(0.0, counts[0])] + [((lo + hi) / 2, count) for lo, hi, count
+                                  in zip((0.0,) + bounds, bounds, counts) if 4 * count <= m]
+    return cases + [(1.5 * bounds[-1], 0)]
+
+
+class TestInterpolatedAttention:
+    """A user whose logit bound R = A max|b| is small takes f from M
+    Chebyshev nodes of [-A, A]: the op must still match the exact oracle
+    (`whole_batch_attention`, in float64) within the tolerances of
+    `TestChunkedAttention`, forward and every gradient, from R = 0 to past
+    the exact fallback, with and without the row-max shift. The float64
+    node statistics it keeps must match the oracle at the nodes."""
+
+    M, N, DV = 384, 512, 5
+
+    def check(self, operands, nodes, shift, seed):
+        tape = nd.Tape()
+        ids = [tape.leaf(x, trainable=True) for x in operands]
+        node = tape.record("cross_attention", *ids)
+        dtype = operands[0].dtype.type
+        scale, got_nodes, got_shift = nd._plan(*operands[:2], *operands[3:])
+        assert got_nodes.tolist() == nodes and got_shift.tolist() == shift
+        wide = [x.astype(np.float64) for x in operands]
+        a, b, v, *c = wide
+        want, want_s = whole_batch_attention(*wide)
+        tol = TOLERANCE[dtype]
+        assert node.value.dtype == dtype
+        np.testing.assert_allclose(node.value, want, **tol)
+        g = np.random.default_rng(seed).standard_normal(want.shape)
+        got = dict(tape._vjp(node, g.astype(dtype)))
+        for leaf, gx in zip(ids, whole_batch_attention_vjp(a, b, v, want_s, g, *c)):
+            assert got[leaf].dtype == dtype
+            np.testing.assert_allclose(got[leaf], gx, **tol)
+        # Per node row: the log-sum-exp, and the output f(x) of the users
+        # that interpolate, in float64.
+        width = max(count or self.M for count in nodes)
+        assert node.ctx["lse"].shape == (len(a), width) and node.ctx["lse"].dtype == np.float64
+        assert ("node_out" in node.ctx) == any(nodes)
+        for user, count in enumerate(nodes):
+            row = slice(user, user + 1)
+            keys = (b[row], *(x[row] for x in c))
+            if not count:
+                np.testing.assert_allclose(node.ctx["lse"][row, :self.M],
+                                           whole_batch_lse(a[row], *keys), **tol)
+                continue
+            points = scale[user] * nd._chebyshev(count)[0][None]
+            f, _ = whole_batch_attention(points, keys[0], v[row], *keys[1:])
+            tight = TOLERANCE[np.float64]
+            np.testing.assert_allclose(node.ctx["lse"][row, :count],
+                                       whole_batch_lse(points, *keys), **tight)
+            np.testing.assert_allclose(node.ctx["node_out"][row, :count], f, **tight)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_bounds_from_zero_past_the_fallback(self, dtype, bias):
+        rng = np.random.default_rng(60)
+        for seed, (reach, count) in enumerate(node_counts(dtype, self.M)):
+            operands = interpolating_operands(rng, [reach] * 2, self.M, self.N, self.DV, dtype,
+                                              bias)
+            self.check(operands, [count] * 2, [False] * 2, seed)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_row_max_route(self, dtype):
+        # A key bias offset by twice the float64 limit, in which the nodes
+        # are evaluated, passes it: the node rows shift by their max.
+        limit = nd._logit_limit(np.float64, self.N)
+        rng = np.random.default_rng(61)
+        for seed, (reach, count) in enumerate(node_counts(dtype, self.M)[:-1]):
+            a, b, v, c = interpolating_operands(rng, [reach], self.M, self.N, self.DV, dtype,
+                                                True)
+            c += dtype(2 * limit)
+            self.check([a, b, v, c], [count], [True], seed)
+
+    def test_users_take_their_own_routes(self):
+        # One batch mixes node counts, the exact fallback and the shift, in
+        # runs that cross a chunk boundary; each user's output and
+        # gradients are those of the user alone, bit for bit.
+        rng = np.random.default_rng(62)
+        reaches = [0.01, 0.01, 0.5, 8.0, 8.0, 0.01, 0.2, 0.2]
+        a, b, v, c = interpolating_operands(rng, reaches, self.M, self.N, self.DV, np.float32,
+                                            True)
+        c[6] += np.float32(2 * nd._logit_limit(np.float64, self.N))
+        g = rng.standard_normal((len(a), self.M, self.DV)).astype(np.float32)
+        _, nodes, shift = nd._plan(a, b, c)
+        assert nodes.tolist() == [4, 4, 12, 0, 0, 4, 8, 8]
+        assert shift.tolist() == [False] * 6 + [True, False]
+        assert chunk_len(self.M, self.N, np.float32) < len(a)
+        whole = TestAttentionWorkers.run(g, a, b, v, c)
+        self.check([a, b, v, c], nodes.tolist(), shift.tolist(), seed=63)
+        for user in range(len(a)):
+            row = slice(user, user + 1)
+            alone = TestAttentionWorkers.run(g[row], a[row], b[row], v[row], c[row])
+            for got, want in zip(whole[:2] + whole[3:], alone[:2] + alone[3:]):
+                assert np.array_equal(got[row], want), user
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_values_do_not_depend_on_the_worker_count(self, dtype, attention_workers):
+        chunk = chunk_len(self.M, self.N, dtype)
+        rng = np.random.default_rng(64)
+        for bias, e in ((True, self.DV), (False, 1)):
+            batch = 6 * chunk + 1
+            operands = interpolating_operands(rng, ([0.02, 0.2, 1.0] * batch)[:batch],
+                                              self.M, self.N, e, dtype, bias)
+            assert nd._plan(*operands[:2], *operands[3:])[1].all()
+            g = rng.standard_normal((batch, self.M, e)).astype(dtype)
+            TestAttentionWorkers.same_bits_on_every_worker_count(
+                TestAttentionWorkers.run, (g, *operands), TestAttentionWorkers.chunked_jobs(7),
+                attention_workers, (bias, e))
+
+    def test_finite_differences_of_the_interpolated_route(self):
+        # At m = 128 the op interpolates with up to 32 nodes. Probes of
+        # 1e-6 keep max|a| = 0.75 inside (0.5, 1] and R = 0.3 inside the
+        # 16-node band of float64, so each stays on one interpolant.
+        rng = np.random.default_rng(65)
+        operands = interpolating_operands(rng, [0.3, 0.3], 128, 48, 2, np.float64, True)
+        assert nd._plan(*operands[:2], operands[3])[1].tolist() == [16, 16]
+        check_op_gradients(
+            lambda t, ids: sum_of_squares(t, t.record("cross_attention", *ids)), operands)
 
 
 class TestSinusoidalEmbedding:

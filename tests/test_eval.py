@@ -435,6 +435,39 @@ class TestEvaluateEndToEnd:
             np.testing.assert_array_equal(top, tops[2])
             np.testing.assert_allclose(walk, walks[2], rtol=0, atol=1e-5)
 
+    def test_interpolated_scores_do_not_depend_on_the_batch_size(self, monkeypatch):
+        # At latent_dim 64 every attention of this model interpolates: its
+        # node interval and count come from each user's own row, so a
+        # user's scores, and its top-10, are the same alone, among 7 and
+        # among 128.
+        rng = np.random.default_rng(97)
+        rows = [sorted(rng.choice(80, size=int(rng.integers(5, 16)), replace=False).tolist())
+                for _ in range(150)]
+        m = dataset.split_holdout(make_matrix(rows, num_items=80), seed=5)
+        cfg = CamAeConfig(num_users=m.num_users, num_items=m.num_items, latent_dim=64,
+                          attn_dim=8, layers=2, hops=3, hop_weights=(0.6, 0.4))
+        params = camae.init_params(cfg, seed=98)
+        contexts = graph.build_contexts(m, H=3)
+        rank_topk, plan = evaluation.rank_topk, nd._plan
+        scores, lists, nodes = [], [], []
+        monkeypatch.setattr(evaluation, "rank_topk", lambda s, *rest: scores.append(s)
+                            or lists.append(rank_topk(s, *rest)) or lists[-1])
+        monkeypatch.setattr(nd, "_plan", lambda *args: nodes.append(plan(*args)[1])
+                            or plan(*args))
+        runs = []
+        for batch_size in (1, 7, 128):
+            scores.clear()
+            lists.clear()
+            evaluation.evaluate(params, cfg, build_schedule(8), m, contexts, ks=(10,),
+                                infer_steps=3, infer_seed=2, batch_size=batch_size)
+            runs.append((np.concatenate(scores), np.concatenate(lists)))
+        assert np.concatenate(nodes).min() > 0
+        assert len(runs[2][0]) > 128
+        for got, top in runs[:2]:
+            np.testing.assert_array_equal(top, runs[2][1])
+            np.testing.assert_allclose(got, runs[2][0], rtol=1e-5,
+                                       atol=1e-6 * np.abs(runs[2][0]).max())
+
     def test_include_val_controls_scorer_inputs(self, tagged_matrix):
         m = tagged_matrix
         seen = {}
