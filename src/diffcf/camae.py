@@ -24,10 +24,15 @@ its keys and values are width 1 as well, and the (B, seq, d) tokens are
 recorded only for the residual add and "no-cross-attn". The parameters
 are still those of the d-wide tokens.
 
-The forward is recorded in two parts. `condition` reads only the hop
-vectors (the hop encoders); `denoise` reads u_t and t and runs the rest.
-Training records both for each batch through `camae_forward`; inference
-conditions once per batch and denoises once per step.
+The forward is recorded in four parts. `condition` reads only the hop
+vectors (the hop encoders); `encode_interactions` compresses u_t to the
+latents z (B, seq); `denoise`, the latent core, reads z and t and returns
+the reconstructed latents y (B, seq); `decode` maps y back to items with
+the `decoder` matrix D. Training records all four for each batch through
+`camae_forward`. Inference conditions and encodes u_t once per batch and
+runs the core once per step: the next step's latents y D E are y F, with
+the (seq, seq) F = D E built once by encoding D, so only the last step is
+decoded (see `eval.denoise_infer`).
 
 There are no bias terms anywhere; with the timestep embedding disabled,
 zero inputs provably map to zero output. The sinusoidal timestep
@@ -172,12 +177,32 @@ def _identity_pad(n_in: int, n_out: int, dtype) -> np.ndarray:
 
 
 def encode_interactions(tape: nd.Tape, leaves: dict[str, nd.Node],
-                        config: CamAeConfig, u: nd.Node) -> nd.Node:
-    """Compress interaction rows (B, |items|) to latents (B, k)."""
+                        config: CamAeConfig, u_t: np.ndarray) -> nd.Node:
+    """Record the interaction encoder: rows `u_t` (B, |items|), bound as a
+    leaf in the parameters' dtype, compressed to latents (B, seq)."""
+    u_t = np.asarray(u_t)
+    if u_t.ndim != 2 or u_t.shape[1] != config.num_items:
+        raise ShapeError(f"u_t must be (B, {config.num_items}), got {u_t.shape}")
+    dtype = leaves["collapse"].value.dtype
+    u = tape.leaf(u_t.astype(dtype, copy=False))
     if config.variant == "no-ae":
-        pad = tape.leaf(_identity_pad(config.num_items, config.width, u.value.dtype))
+        pad = tape.leaf(_identity_pad(config.num_items, config.width, dtype))
         return tape.record("matmul", u, pad)
     return tape.record("matmul", u, leaves["enc_items"])
+
+
+def decoder(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig) -> nd.Node:
+    """The decoder's (seq, |items|) matrix: `dec_items`, or the identity pad."""
+    if config.variant == "no-ae":
+        return tape.leaf(_identity_pad(config.width, config.num_items,
+                                       leaves["collapse"].value.dtype))
+    return leaves["dec_items"]
+
+
+def decode(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig,
+           y: nd.Node) -> nd.Node:
+    """Record the decoder: latents (B, seq) back to item rows (B, |items|)."""
+    return tape.record("matmul", y, decoder(tape, leaves, config))
 
 
 def condition(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig,
@@ -256,11 +281,11 @@ def _attention(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig,
 
 
 def denoise(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig,
-            u_t: np.ndarray, latents: dict[int, nd.Node], t: np.ndarray) -> nd.Node:
-    """Record the part of the denoiser that reads the noised rows `u_t`
-    (B, |items|) and their B integer timesteps `t`, attending with the hop
-    `latents` that `condition` recorded; returns the node of the
-    reconstructed interaction rows (B, |items|).
+            z: nd.Node, latents: dict[int, nd.Node], t: np.ndarray) -> nd.Node:
+    """Record the latent core of the denoiser: it reads the encoded rows `z`
+    (B, seq) and their B integer timesteps `t`, attends with the hop
+    `latents` that `condition` recorded, and returns the node of the
+    reconstructed latents (B, seq), which `decode` maps back to items.
 
     Every variant but "no-cross-attn" attends through `_attention`. A
     hop's queries, its latent z (B, seq, 1) expanded to tokens by
@@ -272,19 +297,16 @@ def denoise(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig,
     their gradients through the fold. In layer 1 every variant attends at
     width 1 over the rank-two tokens, so they are recorded only where
     something reads them: the residual add and the "no-cross-attn" layers."""
-    u_t = np.asarray(u_t)
-    if u_t.ndim != 2 or u_t.shape[1] != config.num_items:
-        raise ShapeError(f"u_t must be (B, {config.num_items}), got {u_t.shape}")
-    batch = u_t.shape[0]
+    seq = config.seq_len
+    if z.value.ndim != 2 or z.value.shape[1] != seq:
+        raise ShapeError(f"z must be (B, {seq}), got {z.value.shape}")
+    batch = z.value.shape[0]
     t = np.asarray(t).reshape(-1)
     if t.size != batch:
         raise ShapeError(f"t has {t.size} entries for batch {batch}")
 
     dtype = leaves["collapse"].value.dtype
-    u = tape.leaf(u_t.astype(dtype, copy=False))
-    seq = config.seq_len
-    z_obs = tape.record("reshape", encode_interactions(tape, leaves, config, u),
-                        shape=(batch, seq, 1))
+    z_obs = tape.record("reshape", z, shape=(batch, seq, 1))
     emb = tape.leaf(nd.sinusoidal_embedding(t, config.attn_dim, dtype)) if config.t_embed else None
     tokens = None
     if config.residual or config.variant == "no-cross-attn":
@@ -308,21 +330,19 @@ def denoise(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig,
         state = tape.record("add", state, blended) if config.residual else blended
 
     y = tape.record("matmul", state, leaves["collapse"])
-    y = tape.record("reshape", y, shape=(batch, seq))
-    if config.variant == "no-ae":
-        pad = tape.leaf(_identity_pad(config.width, config.num_items, y.value.dtype))
-        return tape.record("matmul", y, pad)
-    return tape.record("matmul", y, leaves["dec_items"])
+    return tape.record("reshape", y, shape=(batch, seq))
 
 
 def camae_forward(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig,
                   u_t: np.ndarray, contexts: dict[int, np.ndarray],
                   t: np.ndarray) -> nd.Node:
-    """Record the full denoiser on `tape`, conditioning and denoising back
-    to back; returns the node of the reconstructed interaction rows
-    (B, |items|).
+    """Record the full denoiser on `tape`: condition, encode, denoise and
+    decode, in that order; returns the node of the reconstructed
+    interaction rows (B, |items|).
 
     `u_t` is (B, |items|), `contexts[h]` is (B, hop_dim(h)) for h in 2..H,
     and `t` holds B integer timesteps.
     """
-    return denoise(tape, leaves, config, u_t, condition(tape, leaves, config, contexts), t)
+    latents = condition(tape, leaves, config, contexts)
+    z = encode_interactions(tape, leaves, config, u_t)
+    return decode(tape, leaves, config, denoise(tape, leaves, config, z, latents, t))

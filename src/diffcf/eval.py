@@ -2,12 +2,15 @@
 
 Scoring corrupts each user's observed row T' steps forward, then walks
 the reverse chain substituting the denoiser's reconstruction at every
-step (no resampling unless explicitly asked). The final reconstruction
-scores every item; observed inputs are masked out and the remainder is
-ranked. Recall@K divides hits by min(K, #held-out); NDCG@K uses the
-standard 1/log2(rank+1) gains against the ideal prefix. Users with no
-held-out items are skipped. Ties in scores break toward the smaller
-item id, deterministically.
+step (no resampling unless explicitly asked). The walk runs in the
+denoiser's latent space: the corrupted row is encoded once, each step's
+reconstruction is carried to the next through the (k, k) product of the
+decoder and the encoder, and only the last one is decoded. The final
+reconstruction scores every item; observed inputs are masked out and the
+remainder is ranked. Recall@K divides hits by min(K, #held-out); NDCG@K
+uses the standard 1/log2(rank+1) gains against the ideal prefix. Users
+with no held-out items are skipped. Ties in scores break toward the
+smaller item id, deterministically.
 """
 
 from __future__ import annotations
@@ -49,29 +52,43 @@ def denoise_infer(params: dict, config: camae.CamAeConfig, sched: NoiseSchedule,
     on the rows batched with it. The parameters are bound as plain leaves
     of one tape, which keeps no node, and the batch is conditioned on its
     hop contexts once, for every step.
+
+    The walk stays in the latent space. The corrupted rows are encoded
+    once; step t's reconstruction y_t D (D the decoder) would be encoded by
+    E for step t - 1, so z_{t-1} = y_t F with the (seq, seq) F = D E, built
+    once per call from `camae.decoder` and `camae.encode_interactions`.
+    A stochastic walk adds the encoded re-noise sigma_t (eps_t E). Only the
+    last step is decoded. F costs seq^2 |items| multiply-adds and saves
+    2 B (T' - 1) seq |items| of them. Walks of 0 and 1 steps give the bits
+    of a walk that decodes every step; deeper ones differ from it only in
+    the rounding of the reassociated products.
     """
     if not 0 <= infer_steps <= sched.T:
         raise ContractError(f"infer_steps must lie in 0..{sched.T}, got {infer_steps}")
     tape = nd.Tape()
     leaves = {name: tape.leaf(value) for name, value in params.items()}
-    latents = camae.condition(tape, leaves, config, contexts)
-
-    def denoise(u: np.ndarray, t: int) -> np.ndarray:
-        steps = np.full(len(u), t, dtype=np.int64)
-        return camae.denoise(tape, leaves, config, u, latents, steps).value
-
+    dtype = leaves["collapse"].value.dtype
     if infer_steps == 0:
-        scores = denoise(u_obs, 1)
+        u = u_obs
     else:
         if rngs is None:
             rngs = [np.random.default_rng([0, i]) for i in range(len(u_obs))]
         u = diffuse_to(u_obs, infer_steps, sched, _normal(rngs, u_obs.shape, u_obs.dtype))
-        for t in range(infer_steps, 0, -1):
-            u = denoise(u, t)
-            if stochastic and t >= 2:
-                eps = _normal(rngs, u.shape, u.dtype)
-                u = u + np.sqrt(sched.betas[t - 1]).astype(u.dtype) * eps
-        scores = u
+    z = camae.encode_interactions(tape, leaves, config, u)
+    latents = camae.condition(tape, leaves, config, contexts)
+    if infer_steps > 1:
+        dec_enc = camae.encode_interactions(tape, leaves, config,
+                                            camae.decoder(tape, leaves, config).value)
+    for t in range(max(infer_steps, 1), 0, -1):
+        y = camae.denoise(tape, leaves, config, z, latents, np.full(len(u_obs), t, np.int64))
+        if t >= 2:
+            z = tape.record("matmul", y, dec_enc)
+            if stochastic:
+                eps = camae.encode_interactions(tape, leaves, config,
+                                                _normal(rngs, u_obs.shape, dtype))
+                sigma = np.sqrt(sched.betas[t - 1]).astype(dtype)
+                z = tape.record("add", z, tape.record("scale", eps, factor=sigma))
+    scores = camae.decode(tape, leaves, config, y).value
     if not np.isfinite(scores).all():
         raise NumericError("denoise_infer: non-finite scores")
     return scores
@@ -85,12 +102,15 @@ def rank_topk(scores: np.ndarray, exclude: np.ndarray, k: int) -> np.ndarray:
     Only the top k are sorted: a partition finds each row's k-th best
     score, the items at or above it are kept (dropping the highest ids
     among those tied with it when there are too many), and a stable sort
-    on negated scores orders them."""
+    on negated scores orders them. Float scores are ranked in their own
+    dtype, others as the float type that holds them exactly: widening is
+    exact and keeps the order, so a float32 block ranks as its float64
+    cast would."""
     if scores.shape != exclude.shape:
         raise ContractError(f"scores {scores.shape} vs exclude {exclude.shape}")
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
-    masked = scores.astype(np.float64, copy=True)
+    masked = scores.astype(np.promote_types(scores.dtype, np.float32), copy=True)
     if np.isnan(masked).any():
         raise ContractError("rank_topk: scores contain NaN")
     masked[exclude] = -np.inf

@@ -12,11 +12,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import inference_forward, make_matrix, trainable_forward
-from diffcf import camae, dataset, eval as evaluation, graph, ndtensor as nd
+from conftest import inference_forward, make_matrix
+from diffcf import bench, camae, dataset, eval as evaluation, graph, ndtensor as nd
 from diffcf.camae import CamAeConfig
 from diffcf.dataset import TAG_TEST, TAG_TRAIN, TAG_VAL
-from diffcf.errors import ContractError, NumericError
+from diffcf.errors import ContractError, NumericError, ShapeError
 from diffcf.schedule import build_schedule, diffuse_to
 
 
@@ -99,6 +99,23 @@ class TestRankTopk:
         for k in (1, 10, 20, 499, 500):
             np.testing.assert_array_equal(evaluation.rank_topk(scores, exclude, k),
                                           argsort_topk(scores, exclude, k))
+
+    def test_float32_scores_rank_as_their_float64_cast(self):
+        # Widening float32 is exact and keeps the order, so ranking in the
+        # scores' own dtype gives the lists of the float64 cast: with ties
+        # (rows of few levels, and at the k-th score), masked items, and
+        # rows with fewer candidates than k.
+        rng = np.random.default_rng(83)
+        scores = (rng.integers(-3, 4, size=(12, 60)) / 7).astype(np.float32)
+        scores[:4] = rng.standard_normal((4, 60)).astype(np.float32)
+        scores[4, :30] = scores[4, 30:] = np.float32(1 / 3)
+        exclude = rng.random(scores.shape) < 0.3
+        exclude[5, 2:] = exclude[6] = True
+        for k in (1, 3, 10, 45, 60, 70):
+            got = evaluation.rank_topk(scores, exclude, k)
+            np.testing.assert_array_equal(
+                got, evaluation.rank_topk(scores.astype(np.float64), exclude, k))
+            np.testing.assert_array_equal(got, argsort_topk(scores, exclude, k))
 
     def test_contracts(self):
         with pytest.raises(ContractError):
@@ -229,10 +246,56 @@ def row_rngs(seed: int, rows: int) -> list[np.random.Generator]:
     return [np.random.default_rng([seed, i]) for i in range(rows)]
 
 
-def row_noise(seed: int, u: np.ndarray) -> np.ndarray:
-    """The corruption noise `denoise_infer` draws from `row_rngs(seed, ...)`."""
-    return np.stack([g.standard_normal(u.shape[1]) for g in row_rngs(seed, len(u))]
-                    ).astype(u.dtype)
+def row_draws(rngs: list[np.random.Generator], width: int) -> np.ndarray:
+    """Noise as `denoise_infer` draws it: one float32 row of `width`
+    standard normals from each generator, in turn."""
+    return np.stack([g.standard_normal(width) for g in rngs]).astype(np.float32)
+
+
+def latent_walk(params, cfg, sched, u_obs, contexts, steps, seed, stochastic=False,
+                trainable=False):
+    """The reverse walk of `denoise_infer` spelled out from the camae pieces,
+    each step on a tape of its own: encode the corrupted rows once, run the
+    latent core, carry y_t (D E) to the next step, with the encoded
+    re-noise sigma_t (eps_t E) added when `stochastic`, and decode the last
+    step. Noise comes from `row_rngs(seed, ...)`. Returns the scores and
+    the tape of each step."""
+    rngs, width = row_rngs(seed, len(u_obs)), u_obs.shape[1]
+
+    def bind():
+        tape = nd.Tape()
+        return tape, {name: tape.leaf(v, trainable=trainable) for name, v in params.items()}
+
+    u = u_obs if steps == 0 else diffuse_to(u_obs, steps, sched, row_draws(rngs, width))
+    z = camae.encode_interactions(*bind(), cfg, u).value
+    tapes = []
+    for t in range(max(steps, 1), 0, -1):
+        tape, leaves = bind()
+        tapes.append(tape)
+        latents = camae.condition(tape, leaves, cfg, contexts)
+        y = camae.denoise(tape, leaves, cfg, tape.leaf(z), latents, np.full(len(u_obs), t))
+        if t == 1:
+            return camae.decode(tape, leaves, cfg, y).value, tapes
+        z = tape.record("matmul", y, camae.encode_interactions(
+            tape, leaves, cfg, camae.decoder(tape, leaves, cfg).value))
+        if stochastic:
+            eps = camae.encode_interactions(tape, leaves, cfg, row_draws(rngs, width))
+            sigma = np.float32(np.sqrt(sched.betas[t - 1]))
+            z = tape.record("add", z, tape.record("scale", eps, factor=sigma))
+        z = z.value
+
+
+def item_space_walk(params, cfg, sched, u_obs, contexts, steps, seed, stochastic=False):
+    """The reverse walk that decodes every step: the whole denoiser reads
+    the last step's item rows, re-noised in item space when `stochastic`.
+    Noise comes from `row_rngs(seed, ...)`, as in `latent_walk`."""
+    rngs, width = row_rngs(seed, len(u_obs)), u_obs.shape[1]
+    u = u_obs if steps == 0 else diffuse_to(u_obs, steps, sched, row_draws(rngs, width))
+    for t in range(max(steps, 1), 0, -1):
+        u = inference_forward(params, cfg, u, contexts, t)[2].value
+        if stochastic and t >= 2:
+            u = u + np.float32(np.sqrt(sched.betas[t - 1])) * row_draws(rngs, width)
+    return u
 
 
 @pytest.fixture(scope="module")
@@ -256,19 +319,99 @@ class TestDenoiseInfer:
         np.testing.assert_array_equal(got, out.value)
 
     def test_matches_manual_reverse_walk(self, model_world):
-        # Inference conditions once per batch; the oracle records the whole
-        # forward at every step. Same bits, in every variant.
+        # Inference conditions once per batch and builds D E once per call;
+        # the oracle records every step on a tape of its own. Same bits, in
+        # every variant, with and without re-noise.
         _, cfg, sched, u_obs, contexts = model_world
         for variant in camae.VARIANTS:
             vcfg = dataclasses.replace(cfg, variant=variant)
             params = camae.init_params(vcfg, seed=90)
-            got = evaluation.denoise_infer(params, vcfg, sched, u_obs, contexts, 3,
-                                           rngs=row_rngs(7, len(u_obs)))
-            u = diffuse_to(u_obs, 3, sched, row_noise(7, u_obs))
-            for t in (3, 2, 1):
-                tape, _, out = inference_forward(params, vcfg, u, contexts, t)
-                u = out.value
-            np.testing.assert_array_equal(got, u, err_msg=variant)
+            for steps in (0, 1, 3):
+                for stochastic in (False, True):
+                    got = evaluation.denoise_infer(params, vcfg, sched, u_obs, contexts, steps,
+                                                   rngs=row_rngs(7, len(u_obs)),
+                                                   stochastic=stochastic)
+                    want, tapes = latent_walk(params, vcfg, sched, u_obs, contexts, steps, 7,
+                                              stochastic)
+                    assert len(tapes) == max(steps, 1)
+                    np.testing.assert_array_equal(got, want,
+                                                  err_msg=f"{variant} {steps} {stochastic}")
+
+    def test_item_space_walk_agrees(self):
+        # Decoding every step and encoding it again gives the same scores
+        # up to the rounding of the reassociated products, and the bits
+        # themselves when no step is carried over.
+        m = dataset.split_holdout(bench.synth_interactions(160, 300, 0.95, seed=12), seed=6)
+        cfg = CamAeConfig(num_users=m.num_users, num_items=m.num_items, latent_dim=48,
+                          attn_dim=8, layers=2, hops=3, hop_weights=(0.7, 0.3))
+        ctx = graph.build_contexts(m, H=3)
+        users = np.arange(128)
+        u_obs = dataset.dense_rows(m, users, tags=(TAG_TRAIN,))
+        contexts = {h: ctx.batch_rows(users, h) for h in cfg.hop_list}
+        sched = build_schedule(20)
+        for variant in camae.VARIANTS:
+            vcfg = dataclasses.replace(cfg, variant=variant)
+            params = camae.init_params(vcfg, seed=13)
+            for steps in (0, 1, 10):
+                for stochastic in (False, True):
+                    got = evaluation.denoise_infer(params, vcfg, sched, u_obs, contexts, steps,
+                                                   rngs=row_rngs(5, len(u_obs)),
+                                                   stochastic=stochastic)
+                    want = item_space_walk(params, vcfg, sched, u_obs, contexts, steps, 5,
+                                           stochastic)
+                    msg = f"{variant} {steps} {stochastic}"
+                    if steps < 2:
+                        np.testing.assert_array_equal(got, want, err_msg=msg)
+                        continue
+                    np.testing.assert_allclose(got, want, rtol=0, err_msg=msg,
+                                               atol=32 * np.finfo(np.float32).eps
+                                               * np.abs(want).max())
+                    observed = u_obs > 0
+                    np.testing.assert_array_equal(evaluation.rank_topk(got, observed, 10),
+                                                  evaluation.rank_topk(want, observed, 10),
+                                                  err_msg=msg)
+
+    @pytest.mark.parametrize("stochastic", [False, True])
+    def test_item_wide_products_do_not_grow_with_the_steps(self, model_world, monkeypatch,
+                                                           stochastic):
+        # Products with an |items|-wide operand: the hop-3 encoder, the
+        # encoder of the corrupted rows, D E and the last decoder, whatever
+        # the step count; a stochastic walk adds the encoder of each step's
+        # re-noise. "no-ae" attends at full width, so its core reads |items|
+        # in every step. The catalog width is one no other axis has.
+        _, cfg, sched, u_obs, contexts = model_world
+        cfg = dataclasses.replace(cfg, num_items=13)
+        u_obs = np.resize(u_obs, (len(u_obs), 13))
+        contexts = {**contexts, 3: np.resize(contexts[3], (len(u_obs), 13))}
+        record, wide = nd.Tape.record, []
+
+        def spy(tape, op, *inputs, **const):
+            wide.append(op == "matmul" and any(13 in n.value.shape for n in inputs))
+            return record(tape, op, *inputs, **const)
+
+        monkeypatch.setattr(nd.Tape, "record", spy)
+        for variant in ("full", "self-attn", "no-cross-attn"):
+            vcfg = dataclasses.replace(cfg, variant=variant)
+            params = camae.init_params(vcfg, seed=90)
+            counts = {}
+            for steps in (2, 3, 6):
+                wide.clear()
+                evaluation.denoise_infer(params, vcfg, sched, u_obs, contexts, steps,
+                                         stochastic=stochastic)
+                counts[steps] = sum(wide)
+            hop3 = variant == "full"
+            assert counts == {s: hop3 + 3 + stochastic * (s - 1) for s in counts}, variant
+
+    @pytest.mark.parametrize("steps", [0, 3])
+    def test_wide_rows_raise_before_any_product(self, model_world, monkeypatch, steps):
+        params, cfg, sched, u_obs, contexts = model_world
+        wide = np.concatenate([u_obs, u_obs[:, :1]], axis=1)
+        ops = []
+        monkeypatch.setattr(nd.Tape, "record", lambda tape, op, *a, **c: ops.append(op))
+        monkeypatch.setattr(nd, "matmul", lambda *a: ops.append("matmul"))
+        with pytest.raises(ShapeError, match=f"must be \\(B, {cfg.num_items}\\)"):
+            evaluation.denoise_infer(params, cfg, sched, wide, contexts, steps)
+        assert ops == []
 
     @pytest.mark.parametrize("steps", [0, 1, 5])
     def test_hop_encoders_run_once_per_call(self, model_world, monkeypatch, steps):
@@ -360,19 +503,14 @@ class TestDenoiseInfer:
             assert out.inputs == () and not out.ctx and not out.requires_grad
 
         # The same walk through trainable leaves gives the same bits.
-        if steps == 0:
-            tape, _, out = trainable_forward(params, cfg, u_obs, contexts, 1)
-            want = out.value
-        else:
-            want = diffuse_to(u_obs, steps, sched, row_noise(94, u_obs))
-            for t in range(steps, 0, -1):
-                tape, _, out = trainable_forward(params, cfg, want, contexts, t)
-                # Attention keeps one log-sum-exp per query row for its
-                # backward, and no (k, k) score block.
-                kept = [n.ctx for n in tape.nodes if n.op == "cross_attention"]
-                assert kept and all({name: a.shape for name, a in ctx.items()}
-                                    == {"lse": (len(u_obs), cfg.seq_len)} for ctx in kept)
-                want = out.value
+        # Attention keeps one log-sum-exp per query row for its backward,
+        # and no (k, k) score block.
+        want, trained = latent_walk(params, cfg, sched, u_obs, contexts, steps, 94,
+                                    trainable=True)
+        for tape in trained:
+            kept = [n.ctx for n in tape.nodes if n.op == "cross_attention"]
+            assert kept and all({name: a.shape for name, a in ctx.items()}
+                                == {"lse": (len(u_obs), cfg.seq_len)} for ctx in kept)
         assert np.array_equal(got, want)
 
     def test_non_finite_scores_raise(self, model_world):
@@ -402,8 +540,8 @@ class TestEvaluateEndToEnd:
     @pytest.mark.parametrize("stochastic", [False, True])
     def test_rankings_do_not_depend_on_the_batch_size(self, monkeypatch, stochastic):
         # Each user's noise comes from [infer_seed, user], so each step's
-        # denoiser input rows and the top-k lists are the same at any batch
-        # size. Values may differ in the last bits, since BLAS sums a
+        # latent core input rows and the top-k lists are the same at any
+        # batch size. Values may differ in the last bits, since BLAS sums a
         # product of another shape in another order, so they are compared
         # within a tolerance.
         rng = np.random.default_rng(95)
@@ -418,8 +556,8 @@ class TestEvaluateEndToEnd:
         lists, inputs = [], []
         monkeypatch.setattr(evaluation, "rank_topk",
                             lambda *a: lists.append(rank_topk(*a)) or lists[-1])
-        monkeypatch.setattr(camae, "denoise", lambda tape, leaves, config, u, *rest:
-                            inputs.append(u) or denoise(tape, leaves, config, u, *rest))
+        monkeypatch.setattr(camae, "denoise", lambda tape, leaves, config, z, *rest:
+                            inputs.append(z.value) or denoise(tape, leaves, config, z, *rest))
         tops, walks = [], []
         for batch_size in (7, 64, m.num_users):
             lists.clear()
@@ -430,7 +568,7 @@ class TestEvaluateEndToEnd:
             tops.append(np.concatenate(lists))
             walks.append(np.concatenate([np.stack(inputs[at:at + 4])
                                          for at in range(0, len(inputs), 4)], axis=1))
-        assert len(lists) == 1 and walks[2].shape == (4, m.num_users, m.num_items)
+        assert len(lists) == 1 and walks[2].shape == (4, m.num_users, cfg.latent_dim)
         for top, walk in zip(tops[:2], walks[:2]):
             np.testing.assert_array_equal(top, tops[2])
             np.testing.assert_allclose(walk, walks[2], rtol=0, atol=1e-5)
