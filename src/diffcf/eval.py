@@ -16,6 +16,7 @@ smaller item id, deterministically.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ from .schedule import NoiseSchedule, diffuse_to
 _SPLIT_TAGS = {"val": TAG_VAL, "test": TAG_TEST}
 
 
-def _normal(rngs: list[np.random.Generator], shape: tuple[int, int], dtype) -> np.ndarray:
+def _normal(rngs: Sequence[np.random.Generator], shape: tuple[int, int], dtype) -> np.ndarray:
     """Standard normal rows, row i from generator i."""
     if len(rngs) != shape[0]:
         raise ContractError(f"{len(rngs)} noise generators for {shape[0]} rows")
@@ -42,16 +43,16 @@ def _normal(rngs: list[np.random.Generator], shape: tuple[int, int], dtype) -> n
 
 def denoise_infer(params: dict, config: camae.CamAeConfig, sched: NoiseSchedule,
                   u_obs: np.ndarray, contexts: dict[int, np.ndarray],
-                  infer_steps: int, rngs: list[np.random.Generator] | None = None,
+                  infer_steps: int, rngs: Sequence[np.random.Generator] = (),
                   stochastic: bool = False) -> np.ndarray:
     """Corrupt-then-denoise scores for a batch of observed rows.
 
     infer_steps = 0 skips corruption entirely and runs one denoiser pass
-    at t = 1 on the clean input. Row i draws its noise from `rngs[i]`
-    (default: a generator seeded [0, i]), so a row's scores do not depend
-    on the rows batched with it. The parameters are bound as plain leaves
-    of one tape, which keeps no node, and the batch is conditioned on its
-    hop contexts once, for every step.
+    at t = 1 on the clean input. Any other walk takes one generator per
+    row, and row i draws its noise from `rngs[i]`, so a row's scores do not
+    depend on the rows batched with it. The parameters are bound as plain
+    leaves of one tape, which keeps no node, and the batch is conditioned
+    on its hop contexts once, for every step.
 
     The walk stays in the latent space. The corrupted rows are encoded
     once; step t's reconstruction y_t D (D the decoder) would be encoded by
@@ -68,12 +69,8 @@ def denoise_infer(params: dict, config: camae.CamAeConfig, sched: NoiseSchedule,
     tape = nd.Tape()
     leaves = {name: tape.leaf(value) for name, value in params.items()}
     dtype = leaves["collapse"].value.dtype
-    if infer_steps == 0:
-        u = u_obs
-    else:
-        if rngs is None:
-            rngs = [np.random.default_rng([0, i]) for i in range(len(u_obs))]
-        u = diffuse_to(u_obs, infer_steps, sched, _normal(rngs, u_obs.shape, u_obs.dtype))
+    u = u_obs if infer_steps == 0 else diffuse_to(u_obs, infer_steps, sched,
+                                                  _normal(rngs, u_obs.shape, u_obs.dtype))
     z = camae.encode_interactions(tape, leaves, config, u)
     latents = camae.condition(tape, leaves, config, contexts)
     if infer_steps > 1:

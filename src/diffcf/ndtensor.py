@@ -15,9 +15,9 @@ the loss never touched.
 Conventions:
 - Values are 2-D or 3-D float arrays; a leading axis, when present, is a
   batch axis. Scalars (losses) are 0-d arrays.
-- Storage is float32 by default; reductions accumulate in float64, except
-  the attention's row sums, which come out of its product with the values.
-  A float64 mode exists for finite-difference work.
+- Storage is float32 by default; reductions accumulate in float64, and the
+  attention evaluates in float64 wherever its operands are float32. A
+  float64 mode exists for finite-difference work.
 - Non-finite values are rejected at op boundaries. Checking every huge
   intermediate would dominate runtime on large batches, so op outputs
   above `finite_check_limit` elements are not checked; leaves and the loss
@@ -193,51 +193,54 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # f(x) = sum_j e^(x b_j + c_j) v_j / sum_j e^(x b_j + c_j). Its poles lie
 # at least pi / (2 max|b|) off the real axis, whatever b, c and v are.
 #
-# Nodes. For each user, A is the power of two at or above max|a_i|, and
+# Points. For each user, A is the power of two at or above max|a_i|, and
 # the user's logit bound R = A max|b| picks the node count M from
-# _NODE_TABLE. The op evaluates f exactly at the M Chebyshev points of
-# [-A, A], in float64, and interpolates: with t = a / A and the values'
-# coefficients in T_0..T_{M-1} (`_chebyshev`), the output is one product of
-# the node-major basis T_j(t_i) (`_basis`, (M, m) per user) with them.
-# That is M n + m M score and basis cells per user in place of m n. When
-# M would pass m / 4, or R passes the table, the nodes are the queries
-# themselves and the interpolation is the identity: the exact kernel, in
-# the operands' dtype. A, M and the route depend only on the user's own
-# row, so a user's output does not depend on its batch mates.
+# _NODE_TABLE. The op evaluates f exactly, in float64, at the user's
+# points, and carries it from them to the queries. The points are the M
+# Chebyshev points of [-A, A]: with t = a / A and the values' coefficients
+# in T_0..T_{M-1} (`_chebyshev`), the output is one product of the
+# node-major basis T_j(t_i) (`_basis`, (M, m) per user) with them. That is
+# M n + m M score and basis cells per user in place of m n. When M would
+# pass m / 4, R passes the table, or the float64 bound R + max|c| passes
+# `_logit_limit`, the points are the queries themselves, and the carry is
+# the identity: an interpolant evaluated at its own points is exact. A and
+# M depend only on the user's own row, so a user's output does not depend
+# on its batch mates.
 #
-# The exact kernel normalises after the product, as FlashAttention does.
-# A score block is one product over K = 2, [x, 1] [b, c]^T (c = 0 when
-# there is no bias), which also keeps it off BLAS's slow K=1 route: one
-# (4, 500, 500) score block takes 2.9 ms at K=1 and 0.35 ms at K=2 on a
-# 2-CPU x86 VM. No logit exceeds max|x| max|b| + max|c| in magnitude, and
-# only when that bound passes `_logit_limit` is each row shifted by its
-# max first. So a score block sees three passes: the product, exp in
-# place, and one product with [v | 1] that gives the unnormalised output
-# and the row sums together.
+# f normalises after the product, as FlashAttention does. A score block is
+# one product over K = 2, [x, 1] [b, c]^T (c = 0 when there is no bias),
+# which also keeps it off BLAS's slow K=1 route: one (4, 500, 500) score
+# block takes 2.9 ms at K=1 and 0.35 ms at K=2 on a 2-CPU x86 VM. No logit
+# at a node exceeds R + max|c|, which is within the limit, so node rows are
+# not shifted; rows at the queries are shifted by their max first. So a
+# score block sees three passes: the product, exp in place, and one product
+# with [v | 1] that gives the unnormalised output and the row sums together.
 #
-# The backward keeps the float64 log-sum-exp of every node row, and the
-# float64 node outputs of the interpolated users. It sends dO through the
-# transposed basis and coefficient matrix to the nodes and runs the exact
-# backward there: it rebuilds the softmax with the shift inside the
-# product, P = exp([x, 1, -lse] [b, c, 1]^T), forms dP - rowsum(dO * O) as
-# [dO, -rowsum(dO * O)] [v, 1]^T, using rowsum(dO * O) in place of
-# rowsum(dP * P), and multiplies by P in place to get dS. Then dv = P^T dO
-# and [db, dc] = dS^T [x, 1] (db = dS^T x without a bias); on the exact
-# route da = dS b. A is piecewise constant in a, so on the interpolated
-# route these are the exact gradients of the interpolated output. There
-# da_i interpolates, over the same basis, f's slope at the nodes,
-# f' = sum_j s_j b_j v_j - (sum_j s_j b_j) f, which one more node pass
-# gives exactly. The interpolant's own derivative would amplify the node
-# values' rounding about M^2 / A-fold, past the float64 tolerance of the
-# kernel tests at small A; the two differ by the interpolation error that
-# _NODE_TABLE bounds.
+# The backward keeps the float64 log-sum-exp of every point row, and the
+# float64 node outputs of the users that interpolate; at the queries the
+# op's own output stands in for them. It sends dO through the transposed
+# basis and coefficient matrix to the nodes (at the queries dO is already
+# there) and runs the exact backward at the points: it rebuilds the
+# softmax with the shift inside the product, P = exp([x, 1, -lse] [b, c,
+# 1]^T), forms dP - rowsum(dO * O) as [dO, -rowsum(dO * O)] [v, 1]^T,
+# using rowsum(dO * O) in place of rowsum(dP * P), and multiplies by P in
+# place to get dS. Then dv = P^T dO and [db, dc] = dS^T [x, 1] (db = dS^T x
+# without a bias). A is piecewise constant in a, so these are the exact
+# gradients of the carried output. da_i carries, over the same basis, f's
+# slope at the points, f' = sum_j s_j b_j v_j - (sum_j s_j b_j) f, which
+# one more point pass gives exactly; at the queries it is dS b. The
+# interpolant's own derivative would amplify the node values' rounding
+# about M^2 / A-fold, past the float64 tolerance of the kernel tests at
+# small A; the two differ by the interpolation error that _NODE_TABLE
+# bounds.
 #
-# Both passes walk the batch in chunks of users whose (m, n) exact score
-# blocks stay within ATTN_CHUNK_BYTES together. The chunks run on the
-# pool, and within a chunk each run of users that share M and the shift
-# is one set of numpy calls, which BLAS and numpy evaluate user by user.
-# Chunk boundaries depend only on the operand shapes, so the results do
-# not depend on the worker count.
+# Both passes walk the batch in chunks of users whose (m, n) score blocks,
+# in the operands' dtype, stay within ATTN_CHUNK_BYTES together; a float32
+# user whose points are its queries takes float64 blocks, up to twice that.
+# The chunks run on the pool, and within a chunk each run of users that
+# share M is one set of numpy calls, which BLAS and numpy evaluate user by
+# user. Chunk boundaries depend only on the operand shapes, so the results
+# do not depend on the worker count.
 
 ATTN_CHUNK_BYTES = 1 << 22
 
@@ -262,30 +265,26 @@ def _chunk_len(a: np.ndarray, b: np.ndarray) -> int:
     return max(1, ATTN_CHUNK_BYTES // (a.shape[1] * b.shape[1] * a.itemsize))
 
 
-def _logit_limit(dtype, n: int) -> float:
+def _logit_limit(n: int) -> float:
     """Largest logit magnitude that exp may take without a row-max shift:
-    half the range in which e^-logit stays a normal number and n terms
-    e^logit sum below the dtype's largest, so that a row sum, and its
-    product with the values, stays far from either end."""
-    fi = np.finfo(dtype)
+    half the range in which e^-logit stays a normal float64 and n terms
+    e^logit sum below its largest, so that a row sum, and its product with
+    the values, stays far from either end."""
+    fi = np.finfo(np.float64)
     return 0.5 * min(math.log(float(fi.max) / n), -math.log(float(fi.tiny)))
 
 
 def _plan(a: np.ndarray, b: np.ndarray, c: np.ndarray | None = None):
-    """Per user: the node interval's half-width A, the node count M (0 when
-    the queries are the nodes) and whether its score rows shift by their
-    max, as three arrays over the batch."""
+    """Per user: the node interval's half-width A and the node count M (0
+    when the points are the queries), as two arrays over the batch."""
     top_a, top_b = (np.abs(x).max(axis=(1, 2)).astype(np.float64) for x in (a, b))
     top_c = 0.0 if c is None else np.abs(c).max(axis=(1, 2)).astype(np.float64)
     mantissa, exponent = np.frexp(top_a)
     scale = np.ldexp(1.0, exponent - (mantissa == 0.5))  # frexp(0) = (0, 0): A = 1
     bounds, counts = _NODE_TABLE[a.dtype]
     nodes = np.array(counts + (0,))[np.searchsorted(bounds, scale * top_b)]
-    nodes[4 * nodes > a.shape[1]] = 0
-    n = b.shape[1]
-    shift = np.where(nodes > 0, scale * top_b + top_c > _logit_limit(np.float64, n),
-                     top_a * top_b + top_c > _logit_limit(a.dtype, n))
-    return scale, nodes, shift
+    nodes[(4 * nodes > a.shape[1]) | (scale * top_b + top_c > _logit_limit(b.shape[1]))] = 0
+    return scale, nodes
 
 
 def _runs(key: np.ndarray, lo: int, hi: int):
@@ -318,11 +317,22 @@ def _basis(t: np.ndarray, count: int) -> np.ndarray:
     return basis
 
 
-def _exact_forward(x: np.ndarray, kb: np.ndarray, v: np.ndarray, shift: bool,
-                   out: np.ndarray | None = None):
-    """softmax_j(x_i b_j + c_j) v for the queries x (r, p, 1) against
-    kb = [b, c] (r, n, 2). Returns the output and the float64 row
-    log-sum-exp (r, p)."""
+def _points(a: np.ndarray, scale: np.ndarray, count: int, dtype):
+    """A run of users' float64 points (r, p, 1), and what carries f from
+    them to the queries a: the basis at a / A in `dtype` and the
+    coefficient matrix for the `count` Chebyshev nodes of [-A, A], or
+    (None, None) for count 0, whose points are the queries."""
+    if not count:
+        return a.astype(np.float64), None, None
+    points, to_coef = _chebyshev(count)
+    return (scale[:, None, None] * points,
+            _basis((a[..., 0] / scale[:, None]).astype(dtype), count), to_coef)
+
+
+def _exact_forward(x: np.ndarray, kb: np.ndarray, v: np.ndarray, shift: bool):
+    """softmax_j(x_i b_j + c_j) v for the points x (r, p, 1) against
+    kb = [b, c] (r, n, 2), in float64, each row shifted by its max when
+    `shift`. Returns the output and the row log-sum-exp (r, p)."""
     e = v.shape[-1]
     scores = np.matmul(np.concatenate([x, np.ones_like(x)], axis=-1), _swap(kb))
     if shift:
@@ -330,39 +340,37 @@ def _exact_forward(x: np.ndarray, kb: np.ndarray, v: np.ndarray, shift: bool,
         scores -= top
     np.exp(scores, out=scores)
     acc = np.matmul(scores, np.concatenate([v, np.ones_like(v[..., :1])], axis=-1))
-    out = np.divide(acc[..., :e], acc[..., e:], out=out)
-    lse = np.log(acc[..., e], dtype=np.float64)
+    lse = np.log(acc[..., e])
     if shift:
         lse += top[..., 0]
-    return out, lse
+    return acc[..., :e] / acc[..., e:], lse
 
 
 def _exact_backward(out: np.ndarray, lse: np.ndarray, g: np.ndarray, x: np.ndarray,
                     kb: np.ndarray, v: np.ndarray, cols: int):
-    """Gradients for x, v and the first `cols` columns of kb, from
-    `_exact_forward`'s output and row log-sum-exp and the output grad."""
-    dtype = kb.dtype
-    qa = np.concatenate([x, np.ones_like(x), -lse[..., None]], axis=-1, dtype=dtype)
+    """Gradients, in float64, for v and the first `cols` columns of kb,
+    from f's values at the points x, their row log-sum-exp and the output
+    grad there."""
+    qa = np.concatenate([x, np.ones_like(x), -lse[..., None]], axis=-1)
     p = np.matmul(qa, _swap(np.concatenate([kb, np.ones_like(kb[..., :1])], axis=-1)))
     np.exp(p, out=p)
     gv = np.matmul(_swap(p), g)
-    go = np.concatenate([g, -np.multiply(g, out).sum(axis=-1, keepdims=True, dtype=np.float64)],
-                        axis=-1, dtype=dtype)  # [dO, -rowsum(dO * O)]
+    go = np.concatenate([g, -np.multiply(g, out).sum(axis=-1, keepdims=True)],
+                        axis=-1)  # [dO, -rowsum(dO * O)]
     ds = np.matmul(go, _swap(np.concatenate([v, np.ones_like(v[..., :1])], axis=-1)))
     ds *= p
-    return np.matmul(ds, kb[..., :1]), gv, np.matmul(_swap(ds), qa[..., :cols])
+    return gv, np.matmul(_swap(ds), qa[..., :cols])
 
 
 def _attention_forward(a: np.ndarray, b: np.ndarray, v: np.ndarray,
                        c: np.ndarray | None = None, *, keep: bool):
     """Returns the output and, with `keep`, what the backward reads: the
-    float64 log-sum-exp of every node row, "lse" (B, nodes), and, when a
+    float64 log-sum-exp of every point row, "lse" (B, points), and, when a
     user interpolates, the float64 node outputs "node_out" (B, M, e)."""
     batch, chunk = len(a), _chunk_len(a, b)
     m, e = a.shape[1], v.shape[-1]
-    scale, nodes, shift = _plan(a, b, c)
-    key = 2 * nodes + shift
-    kb = np.concatenate([b, np.zeros_like(b) if c is None else c], axis=-1)  # [b, c]
+    scale, nodes = _plan(a, b, c)
+    kb = np.concatenate([b, np.zeros_like(b) if c is None else c], axis=-1, dtype=np.float64)
     out = np.empty((batch, m, e), a.dtype)
     kept = {}
     if keep:
@@ -372,17 +380,14 @@ def _attention_forward(a: np.ndarray, b: np.ndarray, v: np.ndarray,
 
     def run(starts):
         for first in starts:
-            for lo, hi in _runs(key, first, min(first + chunk, batch)):
+            for lo, hi in _runs(nodes, first, min(first + chunk, batch)):
                 part, count = slice(lo, hi), nodes[lo]
+                x, basis, to_coef = _points(a[part], scale[part], count, a.dtype)
+                vals, lse = _exact_forward(x, kb[part], v[part].astype(np.float64), not count)
                 if not count:
-                    _, lse = _exact_forward(a[part], kb[part], v[part], shift[lo], out=out[part])
+                    out[part] = vals
                 else:
-                    points, to_coef = _chebyshev(count)
-                    vals, lse = _exact_forward(scale[part, None, None] * points,
-                                               kb[part].astype(np.float64),
-                                               v[part].astype(np.float64), shift[lo])
-                    t = (a[part, :, 0] / scale[part, None]).astype(a.dtype)
-                    np.matmul(_swap(_basis(t, count)), np.matmul(to_coef, vals).astype(a.dtype),
+                    np.matmul(_swap(basis), np.matmul(to_coef, vals).astype(a.dtype),
                               out=out[part])
                     if keep:
                         kept["node_out"][part, :count] = vals
@@ -397,38 +402,34 @@ def _attention_backward(out: np.ndarray, kept: dict, g: np.ndarray, a: np.ndarra
                         b: np.ndarray, v: np.ndarray,
                         c: np.ndarray | None = None) -> list[np.ndarray]:
     """Gradients for (a, b, v), and c when given, from the forward's output
-    and kept node statistics and the output grad."""
+    and kept point statistics and the output grad."""
     batch, chunk = len(a), _chunk_len(a, b)
     dtype = np.result_type(a, g)
-    scale, nodes, shift = _plan(a, b, c)
-    key = 2 * nodes + shift
-    kb = np.concatenate([b, np.zeros_like(b) if c is None else c], axis=-1, dtype=dtype)
+    scale, nodes = _plan(a, b, c)
+    kb = np.concatenate([b, np.zeros_like(b) if c is None else c], axis=-1, dtype=np.float64)
     cols = 1 if c is None else 2
     ga, gv = np.empty(a.shape, dtype), np.empty(v.shape, dtype)
     gbc = np.empty((batch, b.shape[1], cols), dtype)  # [db, dc]
 
     def run(starts):
         for first in starts:
-            for lo, hi in _runs(key, first, min(first + chunk, batch)):
+            for lo, hi in _runs(nodes, first, min(first + chunk, batch)):
                 part, count = slice(lo, hi), nodes[lo]
-                gp = g[part]
+                gp, kb64, v64 = g[part], kb[part], v[part].astype(np.float64)
+                x, basis, to_coef = _points(a[part], scale[part], count, dtype)
                 if not count:
-                    ga[part], gv[part], gbc[part] = _exact_backward(
-                        out[part], kept["lse"][part, :a.shape[1]], gp, a[part], kb[part],
-                        v[part], cols)
-                    continue
-                points, to_coef = _chebyshev(count)
-                basis = _basis((a[part, :, 0] / scale[part, None]).astype(dtype), count)
-                x, vals = scale[part, None, None] * points, kept["node_out"][part, :count]
-                kb64, v64 = kb[part].astype(np.float64), v[part].astype(np.float64)
-                g_nodes = np.matmul(to_coef.T, np.matmul(basis, gp).astype(np.float64))
-                _, gv[part], gbc[part] = _exact_backward(vals, kept["lse"][part, :count], g_nodes,
-                                                         x, kb64, v64, cols)
-                # f' = sum_j s_j b_j v_j - (sum_j s_j b_j) f at the nodes, interpolated.
+                    vals, g_points = out[part], gp.astype(np.float64)
+                else:
+                    vals = kept["node_out"][part, :count]
+                    g_points = np.matmul(to_coef.T, np.matmul(basis, gp).astype(np.float64))
+                gv[part], gbc[part] = _exact_backward(vals, kept["lse"][part, :x.shape[1]],
+                                                      g_points, x, kb64, v64, cols)
+                # f' = sum_j s_j b_j v_j - (sum_j s_j b_j) f at the points.
                 moments, _ = _exact_forward(x, kb64, np.concatenate(
-                    [kb64[..., :1] * v64, kb64[..., :1]], axis=-1), shift[lo])
+                    [kb64[..., :1] * v64, kb64[..., :1]], axis=-1), not count)
                 slope = moments[..., :-1] - moments[..., -1:] * vals
-                slope = np.matmul(_swap(basis), np.matmul(to_coef, slope).astype(dtype))
+                if count:
+                    slope = np.matmul(_swap(basis), np.matmul(to_coef, slope).astype(dtype))
                 ga[part, :, 0] = np.multiply(gp, slope).sum(axis=-1, dtype=np.float64)
 
     _map_chunks(batch, chunk, run)

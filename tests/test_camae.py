@@ -252,8 +252,9 @@ class TestAttention:
     the state is the rank-two tokens z_obs e_obs + emb(t), read through
     z_obs alone; later layers read a dense state. In float32 the helper
     matches the d-wide composition in float64, output, row log-sum-exp
-    (where the kernel attends exactly) and gradients, with and without the
-    timestep code, with and without the row-max shift."""
+    (where the points are the queries) and gradients, with and without the
+    timestep code; past the logit limit, where rows shift by their max, in
+    float64."""
 
     B, SEQ, D = 5, 300, 16
 
@@ -309,9 +310,10 @@ class TestAttention:
             inputs["state"] = rng.standard_normal((self.B, self.SEQ, d))
         emb = nd.sinusoidal_embedding(rng.integers(1, 50, self.B), d) if t_embed else None
         target = rng.standard_normal((self.B, self.SEQ, d)).astype(np.float32)
-        # The kernel shifts its rows exactly when max|z| max|key| +
-        # max|key bias| passes the limit. The bound grows with W_q, so the
-        # shifted route scales W_q until it is three times the limit.
+        # The points are the queries, and their rows shift, when the bound
+        # A max|key| + max|key bias| (A >= max|z|) passes the float64 logit
+        # limit. The bound grows with W_q, so the shifted route scales W_q
+        # until max|z| max|key| + max|key bias| is three times the limit.
         w_q, w_k = inputs[f"attn{layer}_hop2_q"], inputs[f"attn{layer}_hop2_k"]
         if variant == "self-attn":
             query, rows = inputs["z_obs"], [inputs["expand_obs"]] + ([] if emb is None else [emb])
@@ -322,12 +324,16 @@ class TestAttention:
                 for w in folded]
         largest = np.abs(query).max() * np.abs(keys[0]).max() + sum(np.abs(c).max()
                                                                      for c in keys[1:])
-        limit = nd._logit_limit(np.float32, self.SEQ)
+        limit = nd._logit_limit(self.SEQ)
         assert largest < limit
         if shifted:
             w_q *= 3 * limit / largest
-        inputs = {n: x.astype(np.float32) for n, x in inputs.items()}
-        got = self.attend(inputs, emb, target, variant, layer, factored=True)
+        # float32 keys round logits of a thousand by about 1e-4, past the
+        # tolerance, so the shifted route runs in float64.
+        dtype = np.float64 if shifted else np.float32
+        inputs = {n: x.astype(np.float32).astype(dtype) for n, x in inputs.items()}
+        got = self.attend(inputs, None if emb is None else emb.astype(dtype), target, variant,
+                          layer, factored=True)
         want = self.attend({n: x.astype(np.float64) for n, x in inputs.items()},
                            None if emb is None else emb.astype(np.float64),
                            target.astype(np.float64), variant, layer, factored=False)
@@ -641,5 +647,7 @@ class TestOpCoverage:
                     noise = rng.standard_normal(u0.shape).astype(np.float32)
                     train.train_step(params, nd.init_adam(params, lr=1e-3), cfg, sched,
                                      "vlb", u0, ctx, np.array([1, 2, 5]), noise)
-                    evaluation.denoise_infer(params, cfg, sched, u0, ctx, infer_steps=2)
+                    evaluation.denoise_infer(params, cfg, sched, u0, ctx, infer_steps=2,
+                                             rngs=[np.random.default_rng([36, i])
+                                                   for i in range(len(u0))])
         assert seen == set(nd.OPS)

@@ -345,6 +345,17 @@ class TestGradcheckCommand:
     def test_fails_at_impossible_tolerance(self, capsys):
         assert cli.main(self.MICRO + ["--tol", "1e-15"]) == 1
 
+    def test_passes_where_the_attention_interpolates(self, monkeypatch, capsys):
+        # The micro case attends at its queries; at k = 64 and d = 4 every
+        # attention row of the check takes 12 float64 nodes.
+        plan, counts = nd._plan, []
+        monkeypatch.setattr(nd, "_plan", lambda *args: counts.append(plan(*args)[1])
+                            or plan(*args))
+        assert cli.main(["gradcheck", "--latent-dim", "64", "--attn-dim", "4", "--layers", "1",
+                         "--steps", "20"]) == 0
+        assert capsys.readouterr().out.startswith("gradcheck: max_rel=")
+        assert set(np.concatenate(counts).tolist()) == {12}
+
 
 class TestBenchCommands:
     def test_attn_probe_csv(self, tmp_path, capsys):

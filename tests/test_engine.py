@@ -358,10 +358,12 @@ def attention_operands(rng, batch, m, n, e, dtype, bias):
 
 
 class TestChunkedAttention:
-    """The chunked kernel against the whole-batch oracle, to rounding: it
-    normalises after the product, skips the row-max shift when the logits
-    are bounded, and rebuilds the softmax in its backward, so its sums run
-    in another order than the oracle's."""
+    """The chunked kernel against the whole-batch oracle in float64 (a
+    float32 one cannot resolve logits near 700), to the operands' rounding.
+    Standard normal operands pass the node table, so every user's points
+    are its queries; the kernel normalises after the product and rebuilds
+    the softmax in its backward, so its sums run in another order than the
+    oracle's."""
 
     # Large enough that a handful of users fill a chunk of the budget.
     M, N, DV = 384, 512, 5
@@ -370,19 +372,20 @@ class TestChunkedAttention:
         tape = nd.Tape()
         ids = [tape.leaf(x, trainable=True) for x in operands]
         node = tape.record("cross_attention", *ids)
-        a, b, v, *c = operands
-        want, want_s = whole_batch_attention(*operands)
-        tol = TOLERANCE[want.dtype.type]
-        assert node.value.shape == want.shape and node.value.dtype == want.dtype
+        dtype = operands[0].dtype
+        a, b, v, *c = (x.astype(np.float64) for x in operands)
+        want, want_s = whole_batch_attention(a, b, v, *c)
+        tol = TOLERANCE[dtype.type]
+        assert node.value.shape == want.shape and node.value.dtype == dtype
         np.testing.assert_allclose(node.value, want, **tol)
         assert node.ctx["lse"].dtype == np.float64
         np.testing.assert_allclose(node.ctx["lse"], whole_batch_lse(a, b, *c), **tol)
-        g = np.random.default_rng(seed).standard_normal(want.shape).astype(want.dtype)
+        g = np.random.default_rng(seed).standard_normal(want.shape).astype(dtype)
         got = dict(tape._vjp(node, g))
-        wanted = whole_batch_attention_vjp(a, b, v, want_s, g, *c)
+        wanted = whole_batch_attention_vjp(a, b, v, want_s, g.astype(np.float64), *c)
         assert len(wanted) == len(ids)
         for leaf, x, gx in zip(ids, operands, wanted):
-            assert got[leaf].shape == x.shape and got[leaf].dtype == gx.dtype
+            assert got[leaf].shape == x.shape and got[leaf].dtype == dtype
             np.testing.assert_allclose(got[leaf], gx, **tol)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -393,23 +396,40 @@ class TestChunkedAttention:
         for batch, bias in itertools.product(sorted({1, chunk - 1, chunk, chunk + 1,
                                                      2 * chunk + 1}), (False, True)):
             operands = attention_operands(rng, batch, self.M, self.N, self.DV, dtype, bias)
-            # Bounded logits: every chunk exponentiates without the row max.
-            assert logit_bound(*operands[:2], *operands[3:]) < nd._logit_limit(dtype, self.N)
+            assert not nd._plan(*operands[:2], *operands[3:])[1].any()
             self.assert_matches_oracle(operands, seed=batch)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_row_max_route_matches_oracle(self, dtype):
-        # Every key bias is offset by twice the limit: the bound passes the
-        # limit in every chunk, which then shifts by its row max, while the
-        # softmax, which the offset does not change, stays ordinary.
+        # Every key bias is offset by twice the float64 limit: the bound
+        # passes it in every chunk, whose rows then shift by their max,
+        # while the softmax, which the offset does not change, stays
+        # ordinary.
         chunk = chunk_len(self.M, self.N, dtype)
-        limit = nd._logit_limit(dtype, self.N)
+        limit = nd._logit_limit(self.N)
         rng = np.random.default_rng(48)
         for batch in sorted({1, chunk + 1}):
             a, b, v, c = attention_operands(rng, batch, self.M, self.N, self.DV, dtype, True)
             c += dtype(2 * limit)
             assert min(logit_bound(a[i], b[i], c[i]) for i in range(batch)) > limit
             self.assert_matches_oracle([a, b, v, c], seed=batch)
+
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_float32_output_rounds_once_at_the_queries(self, bias):
+        # At k = 64, R = 1.2 and 3 ask for more than k / 4 nodes, and R = 10
+        # and 30 pass the table: the points are the queries. f is evaluated
+        # there in float64 and rounded once, so each float32 output lies
+        # within one ulp of the user's largest entry of the float64 oracle.
+        rng = np.random.default_rng(66)
+        operands = interpolating_operands(rng, [1.2, 3.0, 10.0, 30.0], 64, 64, self.DV,
+                                          np.float32, bias)
+        assert not nd._plan(*operands[:2], *operands[3:])[1].any()
+        tape = nd.Tape()
+        out = tape.record("cross_attention", *map(tape.leaf, operands)).value
+        want, _ = whole_batch_attention(*(x.astype(np.float64) for x in operands))
+        ulp = np.spacing(np.abs(want).max(axis=(1, 2)).astype(np.float32))
+        assert (np.abs(out - want).max(axis=(1, 2)) <= ulp).all()
+        self.assert_matches_oracle(operands, seed=67)
 
     @pytest.mark.parametrize("dtype, scale", [(np.float32, 6.0), (np.float64, 16.0)])
     def test_logits_beyond_the_range_of_exp(self, dtype, scale):
@@ -763,8 +783,8 @@ def interpolating_operands(rng, reaches, m, n, e, dtype, bias):
 
 def node_counts(dtype, m):
     """Each logit bound the table serves, halfway into its band, with its
-    node count, then R = 0 and a bound past the table, where the queries
-    are the nodes (count 0)."""
+    node count, then R = 0 and a bound past the table, where the points are
+    the queries (count 0)."""
     bounds, counts = nd._NODE_TABLE[np.dtype(dtype)]
     cases = [(0.0, counts[0])] + [((lo + hi) / 2, count) for lo, hi, count
                                   in zip((0.0,) + bounds, bounds, counts) if 4 * count <= m]
@@ -776,18 +796,18 @@ class TestInterpolatedAttention:
     Chebyshev nodes of [-A, A]: the op must still match the exact oracle
     (`whole_batch_attention`, in float64) within the tolerances of
     `TestChunkedAttention`, forward and every gradient, from R = 0 to past
-    the exact fallback, with and without the row-max shift. The float64
-    node statistics it keeps must match the oracle at the nodes."""
+    the table and past the logit limit, where the points are the queries.
+    The float64 point statistics it keeps must match the oracle there."""
 
     M, N, DV = 384, 512, 5
 
-    def check(self, operands, nodes, shift, seed):
+    def check(self, operands, nodes, seed):
         tape = nd.Tape()
         ids = [tape.leaf(x, trainable=True) for x in operands]
         node = tape.record("cross_attention", *ids)
         dtype = operands[0].dtype.type
-        scale, got_nodes, got_shift = nd._plan(*operands[:2], *operands[3:])
-        assert got_nodes.tolist() == nodes and got_shift.tolist() == shift
+        scale, got_nodes = nd._plan(*operands[:2], *operands[3:])
+        assert got_nodes.tolist() == nodes
         wide = [x.astype(np.float64) for x in operands]
         a, b, v, *c = wide
         want, want_s = whole_batch_attention(*wide)
@@ -825,36 +845,37 @@ class TestInterpolatedAttention:
         for seed, (reach, count) in enumerate(node_counts(dtype, self.M)):
             operands = interpolating_operands(rng, [reach] * 2, self.M, self.N, self.DV, dtype,
                                               bias)
-            self.check(operands, [count] * 2, [False] * 2, seed)
+            self.check(operands, [count] * 2, seed)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_row_max_route(self, dtype):
-        # A key bias offset by twice the float64 limit, in which the nodes
-        # are evaluated, passes it: the node rows shift by their max.
-        limit = nd._logit_limit(np.float64, self.N)
+        # A key bias offset by twice the float64 logit limit passes it at
+        # every R the table serves: the points are the queries, whose rows
+        # shift by their max.
+        limit = nd._logit_limit(self.N)
         rng = np.random.default_rng(61)
-        for seed, (reach, count) in enumerate(node_counts(dtype, self.M)[:-1]):
+        for seed, (reach, _) in enumerate(node_counts(dtype, self.M)[:-1]):
             a, b, v, c = interpolating_operands(rng, [reach], self.M, self.N, self.DV, dtype,
                                                 True)
             c += dtype(2 * limit)
-            self.check([a, b, v, c], [count], [True], seed)
+            self.check([a, b, v, c], [0], seed)
 
     def test_users_take_their_own_routes(self):
-        # One batch mixes node counts, the exact fallback and the shift, in
-        # runs that cross a chunk boundary; each user's output and
-        # gradients are those of the user alone, bit for bit.
+        # One batch mixes node counts with users whose points are their
+        # queries, past the table and past the logit limit, in runs that
+        # cross a chunk boundary; each user's output and gradients are
+        # those of the user alone, bit for bit.
         rng = np.random.default_rng(62)
         reaches = [0.01, 0.01, 0.5, 8.0, 8.0, 0.01, 0.2, 0.2]
         a, b, v, c = interpolating_operands(rng, reaches, self.M, self.N, self.DV, np.float32,
                                             True)
-        c[6] += np.float32(2 * nd._logit_limit(np.float64, self.N))
+        c[6] += np.float32(2 * nd._logit_limit(self.N))
         g = rng.standard_normal((len(a), self.M, self.DV)).astype(np.float32)
-        _, nodes, shift = nd._plan(a, b, c)
-        assert nodes.tolist() == [4, 4, 12, 0, 0, 4, 8, 8]
-        assert shift.tolist() == [False] * 6 + [True, False]
+        _, nodes = nd._plan(a, b, c)
+        assert nodes.tolist() == [4, 4, 12, 0, 0, 4, 0, 8]
         assert chunk_len(self.M, self.N, np.float32) < len(a)
         whole = TestAttentionWorkers.run(g, a, b, v, c)
-        self.check([a, b, v, c], nodes.tolist(), shift.tolist(), seed=63)
+        self.check([a, b, v, c], nodes.tolist(), seed=63)
         for user in range(len(a)):
             row = slice(user, user + 1)
             alone = TestAttentionWorkers.run(g[row], a[row], b[row], v[row], c[row])

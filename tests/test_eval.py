@@ -397,7 +397,7 @@ class TestDenoiseInfer:
             for steps in (2, 3, 6):
                 wide.clear()
                 evaluation.denoise_infer(params, vcfg, sched, u_obs, contexts, steps,
-                                         stochastic=stochastic)
+                                         rngs=row_rngs(7, len(u_obs)), stochastic=stochastic)
                 counts[steps] = sum(wide)
             hop3 = variant == "full"
             assert counts == {s: hop3 + 3 + stochastic * (s - 1) for s in counts}, variant
@@ -410,7 +410,8 @@ class TestDenoiseInfer:
         monkeypatch.setattr(nd.Tape, "record", lambda tape, op, *a, **c: ops.append(op))
         monkeypatch.setattr(nd, "matmul", lambda *a: ops.append("matmul"))
         with pytest.raises(ShapeError, match=f"must be \\(B, {cfg.num_items}\\)"):
-            evaluation.denoise_infer(params, cfg, sched, wide, contexts, steps)
+            evaluation.denoise_infer(params, cfg, sched, wide, contexts, steps,
+                                     rngs=row_rngs(7, len(wide)))
         assert ops == []
 
     @pytest.mark.parametrize("steps", [0, 1, 5])
@@ -431,7 +432,7 @@ class TestDenoiseInfer:
             vcfg = dataclasses.replace(cfg, variant=variant)
             reads.clear()
             evaluation.denoise_infer(camae.init_params(vcfg, seed=90), vcfg, sched, u_obs,
-                                     contexts, steps)
+                                     contexts, steps, rngs=row_rngs(7, len(u_obs)))
             hop_queries = variant in ("full", "no-ae")
             assert sorted(reads) == (list(cfg.hop_list) if hop_queries else []), variant
 
@@ -445,15 +446,12 @@ class TestDenoiseInfer:
                                          4, rngs=row_rngs(12, len(u_obs)))
         assert not np.array_equal(runs[0], other)
 
-    def test_default_noise_is_seeded_zero_and_row(self, model_world):
-        params, cfg, sched, u_obs, contexts = model_world
-        got = evaluation.denoise_infer(params, cfg, sched, u_obs, contexts, 4)
-        want = evaluation.denoise_infer(params, cfg, sched, u_obs, contexts,
-                                        4, rngs=row_rngs(0, len(u_obs)))
-        np.testing.assert_array_equal(got, want)
-
     def test_one_generator_per_row(self, model_world):
+        # A walk with steps has no default generators: seeding them by
+        # batch position would tie a row's noise to its batch mates.
         params, cfg, sched, u_obs, contexts = model_world
+        with pytest.raises(ContractError, match="0 noise generators"):
+            evaluation.denoise_infer(params, cfg, sched, u_obs, contexts, 4)
         for n in (len(u_obs) - 1, len(u_obs) + 1):
             with pytest.raises(ContractError, match="noise generators"):
                 evaluation.denoise_infer(params, cfg, sched, u_obs, contexts,
