@@ -170,10 +170,16 @@ def init_params(config: CamAeConfig, seed: int = 0) -> dict[str, np.ndarray]:
 # ------------------------------------------------------------------- forward
 
 
-def _identity_pad(n_in: int, n_out: int, dtype) -> np.ndarray:
-    pad = np.zeros((n_in, n_out), dtype=dtype)
+def _codec(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig, name: str,
+           n_in: int, n_out: int) -> nd.Node:
+    """The (n_in, n_out) codec matrix `name`: its leaf, or under "no-ae",
+    which drops the encoders and the decoder, the identity pad bound as a
+    constant."""
+    if config.variant != "no-ae":
+        return leaves[name]
+    pad = np.zeros((n_in, n_out), dtype=leaves["collapse"].value.dtype)
     np.fill_diagonal(pad, 1.0)
-    return pad
+    return tape.leaf(pad)
 
 
 def encode_interactions(tape: nd.Tape, leaves: dict[str, nd.Node],
@@ -185,18 +191,13 @@ def encode_interactions(tape: nd.Tape, leaves: dict[str, nd.Node],
         raise ShapeError(f"u_t must be (B, {config.num_items}), got {u_t.shape}")
     dtype = leaves["collapse"].value.dtype
     u = tape.leaf(u_t.astype(dtype, copy=False))
-    if config.variant == "no-ae":
-        pad = tape.leaf(_identity_pad(config.num_items, config.width, dtype))
-        return tape.record("matmul", u, pad)
-    return tape.record("matmul", u, leaves["enc_items"])
+    return tape.record("matmul", u, _codec(tape, leaves, config, "enc_items",
+                                           config.num_items, config.width))
 
 
 def decoder(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig) -> nd.Node:
     """The decoder's (seq, |items|) matrix: `dec_items`, or the identity pad."""
-    if config.variant == "no-ae":
-        return tape.leaf(_identity_pad(config.width, config.num_items,
-                                       leaves["collapse"].value.dtype))
-    return leaves["dec_items"]
+    return _codec(tape, leaves, config, "dec_items", config.width, config.num_items)
 
 
 def decode(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig,
@@ -226,11 +227,8 @@ def condition(tape: nd.Tape, leaves: dict[str, nd.Node], config: CamAeConfig,
     latents: dict[int, nd.Node] = {}
     for h in config.hop_list:
         c = tape.leaf(np.asarray(contexts[h], dtype=dtype))
-        if config.variant == "no-ae":
-            pad = tape.leaf(_identity_pad(config.hop_dim(h), config.width, dtype))
-            z = tape.record("matmul", c, pad)
-        else:
-            z = tape.record("matmul", c, leaves[f"enc_hop{h}"])
+        z = tape.record("matmul", c, _codec(tape, leaves, config, f"enc_hop{h}",
+                                            config.hop_dim(h), config.width))
         latents[h] = tape.record("reshape", z, shape=(len(c.value), config.seq_len, 1))
     return latents
 

@@ -32,13 +32,14 @@ _SPLIT_TAGS = {"val": TAG_VAL, "test": TAG_TEST}
 
 
 def _normal(rngs: Sequence[np.random.Generator], shape: tuple[int, int], dtype) -> np.ndarray:
-    """Standard normal rows, row i from generator i."""
+    """Standard normal rows in `dtype`, row i from generator i, each drawn
+    in float64 into one scratch row and rounded into its output row."""
     if len(rngs) != shape[0]:
         raise ContractError(f"{len(rngs)} noise generators for {shape[0]} rows")
-    out = np.empty(shape)
+    out, draw = np.empty(shape, dtype), np.empty(shape[1])
     for row, g in zip(out, rngs):
-        g.standard_normal(out=row)
-    return out.astype(dtype)
+        row[...] = g.standard_normal(out=draw)
+    return out
 
 
 def denoise_infer(params: dict, config: camae.CamAeConfig, sched: NoiseSchedule,

@@ -760,7 +760,6 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
 @dataclass
 class GradCheckReport:
     max_rel_err: float
-    max_abs_err: float
     worst: tuple[str, int, float, float]  # (param, flat index, analytic, numeric)
     checked: int
     per_param: dict[str, float]
@@ -815,7 +814,6 @@ def gradient_check(build_fn, params: dict[str, np.ndarray], eps: float = 1e-3,
 
     worst = ("", -1, 0.0, 0.0)
     max_rel = 0.0
-    max_abs = 0.0
     per_param: dict[str, float] = {k: 0.0 for k in p64}
     for name, idx in entries:
         a = float(analytic[name].ravel()[idx])
@@ -828,11 +826,10 @@ def gradient_check(build_fn, params: dict[str, np.ndarray], eps: float = 1e-3,
                 best_rel = rel
                 best_numeric = numeric
         per_param[name] = max(per_param[name], best_rel)
-        max_abs = max(max_abs, abs(a - best_numeric))
         if best_rel > max_rel:
             max_rel = best_rel
             worst = (name, int(idx), a, best_numeric)
-    return GradCheckReport(max_rel, max_abs, worst, len(entries), per_param)
+    return GradCheckReport(max_rel, worst, len(entries), per_param)
 
 
 # ------------------------------------------------------------- checkpoint i/o

@@ -8,6 +8,12 @@ signal), and `alpha_bars[t]` is the cumulative product through step t
 with the convenience entry alpha_bars[0] = 1. The betas run linearly from
 scale * beta_min to scale * beta_max: as in DiffRec, the noise scale
 multiplies both ends.
+
+There is one corruption, `diffuse_to`, and training and inference both go
+through it: each row of a batch is blended in float64 and rounded once.
+Training's regression target, the reverse-conditional mean, is blended
+the same way by `diffuse_with_target`. The whole-batch forms of both,
+which the tests hold these to bit for bit, live in tests/conftest.py.
 """
 
 from __future__ import annotations
@@ -58,70 +64,55 @@ def _check_t(t, T: int) -> np.ndarray:
     return t
 
 
-def _cols(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Shape a per-timestep coefficient so it scales rows of a batch."""
-    if coef.ndim == 0 or x.ndim == 1:
-        return coef
-    return coef.reshape(-1, 1)
+def _blend_rows(out: np.ndarray, c0: np.ndarray, x0: np.ndarray, c1: np.ndarray,
+                x1: np.ndarray) -> np.ndarray:
+    """out[r] = c0[r] * x0[r] + c1[r] * x1[r] for every row r, blended in
+    float64 through two scratch rows and rounded once to out's dtype."""
+    a, b = np.empty((2, out.shape[1]))
+    for r in range(len(out)):
+        np.add(np.multiply(c0[r], x0[r], out=a), np.multiply(c1[r], x1[r], out=b), out=out[r])
+    return out
 
 
 def diffuse_to(u0: np.ndarray, t, sched: NoiseSchedule,
                noise: np.ndarray) -> np.ndarray:
-    """Jump straight to step t: sqrt(abar_t) * u0 + sqrt(1-abar_t) * eps."""
-    u0 = np.asarray(u0)
-    t = _check_t(t, sched.T)
-    ab = sched.alpha_bars[t]
-    out = _cols(np.sqrt(ab), u0) * u0 + _cols(np.sqrt(1.0 - ab), u0) * noise
-    return out.astype(u0.dtype)
+    """Jump straight to step t: sqrt(abar_t) * u0 + sqrt(1-abar_t) * eps,
+    for a 2-D batch u0, noise of its shape, and one t for every row or one
+    per row. Each row is blended on its own (see `_blend_rows`), in place of
+    whole-batch float64 temporaries, whose cost per element grows with the
+    batch once they leave the cache."""
+    u0, noise, t = np.asarray(u0), np.asarray(noise), _check_t(t, sched.T)
+    if u0.ndim != 2 or noise.shape != u0.shape or t.shape not in ((), (len(u0),)):
+        raise ContractError(f"diffuse_to: needs a 2-D batch, noise of its shape and one t "
+                            f"or one per row, got {u0.shape}, {noise.shape}, {t.shape}")
+    ab = np.broadcast_to(sched.alpha_bars[t], len(u0))
+    return _blend_rows(np.empty(u0.shape, u0.dtype), np.sqrt(ab), u0, np.sqrt(1.0 - ab), noise)
 
 
 def _posterior_coefs(t: np.ndarray, sched: NoiseSchedule):
+    """Coefficients of u0 and u_t in the mean of the exact reverse conditional,
+    (sqrt(abar_{t-1}) * beta_t * u0 + sqrt(alpha_t) * (1 - abar_{t-1}) * u_t)
+    divided by (1 - abar_t). At t = 1 the mean collapses to u0 exactly."""
     denom = 1.0 - sched.alpha_bars[t]
     if np.any(denom < 1e-12):
-        raise NumericError(f"posterior_mean: 1 - abar_t vanishes at t={t}")
+        raise NumericError(f"reverse-conditional mean: 1 - abar_t vanishes at t={t}")
     b = sched.betas[t - 1]
     c0 = np.sqrt(sched.alpha_bars[t - 1]) * b / denom
     c1 = np.sqrt(sched.alphas[t - 1]) * (1.0 - sched.alpha_bars[t - 1]) / denom
     return c0, c1
 
 
-def posterior_mean(u_t: np.ndarray, u0: np.ndarray, t,
-                   sched: NoiseSchedule) -> np.ndarray:
-    """Mean of the exact reverse conditional given the clean signal.
-
-    (sqrt(abar_{t-1}) * beta_t * u0 + sqrt(alpha_t) * (1 - abar_{t-1}) * u_t)
-    divided by (1 - abar_t). At t = 1 this collapses to u0 exactly.
-    """
-    u_t = np.asarray(u_t)
-    c0, c1 = _posterior_coefs(_check_t(t, sched.T), sched)
-    out = _cols(c0, u_t) * np.asarray(u0) + _cols(c1, u_t) * u_t
-    return out.astype(u_t.dtype)
-
-
 def diffuse_with_target(u0: np.ndarray, t, sched: NoiseSchedule, noise: np.ndarray,
                         row_scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`diffuse_to` of a 2-D batch with one timestep per row, and its
-    `posterior_mean` with each row multiplied by `row_scale` (of u0's
-    dtype): bit for bit (u_t, posterior_mean(u_t, u0, t) * row_scale[:, None]).
-
-    Both are blended one row at a time in float64 through two scratch rows,
-    and rounded once, in place of whole-batch float64 temporaries, whose
-    cost per element grows with the batch once they leave the cache; so the
-    cost of a batch is a part per row plus a part per element at any width,
-    and the posterior reads u_t and u0 while they are still in cache."""
-    u0, noise, t = np.asarray(u0), np.asarray(noise), _check_t(t, sched.T)
-    if u0.ndim != 2 or noise.shape != u0.shape or t.shape != (len(u0),):
-        raise ContractError(f"diffuse_with_target: needs a 2-D batch, noise of its shape "
-                            f"and one t per row, got {u0.shape}, {noise.shape}, {t.shape}")
-    ab = sched.alpha_bars[t]
-    d0, d1 = np.sqrt(ab), np.sqrt(1.0 - ab)
+    """`diffuse_to` of a 2-D batch with one timestep per row, and the mean
+    of the reverse conditional at the u_t it returns, blended row by row
+    like it and then multiplied by `row_scale` (of u0's dtype) per row."""
+    u0, t = np.asarray(u0), _check_t(t, sched.T)
+    if u0.ndim != 2 or t.shape != (len(u0),):
+        raise ContractError(f"diffuse_with_target: needs a 2-D batch and one t per row, "
+                            f"got {u0.shape}, {t.shape}")
+    u_t = diffuse_to(u0, t, sched, noise)
     p0, p1 = _posterior_coefs(t, sched)
-    a, b = np.empty((2, u0.shape[1]))
-    u_t, target = np.empty_like(u0), np.empty_like(u0)
-    for r in range(len(u0)):
-        np.add(np.multiply(d0[r], u0[r], out=a), np.multiply(d1[r], noise[r], out=b),
-               out=u_t[r])
-        np.add(np.multiply(p0[r], u0[r], out=a), np.multiply(p1[r], u_t[r], out=b),
-               out=target[r])
-        target[r] *= row_scale[r]
+    target = _blend_rows(np.empty_like(u_t), p0, u0, p1, u_t)
+    target *= row_scale[:, None]
     return u_t, target

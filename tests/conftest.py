@@ -3,6 +3,8 @@
 Acceptance tests record a one-line verdict per criterion through
 `record_acceptance`; the terminal-summary hook replays those lines at
 the end of the run so they are visible even when pytest captures stdout.
+The whole-batch corruption and reverse-conditional mean below are the
+reference the row-wise forms in `diffcf.schedule` are held to.
 """
 
 import struct
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 from diffcf import camae, dataset, ndtensor as nd
+from diffcf.schedule import NoiseSchedule, _check_t, _posterior_coefs
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -25,6 +28,36 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def _cols(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Shape a per-timestep coefficient so it scales rows of a batch."""
+    if coef.ndim == 0 or x.ndim == 1:
+        return coef
+    return coef.reshape(-1, 1)
+
+
+def diffuse_to(u0: np.ndarray, t, sched: NoiseSchedule,
+               noise: np.ndarray) -> np.ndarray:
+    """Jump straight to step t: sqrt(abar_t) * u0 + sqrt(1-abar_t) * eps."""
+    u0 = np.asarray(u0)
+    t = _check_t(t, sched.T)
+    ab = sched.alpha_bars[t]
+    out = _cols(np.sqrt(ab), u0) * u0 + _cols(np.sqrt(1.0 - ab), u0) * noise
+    return out.astype(u0.dtype)
+
+
+def posterior_mean(u_t: np.ndarray, u0: np.ndarray, t,
+                   sched: NoiseSchedule) -> np.ndarray:
+    """Mean of the exact reverse conditional given the clean signal.
+
+    (sqrt(abar_{t-1}) * beta_t * u0 + sqrt(alpha_t) * (1 - abar_{t-1}) * u_t)
+    divided by (1 - abar_t). At t = 1 this collapses to u0 exactly.
+    """
+    u_t = np.asarray(u_t)
+    c0, c1 = _posterior_coefs(_check_t(t, sched.T), sched)
+    out = _cols(c0, u_t) * np.asarray(u0) + _cols(c1, u_t) * u_t
+    return out.astype(u_t.dtype)
 
 
 def _bound_forward(params, config, u_t, contexts, t, trainable):

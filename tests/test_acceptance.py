@@ -3,7 +3,8 @@
 Every test prints a single verdict line ([n] PASS/FAIL/SKIP with the
 measured numbers) through conftest.record_acceptance, replayed in the
 terminal summary. Oracles are duplicated in this file on purpose: the
-gate must not lean on helpers from the unit suites.
+gate must not lean on helpers from the unit suites. The whole-batch
+schedule forms it reads come from conftest, as the reference for all.
 
 Criteria 4 and 5 need the MovieLens-1M ratings file. This sandbox has
 no network access, so when the file is absent (env DIFFCF_ML1M unset
@@ -25,11 +26,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import conftest as reference
 from conftest import inference_forward, make_matrix, record_acceptance
 from diffcf import bench, camae, cli, dataset, eval as evaluation, graph
 from diffcf import ndtensor as nd, train
 from diffcf.camae import CamAeConfig
-from diffcf.schedule import build_schedule, diffuse_to, posterior_mean
+from diffcf.schedule import build_schedule, diffuse_to, diffuse_with_target
 
 ML1M_ENV = "DIFFCF_ML1M"
 ML1M_FALLBACKS = ("/root/pkg/data/ml-1m/ratings.dat",
@@ -201,20 +203,24 @@ def test_03_corruption_moments_and_posterior_oracle():
         var_dev = np.abs(var - (1.0 - abar)).max()
         max_sigmas = max(max_sigmas, mean_dev / mean_se, var_dev / var_se)
 
+    # The posterior is read where training reads it: the target of
+    # diffuse_with_target, checked at the u_t that call returns.
     max_post_err = 0.0
     for _ in range(20):
         t = int(rng.integers(2, sched.T + 1))
         u0s = float(rng.normal())
-        uts = float(rng.normal())
-        got = float(posterior_mean(np.float64(uts), np.float64(u0s), t, sched))
+        eps = float(rng.normal())
+        u_t, target = diffuse_with_target(np.array([[u0s]]), np.array([t]), sched,
+                                          np.array([[eps]]), np.ones(1))
+        uts, got = float(u_t[0, 0]), float(target[0, 0])
         max_post_err = max(max_post_err,
                            abs(got - grid_posterior_mean(uts, u0s, t, sched)))
 
     ok = max_sigmas <= 4.0 and max_post_err <= 1e-6
     verdict(3, ok, f"corruption moments within {max_sigmas:.2f} standard "
                    f"errors (limit 4) over 1e5 draws at t=1,50,100; "
-                   f"posterior vs grid integral max err {max_post_err:.2e} "
-                   f"(tol 1e-6) at 20 random (t,u0,u_t) triples")
+                   f"training target vs grid integral max err {max_post_err:.2e} "
+                   f"(tol 1e-6) at 20 random (t,u0,eps) triples")
 
 
 # ------------------------------------------------------------ criteria 4 & 5
@@ -395,8 +401,8 @@ def _frozen_batch_loss(params, cfg, sched, matrix, contexts) -> float:
     ctx = {h: contexts.batch_rows(users, h) for h in cfg.hop_list}
     t = rng.integers(1, sched.T + 1, size=users.size)
     noise = rng.standard_normal(u0.shape).astype(np.float32)
-    u_t = diffuse_to(u0, t, sched, noise)
-    target = posterior_mean(u_t, u0, t, sched)
+    u_t = reference.diffuse_to(u0, t, sched, noise)
+    target = reference.posterior_mean(u_t, u0, t, sched)
     scale = np.sqrt(train.step_weights(t, sched, "vlb") / users.size) \
         .astype(np.float32)
     tape, _, out = inference_forward(params, cfg, u_t, ctx, t)

@@ -12,12 +12,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import inference_forward, make_matrix
+from conftest import diffuse_to, inference_forward, make_matrix
 from diffcf import bench, camae, dataset, eval as evaluation, graph, ndtensor as nd
 from diffcf.camae import CamAeConfig
 from diffcf.dataset import TAG_TEST, TAG_TRAIN, TAG_VAL
 from diffcf.errors import ContractError, NumericError, ShapeError
-from diffcf.schedule import build_schedule, diffuse_to
+from diffcf.schedule import build_schedule
 
 
 def brute_force_report(scores, observed, relevant, k):

@@ -2,13 +2,16 @@
 
 The cumulative-product table is checked against a hand-rolled loop and a
 frozen literal table, the one-shot corruption against its closed form
-and Monte Carlo moments, and the reverse-conditional mean against a
-grid-integration oracle that knows nothing about the closed form.
+and Monte Carlo moments, and training's target, the reverse-conditional
+mean, against a grid-integration oracle that knows nothing about the
+closed form. The row-wise forms are held bit for bit to the whole-batch
+reference in conftest.
 """
 
 import numpy as np
 import pytest
 
+import conftest as reference
 from diffcf import config, schedule
 from diffcf.errors import ContractError, NumericError
 
@@ -130,8 +133,9 @@ class TestDiffuse:
         t = np.array([1, 3, 10, 7, 2])
         batched = schedule.diffuse_to(u0, t, s, eps)
         for row in range(5):
-            single = schedule.diffuse_to(u0[row], int(t[row]), s, eps[row])
-            np.testing.assert_array_equal(batched[row], single)
+            one = slice(row, row + 1)
+            single = schedule.diffuse_to(u0[one], int(t[row]), s, eps[one])
+            np.testing.assert_array_equal(batched[one], single)
 
     def test_monte_carlo_moments(self):
         # Empirical mean and variance of the jump marginal against
@@ -157,40 +161,85 @@ class TestDiffuse:
 
     def test_t_out_of_range(self):
         s = schedule.build_schedule(5)
-        u = np.ones(3)
+        u = np.ones((2, 3))
         for bad in (0, 6, np.array([1, 9])):
             with pytest.raises(ContractError):
                 schedule.diffuse_to(u, bad, s, u)
 
+    def test_needs_a_2d_batch_with_noise_of_its_shape(self):
+        s = schedule.build_schedule(5)
+        u = np.ones((3, 4))
+        for args in ((u[0], 2, u[0]), (u, 2, u[:, :2]), (u, np.array([2, 3]), u)):
+            with pytest.raises(ContractError, match="2-D batch"):
+                schedule.diffuse_to(args[0], args[1], s, args[2])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("width", [1, 7, 3706, 30000])
+def test_row_wise_forms_match_the_whole_batch_reference(dtype, width):
+    # Every array as the whole-batch forms give it, bit for bit, under one
+    # t for all rows and one per row; and each row as its own one-row batch.
+    s = schedule.build_schedule(100)
+    rng = np.random.default_rng(width)
+    rows = 5
+    u0 = (rng.random((rows, width)) < 0.2).astype(dtype)
+    eps = rng.standard_normal((rows, width)).astype(dtype)
+    t = np.array([1, 2, 37, 99, 100])
+    scale = rng.random(rows).astype(dtype)
+    shared = schedule.diffuse_to(u0, 37, s, eps)
+    assert shared.dtype == dtype
+    assert shared.tobytes() == reference.diffuse_to(u0, 37, s, eps).tobytes()
+    u_t, target = schedule.diffuse_with_target(u0, t, s, eps, scale)
+    want = reference.diffuse_to(u0, t, s, eps)
+    assert u_t.dtype == target.dtype == dtype
+    assert schedule.diffuse_to(u0, t, s, eps).tobytes() == want.tobytes()
+    assert u_t.tobytes() == want.tobytes()
+    want_target = reference.posterior_mean(want, u0, t, s) * scale[:, None]
+    assert target.tobytes() == want_target.tobytes()
+    for row in range(rows):
+        one = slice(row, row + 1)
+        assert schedule.diffuse_to(u0[one], 37, s, eps[one]).tobytes() == shared[one].tobytes()
+        single = schedule.diffuse_with_target(u0[one], t[one], s, eps[one], scale[one])
+        assert single[0].tobytes() == u_t[one].tobytes()
+        assert single[1].tobytes() == target[one].tobytes()
+
 
 class TestPosteriorMean:
+    """The reverse-conditional mean as training reads it: the target of
+    `diffuse_with_target`, here with a row scale of 1."""
+
     def test_t1_returns_clean_signal_exactly(self):
         s = schedule.build_schedule(10)
         rng = np.random.default_rng(4)
         u0 = rng.standard_normal((3, 4)).astype(np.float32)
-        u1 = rng.standard_normal((3, 4)).astype(np.float32)
-        assert np.array_equal(schedule.posterior_mean(u1, u0, 1, s), u0)
+        eps = rng.standard_normal((3, 4)).astype(np.float32)
+        _, target = schedule.diffuse_with_target(u0, np.ones(3, np.int64), s, eps,
+                                                 np.ones(3, np.float32))
+        assert np.array_equal(target, u0)
 
     def test_matches_grid_integration_oracle(self):
+        # Checked at the u_t the call returns for the drawn noise.
         s = schedule.build_schedule(30, 1e-3, 0.25)
         rng = np.random.default_rng(5)
         for _ in range(8):
             t = int(rng.integers(2, 31))
             u0 = float(rng.normal(0, 1.5))
-            u_t = float(rng.normal(0, 1.5))
-            got = schedule.posterior_mean(np.array([u_t]), np.array([u0]), t, s)[0]
-            assert abs(got - grid_posterior_mean(u_t, u0, t, s)) < 1e-6
+            eps = float(rng.normal(0, 1.5))
+            u_t, got = schedule.diffuse_with_target(np.array([[u0]]), np.array([t]), s,
+                                                    np.array([[eps]]), np.ones(1))
+            assert abs(got[0, 0] - grid_posterior_mean(u_t[0, 0], u0, t, s)) < 1e-6
 
     def test_per_row_timesteps(self):
         s = schedule.build_schedule(10)
         rng = np.random.default_rng(6)
         u0 = rng.standard_normal((4, 3))
-        u_t = rng.standard_normal((4, 3))
+        eps = rng.standard_normal((4, 3))
         t = np.array([1, 2, 5, 10])
-        batched = schedule.posterior_mean(u_t, u0, t, s)
+        _, batched = schedule.diffuse_with_target(u0, t, s, eps, np.ones(4))
         for row in range(4):
-            single = schedule.posterior_mean(u_t[row], u0[row], int(t[row]), s)
-            np.testing.assert_array_equal(batched[row], single)
+            one = slice(row, row + 1)
+            _, single = schedule.diffuse_with_target(u0[one], t[one], s, eps[one], np.ones(1))
+            np.testing.assert_array_equal(batched[one], single)
 
     def test_fused_with_diffusion_matches_separate_calls(self):
         s = schedule.build_schedule(100)
@@ -200,10 +249,10 @@ class TestPosteriorMean:
         t = np.array([1, 2, 40, 99, 100, 7])
         scale = rng.random(6).astype(np.float32)
         u_t, target = schedule.diffuse_with_target(u0, t, s, eps, scale)
-        want = schedule.diffuse_to(u0, t, s, eps)
+        want = reference.diffuse_to(u0, t, s, eps)
         assert u_t.dtype == target.dtype == np.float32
         assert u_t.tobytes() == want.tobytes()
-        want_target = schedule.posterior_mean(want, u0, t, s) * scale[:, None]
+        want_target = reference.posterior_mean(want, u0, t, s) * scale[:, None]
         assert target.tobytes() == want_target.tobytes()
 
     def test_fused_needs_a_2d_batch_with_one_t_per_row(self):
@@ -218,4 +267,5 @@ class TestPosteriorMean:
     def test_degenerate_variance_guarded(self):
         s = schedule.build_schedule(1, 1e-15, 1e-15)
         with pytest.raises(NumericError):
-            schedule.posterior_mean(np.ones(2), np.ones(2), 1, s)
+            schedule.diffuse_with_target(np.ones((1, 2)), np.ones(1, np.int64), s,
+                                         np.ones((1, 2)), np.ones(1))

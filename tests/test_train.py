@@ -13,11 +13,11 @@ import json
 import numpy as np
 import pytest
 
-from conftest import inference_forward, make_matrix
+from conftest import diffuse_to, inference_forward, make_matrix, posterior_mean
 from diffcf import camae, dataset, graph, ndtensor as nd, train
 from diffcf.camae import CamAeConfig
 from diffcf.errors import ContractError, NumericError
-from diffcf.schedule import build_schedule, diffuse_to, posterior_mean
+from diffcf.schedule import build_schedule
 
 
 @pytest.fixture(scope="module")
