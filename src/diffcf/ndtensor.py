@@ -201,38 +201,36 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # in T_0..T_{M-1} (`_chebyshev`), the output is one product of the
 # node-major basis T_j(t_i) (`_basis`, (M, m) per user) with them. That is
 # M n + m M score and basis cells per user in place of m n. When M would
-# pass m / 4, R passes the table, or the float64 bound R + max|c| passes
-# `_logit_limit`, the points are the queries themselves, and the carry is
-# the identity: an interpolant evaluated at its own points is exact. A and
-# M depend only on the user's own row, so a user's output does not depend
-# on its batch mates.
+# pass m / 4 or R passes the table, the points are the queries themselves,
+# and the carry is the identity: an interpolant evaluated at its own points
+# is exact. The key bias does not enter the plan, since f's poles do not
+# depend on it. A and M depend only on the user's own row, so a user's
+# output does not depend on its batch mates.
 #
 # f normalises after the product, as FlashAttention does. A score block is
 # one product over K = 2, [x, 1] [b, c]^T (c = 0 when there is no bias),
 # which also keeps it off BLAS's slow K=1 route: one (4, 500, 500) score
-# block takes 2.9 ms at K=1 and 0.35 ms at K=2 on a 2-CPU x86 VM. No logit
-# at a node exceeds R + max|c|, which is within the limit, so node rows are
-# not shifted; rows at the queries are shifted by their max first. So a
-# score block sees three passes: the product, exp in place, and one product
-# with [v | 1] that gives the unnormalised output and the row sums together.
+# block takes 2.9 ms at K=1 and 0.35 ms at K=2 on a 2-CPU x86 VM. Every
+# point row, at the nodes and at the queries alike, is lowered by its max
+# before exp, so no key bias can overflow it. So a score block sees three
+# passes: the product, exp in place, and one product with [v | 1] that
+# gives the unnormalised output and the row sums together.
 #
-# The backward keeps the float64 log-sum-exp of every point row, and the
-# float64 node outputs of the users that interpolate; at the queries the
-# op's own output stands in for them. It sends dO through the transposed
-# basis and coefficient matrix to the nodes (at the queries dO is already
-# there) and runs the exact backward at the points: it rebuilds the
-# softmax with the shift inside the product, P = exp([x, 1, -lse] [b, c,
-# 1]^T), forms dP - rowsum(dO * O) as [dO, -rowsum(dO * O)] [v, 1]^T,
-# using rowsum(dO * O) in place of rowsum(dP * P), and multiplies by P in
-# place to get dS. Then dv = P^T dO and [db, dc] = dS^T [x, 1] (db = dS^T x
-# without a bias). A is piecewise constant in a, so these are the exact
-# gradients of the carried output. da_i carries, over the same basis, f's
-# slope at the points, f' = sum_j s_j b_j v_j - (sum_j s_j b_j) f, which
-# one more point pass gives exactly; at the queries it is dS b. The
-# interpolant's own derivative would amplify the node values' rounding
-# about M^2 / A-fold, past the float64 tolerance of the kernel tests at
-# small A; the two differ by the interpolation error that _NODE_TABLE
-# bounds.
+# The forward keeps only the float64 log-sum-exp of every point row. The
+# backward sends dO through the transposed basis and coefficient matrix to
+# the nodes (at the queries dO is already there) and rebuilds each run's
+# softmax once from the log-sum-exp, with the offset inside the product,
+# P = exp([x, 1, -lse] [b, c, 1]^T). One product P [v, b v, b] gives f at
+# the points and the two moments of its slope, f' = sum_j s_j b_j v_j -
+# (sum_j s_j b_j) f. The op forms dP - rowsum(dO * f) as [dO, -rowsum(dO *
+# f)] [v, 1]^T, using rowsum(dO * f) in place of rowsum(dP * P), and
+# multiplies by P in place to get dS. Then dv = P^T dO and [db, dc] = dS^T
+# [x, 1] (db = dS^T x without a bias). A is piecewise constant in a, so
+# these are the exact gradients of the carried output. da_i carries f'
+# over the same basis; at the queries it equals dS b. The interpolant's
+# own derivative would amplify the node values' rounding about M^2 /
+# A-fold, past the float64 tolerance of the kernel tests at small A; the
+# two differ by the interpolation error that _NODE_TABLE bounds.
 #
 # Both passes walk the batch in chunks of users whose (m, n) score blocks,
 # in the operands' dtype, stay within ATTN_CHUNK_BYTES together; a float32
@@ -265,25 +263,15 @@ def _chunk_len(a: np.ndarray, b: np.ndarray) -> int:
     return max(1, ATTN_CHUNK_BYTES // (a.shape[1] * b.shape[1] * a.itemsize))
 
 
-def _logit_limit(n: int) -> float:
-    """Largest logit magnitude that exp may take without a row-max shift:
-    half the range in which e^-logit stays a normal float64 and n terms
-    e^logit sum below its largest, so that a row sum, and its product with
-    the values, stays far from either end."""
-    fi = np.finfo(np.float64)
-    return 0.5 * min(math.log(float(fi.max) / n), -math.log(float(fi.tiny)))
-
-
-def _plan(a: np.ndarray, b: np.ndarray, c: np.ndarray | None = None):
+def _plan(a: np.ndarray, b: np.ndarray):
     """Per user: the node interval's half-width A and the node count M (0
     when the points are the queries), as two arrays over the batch."""
     top_a, top_b = (np.abs(x).max(axis=(1, 2)).astype(np.float64) for x in (a, b))
-    top_c = 0.0 if c is None else np.abs(c).max(axis=(1, 2)).astype(np.float64)
     mantissa, exponent = np.frexp(top_a)
     scale = np.ldexp(1.0, exponent - (mantissa == 0.5))  # frexp(0) = (0, 0): A = 1
     bounds, counts = _NODE_TABLE[a.dtype]
     nodes = np.array(counts + (0,))[np.searchsorted(bounds, scale * top_b)]
-    nodes[(4 * nodes > a.shape[1]) | (scale * top_b + top_c > _logit_limit(b.shape[1]))] = 0
+    nodes[4 * nodes > a.shape[1]] = 0
     return scale, nodes
 
 
@@ -329,83 +317,55 @@ def _points(a: np.ndarray, scale: np.ndarray, count: int, dtype):
             _basis((a[..., 0] / scale[:, None]).astype(dtype), count), to_coef)
 
 
-def _exact_forward(x: np.ndarray, kb: np.ndarray, v: np.ndarray, shift: bool):
+def _exact_forward(x: np.ndarray, kb: np.ndarray, v: np.ndarray):
     """softmax_j(x_i b_j + c_j) v for the points x (r, p, 1) against
-    kb = [b, c] (r, n, 2), in float64, each row shifted by its max when
-    `shift`. Returns the output and the row log-sum-exp (r, p)."""
+    kb = [b, c] (r, n, 2), in float64, each row shifted by its max.
+    Returns the output and the row log-sum-exp (r, p)."""
     e = v.shape[-1]
     scores = np.matmul(np.concatenate([x, np.ones_like(x)], axis=-1), _swap(kb))
-    if shift:
-        top = scores.max(axis=-1, keepdims=True)
-        scores -= top
+    top = scores.max(axis=-1, keepdims=True)
+    scores -= top
     np.exp(scores, out=scores)
     acc = np.matmul(scores, np.concatenate([v, np.ones_like(v[..., :1])], axis=-1))
-    lse = np.log(acc[..., e])
-    if shift:
-        lse += top[..., 0]
-    return acc[..., :e] / acc[..., e:], lse
-
-
-def _exact_backward(out: np.ndarray, lse: np.ndarray, g: np.ndarray, x: np.ndarray,
-                    kb: np.ndarray, v: np.ndarray, cols: int):
-    """Gradients, in float64, for v and the first `cols` columns of kb,
-    from f's values at the points x, their row log-sum-exp and the output
-    grad there."""
-    qa = np.concatenate([x, np.ones_like(x), -lse[..., None]], axis=-1)
-    p = np.matmul(qa, _swap(np.concatenate([kb, np.ones_like(kb[..., :1])], axis=-1)))
-    np.exp(p, out=p)
-    gv = np.matmul(_swap(p), g)
-    go = np.concatenate([g, -np.multiply(g, out).sum(axis=-1, keepdims=True)],
-                        axis=-1)  # [dO, -rowsum(dO * O)]
-    ds = np.matmul(go, _swap(np.concatenate([v, np.ones_like(v[..., :1])], axis=-1)))
-    ds *= p
-    return gv, np.matmul(_swap(ds), qa[..., :cols])
+    return acc[..., :e] / acc[..., e:], np.log(acc[..., e]) + top[..., 0]
 
 
 def _attention_forward(a: np.ndarray, b: np.ndarray, v: np.ndarray,
-                       c: np.ndarray | None = None, *, keep: bool):
-    """Returns the output and, with `keep`, what the backward reads: the
-    float64 log-sum-exp of every point row, "lse" (B, points), and, when a
-    user interpolates, the float64 node outputs "node_out" (B, M, e)."""
+                       c: np.ndarray | None = None):
+    """Returns the output and what the backward reads: the float64
+    log-sum-exp of every point row (B, points)."""
     batch, chunk = len(a), _chunk_len(a, b)
     m, e = a.shape[1], v.shape[-1]
-    scale, nodes = _plan(a, b, c)
+    scale, nodes = _plan(a, b)
     kb = np.concatenate([b, np.zeros_like(b) if c is None else c], axis=-1, dtype=np.float64)
     out = np.empty((batch, m, e), a.dtype)
-    kept = {}
-    if keep:
-        kept["lse"] = np.zeros((batch, m if (nodes == 0).any() else nodes.max(initial=0)))
-        if nodes.any():
-            kept["node_out"] = np.zeros((batch, nodes.max(), e))
+    lse = np.zeros((batch, m if (nodes == 0).any() else nodes.max(initial=0)))
 
     def run(starts):
         for first in starts:
             for lo, hi in _runs(nodes, first, min(first + chunk, batch)):
                 part, count = slice(lo, hi), nodes[lo]
                 x, basis, to_coef = _points(a[part], scale[part], count, a.dtype)
-                vals, lse = _exact_forward(x, kb[part], v[part].astype(np.float64), not count)
+                vals, lse[part, :x.shape[1]] = _exact_forward(x, kb[part],
+                                                              v[part].astype(np.float64))
                 if not count:
                     out[part] = vals
                 else:
                     np.matmul(_swap(basis), np.matmul(to_coef, vals).astype(a.dtype),
                               out=out[part])
-                    if keep:
-                        kept["node_out"][part, :count] = vals
-                if keep:
-                    kept["lse"][part, :lse.shape[1]] = lse
 
     _map_chunks(batch, chunk, run)
-    return out, kept
+    return out, lse
 
 
-def _attention_backward(out: np.ndarray, kept: dict, g: np.ndarray, a: np.ndarray,
-                        b: np.ndarray, v: np.ndarray,
-                        c: np.ndarray | None = None) -> list[np.ndarray]:
-    """Gradients for (a, b, v), and c when given, from the forward's output
-    and kept point statistics and the output grad."""
+def _attention_backward(lse: np.ndarray, g: np.ndarray, a: np.ndarray, b: np.ndarray,
+                        v: np.ndarray, c: np.ndarray | None = None) -> list[np.ndarray]:
+    """Gradients for (a, b, v), and c when given, from the forward's point
+    row log-sum-exp and the output grad."""
     batch, chunk = len(a), _chunk_len(a, b)
     dtype = np.result_type(a, g)
-    scale, nodes = _plan(a, b, c)
+    e = v.shape[-1]
+    scale, nodes = _plan(a, b)
     kb = np.concatenate([b, np.zeros_like(b) if c is None else c], axis=-1, dtype=np.float64)
     cols = 1 if c is None else 2
     ga, gv = np.empty(a.shape, dtype), np.empty(v.shape, dtype)
@@ -418,16 +378,24 @@ def _attention_backward(out: np.ndarray, kept: dict, g: np.ndarray, a: np.ndarra
                 gp, kb64, v64 = g[part], kb[part], v[part].astype(np.float64)
                 x, basis, to_coef = _points(a[part], scale[part], count, dtype)
                 if not count:
-                    vals, g_points = out[part], gp.astype(np.float64)
+                    g_points = gp.astype(np.float64)
                 else:
-                    vals = kept["node_out"][part, :count]
                     g_points = np.matmul(to_coef.T, np.matmul(basis, gp).astype(np.float64))
-                gv[part], gbc[part] = _exact_backward(vals, kept["lse"][part, :x.shape[1]],
-                                                      g_points, x, kb64, v64, cols)
-                # f' = sum_j s_j b_j v_j - (sum_j s_j b_j) f at the points.
-                moments, _ = _exact_forward(x, kb64, np.concatenate(
-                    [kb64[..., :1] * v64, kb64[..., :1]], axis=-1), not count)
-                slope = moments[..., :-1] - moments[..., -1:] * vals
+                ones = np.ones_like(kb64[..., :1])
+                qa = np.concatenate([x, np.ones_like(x), -lse[part, :x.shape[1], None]], axis=-1)
+                p = np.matmul(qa, _swap(np.concatenate([kb64, ones], axis=-1)))
+                np.exp(p, out=p)
+                # f, sum_j s_j b_j v_j and sum_j s_j b_j at the points.
+                moments = np.matmul(p, np.concatenate([v64, kb64[..., :1] * v64, kb64[..., :1]],
+                                                      axis=-1))
+                vals = moments[..., :e]
+                gv[part] = np.matmul(_swap(p), g_points)
+                go = np.concatenate([g_points, -np.multiply(g_points, vals).sum(
+                    axis=-1, keepdims=True)], axis=-1)  # [dO, -rowsum(dO * f)]
+                ds = np.matmul(go, _swap(np.concatenate([v64, ones], axis=-1)))
+                ds *= p
+                gbc[part] = np.matmul(_swap(ds), qa[..., :cols])
+                slope = moments[..., e:-1] - moments[..., -1:] * vals
                 if count:
                     slope = np.matmul(_swap(basis), np.matmul(to_coef, slope).astype(dtype))
                 ga[part, :, 0] = np.multiply(gp, slope).sum(axis=-1, dtype=np.float64)
@@ -583,8 +551,7 @@ class Tape:
             if len({x.dtype for x in vals}) != 1:
                 raise ContractError(
                     f"cross_attention: dtypes {[str(x.dtype) for x in vals]} differ")
-            out, kept = _attention_forward(*vals, keep=req)
-            ctx.update(kept)
+            out, ctx["lse"] = _attention_forward(*vals)
         elif op == "reshape":
             (a,) = vals
             shape = tuple(const["shape"])
@@ -661,7 +628,7 @@ class Tape:
                 if wanted:
                     yield inp, w * g
         elif op == "cross_attention":
-            grads = _attention_backward(node.value, node.ctx, g, *vals)
+            grads = _attention_backward(node.ctx["lse"], g, *vals)
             yield from ((inp, gi) for inp, gi, wanted in zip(ins, grads, need) if wanted)
         elif op == "reshape":
             yield ins[0], g.reshape(node.ctx["old_shape"])
@@ -786,6 +753,10 @@ def gradient_check(build_fn, params: dict[str, np.ndarray], eps: float = 1e-3,
     the best-agreeing probe: a kink artifact shrinks with the step while a
     genuine gradient error is step-independent, so only real bugs survive.
     """
+    if not 0 < eps < math.inf:
+        raise ContractError(f"gradient_check: eps must be positive and finite, got {eps!r}")
+    if max_entries < 1:
+        raise ContractError(f"gradient_check: max_entries must be >= 1, got {max_entries}")
     p64 = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
 
     def run(ps) -> tuple[Tape, Node, dict[str, Node]]:

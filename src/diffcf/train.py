@@ -67,6 +67,8 @@ class TrainConfig:
             raise ContractError(f"weighting must be one of {WEIGHTINGS}")
         if self.eval_every < 1:
             raise ContractError("eval_every must be >= 1")
+        if not self.max_hours >= 0:
+            raise ContractError(f"max_hours must be >= 0, got {self.max_hours}")
 
 
 def batch_loss(tape: nd.Tape, leaves: dict[str, nd.Node], model_cfg: camae.CamAeConfig,
@@ -147,6 +149,8 @@ def gradcheck_case(model_cfg: camae.CamAeConfig, sched: NoiseSchedule,
     batch. Data and targets are float64 constants; parameters are cast to
     float64 inside the checker. t = 1 and t = T are always represented so
     both loss branches get exercised."""
+    if batch < 1:
+        raise ContractError(f"gradcheck: batch must be >= 1, got {batch}")
     rng = np.random.default_rng(data_seed)
     items = model_cfg.num_items
     u0 = (rng.random((batch, items)) < 0.4).astype(np.float64)
@@ -194,6 +198,9 @@ def fit(params: dict, model_cfg: camae.CamAeConfig, train_cfg: TrainConfig,
     counts on from where it stopped. The log at `log_path` gets one line
     per epoch; a run that starts at epoch 1 replaces it, a resumed one
     appends to it."""
+    if not 0 <= train_cfg.infer_steps <= sched.T:
+        raise ContractError(
+            f"infer_steps must lie in 0..{sched.T}, got {train_cfg.infer_steps}")
     if adam is None:
         adam = nd.init_adam(params, lr=train_cfg.lr)
     result = FitResult()

@@ -253,8 +253,7 @@ class TestAttention:
     z_obs alone; later layers read a dense state. In float32 the helper
     matches the d-wide composition in float64, output, row log-sum-exp
     (where the points are the queries) and gradients, with and without the
-    timestep code; past the logit limit, where rows shift by their max, in
-    float64."""
+    timestep code; with logits past the range of exp, in float64."""
 
     B, SEQ, D = 5, 300, 16
 
@@ -272,10 +271,11 @@ class TestAttention:
             node = camae._attention(tape, leaves, cfg, layer, 2, query, rows, z_obs, emb, state)
             out = node.value
             # A user that interpolates keeps the log-sum-exp of its nodes,
-            # not of its queries: the row log-sum-exp is compared only on
-            # the exact route.
-            ctx = next(x for x in tape.nodes if x.op == "cross_attention").ctx
-            lse = None if "node_out" in ctx else ctx["lse"]
+            # not of its queries: the row log-sum-exp is compared only when
+            # every user's points are its queries.
+            attn = next(x for x in tape.nodes if x.op == "cross_attention")
+            interpolates = nd._plan(*(x.value for x in attn.inputs[:2]))[1].any()
+            lse = None if interpolates else attn.ctx["lse"]
             loss = tape.record("mse", node, tape.leaf(target))
         else:
             def tokens(z, row, code):
@@ -294,8 +294,8 @@ class TestAttention:
     @pytest.mark.parametrize("variant", ["full", "self-attn"])
     @pytest.mark.parametrize("t_embed", [False, True])
     @pytest.mark.parametrize("layer", [1, 2])
-    @pytest.mark.parametrize("shifted", [False, True])
-    def test_matches_the_wide_composition(self, variant, t_embed, layer, shifted):
+    @pytest.mark.parametrize("large", [False, True])
+    def test_matches_the_wide_composition(self, variant, t_embed, layer, large):
         rng = np.random.default_rng(49)
         d = self.D
         bound = math.sqrt(6.0 / (2 * d))
@@ -310,10 +310,10 @@ class TestAttention:
             inputs["state"] = rng.standard_normal((self.B, self.SEQ, d))
         emb = nd.sinusoidal_embedding(rng.integers(1, 50, self.B), d) if t_embed else None
         target = rng.standard_normal((self.B, self.SEQ, d)).astype(np.float32)
-        # The points are the queries, and their rows shift, when the bound
-        # A max|key| + max|key bias| (A >= max|z|) passes the float64 logit
-        # limit. The bound grows with W_q, so the shifted route scales W_q
-        # until max|z| max|key| + max|key bias| is three times the limit.
+        # The bound max|z| max|key| + max|key bias| on the logits grows
+        # with W_q, so the large case scales W_q until the bound is 1000,
+        # past log(finfo(float64).max), where exp overflows unless each row
+        # is lowered by its max first.
         w_q, w_k = inputs[f"attn{layer}_hop2_q"], inputs[f"attn{layer}_hop2_k"]
         if variant == "self-attn":
             query, rows = inputs["z_obs"], [inputs["expand_obs"]] + ([] if emb is None else [emb])
@@ -324,13 +324,12 @@ class TestAttention:
                 for w in folded]
         largest = np.abs(query).max() * np.abs(keys[0]).max() + sum(np.abs(c).max()
                                                                      for c in keys[1:])
-        limit = nd._logit_limit(self.SEQ)
-        assert largest < limit
-        if shifted:
-            w_q *= 3 * limit / largest
+        assert largest < 10
+        if large:
+            w_q *= 1000.0 / largest
         # float32 keys round logits of a thousand by about 1e-4, past the
-        # tolerance, so the shifted route runs in float64.
-        dtype = np.float64 if shifted else np.float32
+        # tolerance, so the large case runs in float64.
+        dtype = np.float64 if large else np.float32
         inputs = {n: x.astype(np.float32).astype(dtype) for n, x in inputs.items()}
         got = self.attend(inputs, None if emb is None else emb.astype(dtype), target, variant,
                           layer, factored=True)

@@ -345,6 +345,15 @@ class TestGradcheckCommand:
     def test_fails_at_impossible_tolerance(self, capsys):
         assert cli.main(self.MICRO + ["--tol", "1e-15"]) == 1
 
+    @pytest.mark.parametrize("flag, says", [("--eps", "eps must be positive"),
+                                            ("--max-entries", "max_entries must be >= 1"),
+                                            ("--batch", "batch must be >= 1")])
+    def test_degenerate_argument_is_contract(self, flag, says, capsys):
+        # A zero step divides by zero; zero entries or users check nothing.
+        assert cli.main(self.MICRO + [flag, "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("diffcf: error: contract:") and says in err
+
     def test_passes_where_the_attention_interpolates(self, monkeypatch, capsys):
         # The micro case attends at its queries; at k = 64 and d = 4 every
         # attention row of the check takes 12 float64 nodes.
@@ -422,6 +431,20 @@ class TestErrorMapping:
         assert rc == 1
         assert capsys.readouterr().err.startswith("diffcf: error: contract:")
         assert not (tmp_path / "checkpoint.cfck").exists()
+
+    @pytest.mark.parametrize("flags, says", [
+        (["--epochs", "3", "--eval-every", "3", "--infer-steps", "500"],
+         "infer_steps must lie in 0..5, got 500"),
+        (["--max-hours", "-1"], "max_hours must be >= 0, got -1.0")])
+    def test_fit_flag_out_of_range_is_contract_before_training(self, prepared, tmp_path,
+                                                               capsys, flags, says):
+        rc = cli.main(["train", "--data", str(prepared["data"]), "--out-dir", str(tmp_path)]
+                      + TINY_TRAIN + flags)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("diffcf: error: contract:") and says in err
+        assert not any((tmp_path / name).exists()
+                       for name in ("last.cfck", "checkpoint.cfck", "train_log.jsonl"))
 
     @pytest.mark.parametrize("argv", [
         ["bench-scaling", "--axis", "users", "--sizes", ""],

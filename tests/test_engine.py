@@ -344,12 +344,6 @@ def chunk_len(m, n, dtype):
     return max(1, nd.ATTN_CHUNK_BYTES // (m * n * np.dtype(dtype).itemsize))
 
 
-def logit_bound(a, b, c=None):
-    """The kernel's bound on every logit a_i b_j + c_j: max|a| max|b| + max|c|."""
-    bound = np.abs(a).max() * float(np.abs(b).max())
-    return bound if c is None else bound + float(np.abs(c).max())
-
-
 def attention_operands(rng, batch, m, n, e, dtype, bias):
     """Standard normal queries (batch, m, 1), keys (batch, n, 1), values
     (batch, n, e) and, with `bias`, a key bias (batch, n, 1)."""
@@ -396,22 +390,21 @@ class TestChunkedAttention:
         for batch, bias in itertools.product(sorted({1, chunk - 1, chunk, chunk + 1,
                                                      2 * chunk + 1}), (False, True)):
             operands = attention_operands(rng, batch, self.M, self.N, self.DV, dtype, bias)
-            assert not nd._plan(*operands[:2], *operands[3:])[1].any()
+            assert not nd._plan(*operands[:2])[1].any()
             self.assert_matches_oracle(operands, seed=batch)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_row_max_route_matches_oracle(self, dtype):
-        # Every key bias is offset by twice the float64 limit: the bound
-        # passes it in every chunk, whose rows then shift by their max,
-        # while the softmax, which the offset does not change, stays
-        # ordinary.
+        # Every key bias is offset by 1500, past 2 log(finfo(float64).max):
+        # exp overflows on every logit unless its row is lowered by its
+        # max first, while the softmax, which the offset does not change,
+        # stays ordinary.
         chunk = chunk_len(self.M, self.N, dtype)
-        limit = nd._logit_limit(self.N)
         rng = np.random.default_rng(48)
         for batch in sorted({1, chunk + 1}):
             a, b, v, c = attention_operands(rng, batch, self.M, self.N, self.DV, dtype, True)
-            c += dtype(2 * limit)
-            assert min(logit_bound(a[i], b[i], c[i]) for i in range(batch)) > limit
+            c += dtype(1500.0)
+            assert c.min() > 2 * math.log(float(np.finfo(np.float64).max))
             self.assert_matches_oracle([a, b, v, c], seed=batch)
 
     @pytest.mark.parametrize("bias", [False, True])
@@ -423,7 +416,7 @@ class TestChunkedAttention:
         rng = np.random.default_rng(66)
         operands = interpolating_operands(rng, [1.2, 3.0, 10.0, 30.0], 64, 64, self.DV,
                                           np.float32, bias)
-        assert not nd._plan(*operands[:2], *operands[3:])[1].any()
+        assert not nd._plan(*operands[:2])[1].any()
         tape = nd.Tape()
         out = tape.record("cross_attention", *map(tape.leaf, operands)).value
         want, _ = whole_batch_attention(*(x.astype(np.float64) for x in operands))
@@ -796,8 +789,9 @@ class TestInterpolatedAttention:
     Chebyshev nodes of [-A, A]: the op must still match the exact oracle
     (`whole_batch_attention`, in float64) within the tolerances of
     `TestChunkedAttention`, forward and every gradient, from R = 0 to past
-    the table and past the logit limit, where the points are the queries.
-    The float64 point statistics it keeps must match the oracle there."""
+    the table, where the points are the queries, and under a key bias past
+    the range of exp. The one statistic a training node keeps, the float64
+    log-sum-exp of every point row, must match the oracle there."""
 
     M, N, DV = 384, 512, 5
 
@@ -806,7 +800,7 @@ class TestInterpolatedAttention:
         ids = [tape.leaf(x, trainable=True) for x in operands]
         node = tape.record("cross_attention", *ids)
         dtype = operands[0].dtype.type
-        scale, got_nodes = nd._plan(*operands[:2], *operands[3:])
+        scale, got_nodes = nd._plan(*operands[:2])
         assert got_nodes.tolist() == nodes
         wide = [x.astype(np.float64) for x in operands]
         a, b, v, *c = wide
@@ -819,11 +813,10 @@ class TestInterpolatedAttention:
         for leaf, gx in zip(ids, whole_batch_attention_vjp(a, b, v, want_s, g, *c)):
             assert got[leaf].dtype == dtype
             np.testing.assert_allclose(got[leaf], gx, **tol)
-        # Per node row: the log-sum-exp, and the output f(x) of the users
-        # that interpolate, in float64.
+        # Per point row, the float64 log-sum-exp, and nothing else.
         width = max(count or self.M for count in nodes)
+        assert set(node.ctx) == {"lse"}
         assert node.ctx["lse"].shape == (len(a), width) and node.ctx["lse"].dtype == np.float64
-        assert ("node_out" in node.ctx) == any(nodes)
         for user, count in enumerate(nodes):
             row = slice(user, user + 1)
             keys = (b[row], *(x[row] for x in c))
@@ -832,11 +825,8 @@ class TestInterpolatedAttention:
                                            whole_batch_lse(a[row], *keys), **tol)
                 continue
             points = scale[user] * nd._chebyshev(count)[0][None]
-            f, _ = whole_batch_attention(points, keys[0], v[row], *keys[1:])
-            tight = TOLERANCE[np.float64]
             np.testing.assert_allclose(node.ctx["lse"][row, :count],
-                                       whole_batch_lse(points, *keys), **tight)
-            np.testing.assert_allclose(node.ctx["node_out"][row, :count], f, **tight)
+                                       whole_batch_lse(points, *keys), **TOLERANCE[np.float64])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("bias", [False, True])
@@ -849,32 +839,35 @@ class TestInterpolatedAttention:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_row_max_route(self, dtype):
-        # A key bias offset by twice the float64 logit limit passes it at
-        # every R the table serves: the points are the queries, whose rows
-        # shift by their max.
-        limit = nd._logit_limit(self.N)
+        # A key bias offset by 1500, past 2 log(finfo(float64).max), keeps
+        # the user's node count at every R, from the table's to past it:
+        # every point row is lowered by its max before exp, and f does not
+        # see the offset.
         rng = np.random.default_rng(61)
-        for seed, (reach, _) in enumerate(node_counts(dtype, self.M)[:-1]):
+        for seed, (reach, count) in enumerate(node_counts(dtype, self.M)):
             a, b, v, c = interpolating_operands(rng, [reach], self.M, self.N, self.DV, dtype,
                                                 True)
-            c += dtype(2 * limit)
-            self.check([a, b, v, c], [0], seed)
+            c += dtype(1500.0)
+            assert c.min() > 2 * math.log(float(np.finfo(np.float64).max))
+            self.check([a, b, v, c], [count], seed)
 
     def test_users_take_their_own_routes(self):
         # One batch mixes node counts with users whose points are their
-        # queries, past the table and past the logit limit, in runs that
-        # cross a chunk boundary; each user's output and gradients are
-        # those of the user alone, bit for bit.
+        # queries, and a user whose key bias is past the range of exp, in
+        # runs that cross a chunk boundary; each user's output and
+        # gradients are those of the user alone, bit for bit, and a taped
+        # forward gives the bits of an untaped one.
         rng = np.random.default_rng(62)
         reaches = [0.01, 0.01, 0.5, 8.0, 8.0, 0.01, 0.2, 0.2]
         a, b, v, c = interpolating_operands(rng, reaches, self.M, self.N, self.DV, np.float32,
                                             True)
-        c[6] += np.float32(2 * nd._logit_limit(self.N))
+        c[6] += np.float32(1500.0)
         g = rng.standard_normal((len(a), self.M, self.DV)).astype(np.float32)
-        _, nodes = nd._plan(a, b, c)
-        assert nodes.tolist() == [4, 4, 12, 0, 0, 4, 0, 8]
+        _, nodes = nd._plan(a, b)
+        assert nodes.tolist() == [4, 4, 12, 0, 0, 4, 8, 8]
         assert chunk_len(self.M, self.N, np.float32) < len(a)
         whole = TestAttentionWorkers.run(g, a, b, v, c)
+        assert np.array_equal(whole[0], whole[1])
         self.check([a, b, v, c], nodes.tolist(), seed=63)
         for user in range(len(a)):
             row = slice(user, user + 1)
@@ -890,7 +883,7 @@ class TestInterpolatedAttention:
             batch = 6 * chunk + 1
             operands = interpolating_operands(rng, ([0.02, 0.2, 1.0] * batch)[:batch],
                                               self.M, self.N, e, dtype, bias)
-            assert nd._plan(*operands[:2], *operands[3:])[1].all()
+            assert nd._plan(*operands[:2])[1].all()
             g = rng.standard_normal((batch, self.M, e)).astype(dtype)
             TestAttentionWorkers.same_bits_on_every_worker_count(
                 TestAttentionWorkers.run, (g, *operands), TestAttentionWorkers.chunked_jobs(7),
@@ -902,7 +895,7 @@ class TestInterpolatedAttention:
         # 16-node band of float64, so each stays on one interpolant.
         rng = np.random.default_rng(65)
         operands = interpolating_operands(rng, [0.3, 0.3], 128, 48, 2, np.float64, True)
-        assert nd._plan(*operands[:2], operands[3])[1].tolist() == [16, 16]
+        assert nd._plan(*operands[:2])[1].tolist() == [16, 16]
         check_op_gradients(
             lambda t, ids: sum_of_squares(t, t.record("cross_attention", *ids)), operands)
 
